@@ -19,10 +19,10 @@ use proql_datalog::compile::compile_body;
 use proql_provgraph::{ProvGraph, ProvenanceSystem};
 use proql_storage::batch::{Column, RecordBatch};
 use proql_storage::{
-    execute_batch_opts, execute_batch_profiled, execute_with, explain, optimize::optimize_with,
-    Database, ExecMode, Expr, OpStat,
+    execute_batch_opts, execute_batch_profiled, execute_with, explain,
+    optimize::optimize_with_config, Database, ExecMode, Expr, OpStat, OptimizerConfig,
 };
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 /// The result of a graph-projection query: the output subgraph (encoded
 /// relationally, one row-set per provenance relation) plus the binding
@@ -89,22 +89,60 @@ pub struct PreparedRule {
     /// The optimized plan. Its output schema is identical to the
     /// unoptimized compilation, so `var_cols` stays valid.
     pub plan: proql_storage::Plan,
-    /// First output column binding each rule variable.
+    /// First output column binding each variable the rule's output
+    /// recipes name (provenance-record terms and node-binding keys).
     pub var_cols: HashMap<String, usize>,
 }
 
-/// Compile and optimize one unfolded rule.
+/// Compile and optimize one unfolded rule with the default pass pipeline.
 pub fn prepare_rule(sys: &ProvenanceSystem, rule: &QueryRule) -> Result<PreparedRule> {
+    prepare_rule_with(sys, rule, &OptimizerConfig::default())
+}
+
+/// [`prepare_rule`] under an explicit pass pipeline — the ablation entry
+/// point: every pipeline yields the same answers, so tests and benches
+/// compare a pass against its absence through this.
+pub fn prepare_rule_with(
+    sys: &ProvenanceSystem,
+    rule: &QueryRule,
+    passes: &OptimizerConfig,
+) -> Result<PreparedRule> {
     let bp = compile_body(&sys.db, &rule.atoms)?;
     let mut plan = bp.plan;
     if let Some(cond) = &rule.condition {
         plan = plan.filter(cond_to_expr(cond, &bp.var_cols)?);
     }
-    let plan = optimize_with(&sys.db, plan);
     Ok(PreparedRule {
-        plan,
-        var_cols: bp.var_cols,
+        plan: optimize_with_config(&sys.db, plan, passes),
+        var_cols: output_var_cols(sys, rule, bp.var_cols)?,
     })
+}
+
+/// `var_cols` cut down to the variables executing the rule resolves: the
+/// terms of its provenance records and the key terms of its node bindings
+/// (see [`merge_rule_batch`]). A result-cache entry keeps its prepared
+/// rules alive, and the full map has an entry per attribute of every body
+/// atom.
+fn output_var_cols(
+    sys: &ProvenanceSystem,
+    rule: &QueryRule,
+    mut var_cols: HashMap<String, usize>,
+) -> Result<HashMap<String, usize>> {
+    let mut terms: Vec<&Term> = rule.prov_records.iter().flat_map(|r| &r.terms).collect();
+    for nb in rule.node_bindings.values() {
+        let key = sys.db.schema_of(&nb.relation)?.effective_key();
+        terms.extend(key.iter().filter_map(|&pos| nb.terms.get(pos)));
+    }
+    let used: HashSet<&str> = terms
+        .into_iter()
+        .filter_map(|term| match term {
+            Term::Var(v) => Some(v.as_str()),
+            _ => None,
+        })
+        .collect();
+    var_cols.retain(|v, _| used.contains(v.as_str()));
+    var_cols.shrink_to_fit();
+    Ok(var_cols)
 }
 
 /// Compile and optimize every rule of a translation.

@@ -51,8 +51,8 @@ pub use annotate::AnnotatedResult;
 pub use ast::Query;
 pub use engine::{Engine, EngineOptions, PreparedQuery, QueryOutput, Strategy};
 pub use exec::{
-    prepare_rule, prepare_rules, run_projection, run_projection_opts, run_projection_prepared,
-    run_projection_with, PreparedRule, ProjectionResult,
+    prepare_rule, prepare_rule_with, prepare_rules, run_projection, run_projection_opts,
+    run_projection_prepared, run_projection_with, PreparedRule, ProjectionResult,
 };
 pub use maintain::{maintain_output, MaintainResult, MaintainState};
 pub use parser::parse_query;

@@ -247,17 +247,26 @@ impl WakeReceiver {
         self.rx.as_raw_fd()
     }
 
-    /// Consume pending wake bytes. Call after [`poll`] reports the wake
-    /// fd readable; clears the coalescing flag first so a wake racing
-    /// the drain is never lost (it just produces a spurious next wake).
+    /// Consume pending wake bytes and re-arm the waker. Call after
+    /// [`poll`] returns and **before** collecting the work the wakes
+    /// announce (the completion queues).
+    ///
+    /// The order is what makes a wake impossible to lose: the socket is
+    /// read empty *first*, the coalescing flag cleared *second*, the work
+    /// collected *last*. A [`Waker::wake`] that lands before the clear
+    /// finds the flag still set and writes nothing — its work was queued
+    /// before it called `wake`, so the collection that follows sees it. A
+    /// wake that lands after the clear writes a fresh byte and turns the
+    /// next [`poll`]. (Clearing first, as this once did, let the drain
+    /// swallow the byte of a wake that had just re-set the flag; the flag
+    /// then stayed set and every later wake was coalesced away.)
     pub fn drain(&mut self, waker: &Waker) {
-        waker.pending.store(false, Ordering::Release);
         let mut buf = [0u8; 64];
-        while let Ok(n) = self.rx.read(&mut buf) {
-            if n == 0 {
-                return;
-            }
-        }
+        while matches!(self.rx.read(&mut buf), Ok(n) if n > 0) {}
+        // A read-modify-write, so it synchronizes with the `swap` of every
+        // coalesced wake before it: their queued work is visible to the
+        // collection that follows.
+        waker.pending.swap(false, Ordering::AcqRel);
     }
 }
 
@@ -311,6 +320,57 @@ mod tests {
         let n = poll(&mut fds, Some(Duration::from_millis(60))).unwrap();
         assert_eq!(n, 0, "idle fd must time out, not report readiness");
         assert!(t.elapsed() >= Duration::from_millis(50));
+    }
+
+    /// Regression for the lost wake-up: producers queue an item and call
+    /// `wake()`; the loop polls (with a timeout no healthy wake-up comes
+    /// near), drains, then collects. With the flag cleared *before* the
+    /// socket was read, a wake landing in between had its byte swallowed
+    /// while the flag stayed set, every later wake was coalesced away, and
+    /// queued items sat until the poll timed out. 1.6 M wakes hit that
+    /// window within the first few thousand on every run tried.
+    #[test]
+    fn hammered_waker_never_strands_a_completion() {
+        use std::sync::{Arc, Mutex};
+        use std::time::Instant;
+        const PRODUCERS: usize = 4;
+        const PER_PRODUCER: usize = 400_000;
+        const POLL_TURN: Duration = Duration::from_millis(500);
+
+        let (waker, mut rx) = Waker::pair().unwrap();
+        let waker = Arc::new(waker);
+        let queue: Arc<Mutex<Vec<Instant>>> = Arc::new(Mutex::new(Vec::new()));
+        std::thread::scope(|scope| {
+            for _ in 0..PRODUCERS {
+                let (waker, queue) = (Arc::clone(&waker), Arc::clone(&queue));
+                scope.spawn(move || {
+                    for i in 0..PER_PRODUCER {
+                        queue.lock().unwrap().push(Instant::now());
+                        waker.wake();
+                        if i % 64 == 0 {
+                            std::thread::yield_now();
+                        }
+                    }
+                });
+            }
+            let mut collected = 0usize;
+            while collected < PRODUCERS * PER_PRODUCER {
+                let mut fds = [PollFd::new(rx.fd(), POLLIN)];
+                poll(&mut fds, Some(POLL_TURN)).unwrap();
+                rx.drain(&waker);
+                let batch = std::mem::take(&mut *queue.lock().unwrap());
+                let now = Instant::now();
+                for queued_at in &batch {
+                    let waited = now.duration_since(*queued_at);
+                    assert!(
+                        waited < POLL_TURN / 2,
+                        "a completion waited {waited:?} of a {POLL_TURN:?} poll turn: \
+                         its wake-up was lost ({collected} collected before it)"
+                    );
+                }
+                collected += batch.len();
+            }
+        });
     }
 
     #[test]

@@ -103,9 +103,11 @@ pub struct OpStat {
     /// Morsel-sized zones a zone-map-pruned scan skipped without reading
     /// (non-zero only on `Scan` operators fused under a `Filter`).
     pub morsels_skipped: u64,
-    /// Fraction of input rows surviving, for operators that emitted a
-    /// selection vector instead of copying survivors (filter, distinct,
-    /// limit); `None` for operators that produced dense output.
+    /// Fraction of input rows surviving a row-dropping operator (filter,
+    /// distinct, limit): selection-vector length over underlying rows,
+    /// or — for a filter fused into a late-materialising scan, which
+    /// never builds the non-survivors — survivors over rows scanned.
+    /// `None` for operators that drop nothing.
     pub sel_density: Option<f64>,
 }
 
@@ -170,11 +172,52 @@ struct SelBatch {
     batch: RecordBatch,
     /// `None` = all rows selected.
     sel: Option<Vec<u32>>,
+    /// Set by the late-materialising fused scan, which drops the
+    /// non-survivors itself instead of emitting a selection: the candidate
+    /// rows it read and the zones it skipped. Telemetry only (`EXPLAIN
+    /// ANALYZE` density, span fields).
+    fused: Option<FusedScan>,
+}
+
+/// What a fused `Filter(Scan)` read to produce its (dense) output.
+#[derive(Debug, Clone, Copy)]
+struct FusedScan {
+    /// Live rows in unpruned zones — the rows the predicate ran over.
+    scanned: usize,
+    /// Morsel-sized zones the zone maps ruled out.
+    skipped: u64,
 }
 
 impl SelBatch {
     fn dense(batch: RecordBatch) -> SelBatch {
-        SelBatch { batch, sel: None }
+        SelBatch {
+            batch,
+            sel: None,
+            fused: None,
+        }
+    }
+
+    /// `batch` restricted to the (ascending) row indices `sel`.
+    fn selected(batch: RecordBatch, sel: Vec<u32>) -> SelBatch {
+        SelBatch {
+            batch,
+            sel: Some(sel),
+            fused: None,
+        }
+    }
+
+    /// Survivors over rows read, for operators that dropped rows.
+    fn density(&self) -> Option<f64> {
+        let (kept, of) = match (&self.sel, self.fused) {
+            (Some(sel), _) => (sel.len(), self.batch.len()),
+            (None, Some(fused)) => (self.batch.len(), fused.scanned),
+            (None, None) => return None,
+        };
+        Some(if of == 0 {
+            1.0
+        } else {
+            kept as f64 / of as f64
+        })
     }
 
     /// Logical row count (selected rows, not underlying rows).
@@ -239,24 +282,25 @@ fn exec_inner(
     if let Ok(sb) = &result {
         let nanos = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         if let (Some(p), Some(idx)) = (prof, slot) {
-            let sel_density = sb.sel.as_ref().map(|s| {
-                if sb.batch.is_empty() {
-                    1.0
-                } else {
-                    s.len() as f64 / sb.batch.len() as f64
-                }
-            });
             p.record(
                 idx,
                 OpStat {
                     rows: sb.len() as u64,
                     nanos,
                     morsels_skipped: 0,
-                    sel_density,
+                    sel_density: sb.density(),
                 },
             );
         }
-        sp.field("rows", sb.len().to_string());
+        if sp.id().is_some() {
+            sp.field("rows", sb.len().to_string());
+            if let Some(fused) = sb.fused {
+                sp.field("scanned", fused.scanned.to_string());
+                if fused.skipped > 0 {
+                    sp.field("morsels_skipped", fused.skipped.to_string());
+                }
+            }
+        }
     } else {
         sp.field("error", "true");
     }
@@ -311,12 +355,7 @@ fn exec_node(
                 } else {
                     // Parallel transpose: each morsel of rows becomes its
                     // own column chunk, appended in morsel order.
-                    let names: Vec<String> = t
-                        .schema()
-                        .attributes()
-                        .iter()
-                        .map(|a| a.name.clone())
-                        .collect();
+                    let names = t.column_names();
                     let rows: Vec<&proql_common::Tuple> = t.iter().collect();
                     let ranges = morsel_ranges(rows.len());
                     let parts = par_map(ranges.len(), par.threads(), |i| {
@@ -365,10 +404,7 @@ fn exec_node(
             let input = exec_inner(db, input, depth, par, prof)?;
             let batch = input.materialize();
             let sel = filter_sel(&batch, predicate, par)?;
-            Ok(SelBatch {
-                batch,
-                sel: Some(sel),
-            })
+            Ok(SelBatch::selected(batch, sel))
         }
         Plan::Project {
             input,
@@ -441,20 +477,14 @@ fn exec_node(
             if *distinct {
                 let all: Vec<u32> = (0..acc.len() as u32).collect();
                 let keep = batch_distinct(&acc, &all);
-                return Ok(SelBatch {
-                    batch: acc,
-                    sel: Some(keep),
-                });
+                return Ok(SelBatch::selected(acc, keep));
             }
             Ok(SelBatch::dense(acc))
         }
         Plan::Distinct { input } => {
             let input = exec_inner(db, input, depth, par, prof)?;
             let keep = batch_distinct(&input.batch, &input.rows());
-            Ok(SelBatch {
-                batch: input.batch,
-                sel: Some(keep),
-            })
+            Ok(SelBatch::selected(input.batch, keep))
         }
         Plan::Aggregate {
             input,
@@ -517,51 +547,81 @@ fn exec_node(
     }
 }
 
-/// The fused `Filter(Scan)` path: zone-map-pruned scan, then the filter
-/// emits a selection vector over the surviving rows. Because fusion
-/// bypasses [`exec_inner`] for the scan child, this reserves the scan's
-/// pre-order profile slot and opens its trace span by hand so
-/// `EXPLAIN ANALYZE` alignment and span nesting are unchanged.
+/// The fused `Filter(Scan)` path, **late-materialising**: after zone-map
+/// pruning only the predicate's columns are read for every candidate row;
+/// the remaining columns are read at the surviving positions alone, so a
+/// selective filter over a wide table never transposes the rows it drops.
+/// The result is dense (survivors in physical order — exactly the rows
+/// and order a full scan + selection vector would materialize).
+///
+/// Fusion bypasses [`exec_inner`] for the scan child. It is one physical
+/// operator and traces as one span — the enclosing `op.filter`, which
+/// carries the fused scan's `scanned` / `morsels_skipped` counts — but
+/// the rendered plan has a `Scan` line, so under `EXPLAIN ANALYZE` this
+/// reserves that line's pre-order profile slot and reports on it the
+/// candidate rows whose predicate columns were read.
 fn fused_filter_scan(
     t: &crate::table::Table,
     predicate: &Expr,
     par: Parallelism,
     prof: Option<&PlanProfile>,
 ) -> Result<SelBatch> {
-    let preds = zone_preds(predicate, t.schema().arity());
-    if prof.is_none() && !trace::enabled() {
-        let (batch, _) = t.to_batch_pruned(Some(&preds));
-        let sel = filter_sel(&batch, predicate, par)?;
-        return Ok(SelBatch {
-            batch,
-            sel: Some(sel),
-        });
+    let arity = t.schema().arity();
+    let mut pred_cols: Vec<usize> = Vec::new();
+    predicate.for_each_col(&mut |c| pred_cols.push(c));
+    if let Some(c) = pred_cols.iter().find(|&&c| c >= arity) {
+        return Err(Error::Storage(format!("column {c} out of range")));
     }
-    let slot = prof.map(|p| p.reserve());
-    let mut sp = trace::span("op.scan");
-    let start = Instant::now();
-    let (batch, skipped) = t.to_batch_pruned(Some(&preds));
-    let nanos = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-    if let (Some(p), Some(idx)) = (prof, slot) {
+    pred_cols.sort_unstable();
+    pred_cols.dedup();
+    let names = t.column_names();
+
+    // Scan: candidate positions, then the predicate's columns only.
+    let slot = prof.map(|p| (p, p.reserve(), Instant::now()));
+    let (positions, skipped) = t.scan_positions(Some(&zone_preds(predicate, arity)));
+    let narrow = RecordBatch::new(
+        pred_cols.iter().map(|&c| names[c].clone()).collect(),
+        pred_cols
+            .iter()
+            .map(|&c| t.scan_column(c, &positions))
+            .collect(),
+        positions.len(),
+    );
+    if let Some((p, idx, start)) = slot {
         p.record(
             idx,
             OpStat {
-                rows: batch.len() as u64,
-                nanos,
+                rows: positions.len() as u64,
+                nanos: start.elapsed().as_nanos().min(u64::MAX as u128) as u64,
                 morsels_skipped: skipped,
                 sel_density: None,
             },
         );
     }
-    sp.field("rows", batch.len().to_string());
-    if skipped > 0 {
-        sp.field("morsels_skipped", skipped.to_string());
-    }
-    drop(sp);
-    let sel = filter_sel(&batch, predicate, par)?;
+
+    // Filter over the narrow batch (column i of it is `pred_cols[i]`),
+    // then materialize the survivors: predicate columns are gathered from
+    // the narrow batch, the rest read from the table.
+    let local = predicate.map_cols(&|c| {
+        pred_cols
+            .binary_search(&c)
+            .expect("pred_cols holds every column of the predicate")
+    });
+    let sel = filter_sel(&narrow, &local, par)?;
+    let survivors: Vec<u32> = sel.iter().map(|&i| positions[i as usize]).collect();
+    let columns = (0..arity)
+        .map(|c| match pred_cols.binary_search(&c) {
+            Ok(i) => narrow.columns[i].gather(&sel),
+            Err(_) => t.scan_column(c, &survivors),
+        })
+        .collect();
     Ok(SelBatch {
-        batch,
-        sel: Some(sel),
+        batch: RecordBatch::new(names, columns, survivors.len()),
+        sel: None,
+        fused: Some(FusedScan {
+            scanned: positions.len(),
+            skipped,
+        }),
     })
 }
 
@@ -805,7 +865,7 @@ fn batch_join(
     if let Some(&k) = right_keys.iter().find(|&&k| k >= r.batch.arity()) {
         return Err(Error::Storage(format!("right join key {k} out of range")));
     }
-    let names = join_names(&l.batch.names, &r.batch.names);
+    let names = join_names(l.batch.names.clone(), &r.batch.names);
     let build_left = match build {
         BuildSide::Left => true,
         BuildSide::Right => false,

@@ -310,26 +310,41 @@ fn null_padding(n: usize) -> Tuple {
 }
 
 /// Output column names of a join: left names, then right names with
-/// duplicates disambiguated by `_N` suffixes. Shared with the batch
-/// executor so both paths report identical schemas.
-pub(crate) fn join_names(left: &[String], right: &[String]) -> Vec<String> {
-    let mut names = left.to_vec();
+/// duplicates disambiguated by `_N` suffixes (the smallest `N >= 1` that
+/// is still free). Shared with the batch executor and the optimizer so
+/// every path reports identical schemas.
+///
+/// Names are only ever added, so once `n_1..n_i` are taken they stay
+/// taken: a set of the names so far plus, per duplicated name, the next
+/// suffix to try gives the same answer as rescanning the output for every
+/// candidate — in time linear in the number of columns.
+pub(crate) fn join_names(mut left: Vec<String>, right: &[String]) -> Vec<String> {
+    use std::collections::HashSet;
+    let mut seen: HashSet<&str> = left.iter().map(String::as_str).collect();
+    // Generated names live in `fresh`, which keeps growing, so the set of
+    // them owns its strings.
+    let mut generated: HashSet<String> = HashSet::new();
+    let mut next_suffix: HashMap<&str, usize> = HashMap::new();
+    let mut fresh: Vec<String> = Vec::with_capacity(right.len());
     for n in right {
-        if names.iter().any(|x| x == n) {
-            let mut i = 1;
-            loop {
-                let cand = format!("{n}_{i}");
-                if !names.contains(&cand) {
-                    names.push(cand);
-                    break;
-                }
-                i += 1;
-            }
-        } else {
-            names.push(n.clone());
+        if seen.insert(n) && !generated.contains(n.as_str()) {
+            fresh.push(n.clone());
+            continue;
         }
+        let i = next_suffix.entry(n).or_insert(1);
+        let cand = loop {
+            let cand = format!("{n}_{i}");
+            *i += 1;
+            if !seen.contains(cand.as_str()) && !generated.contains(&cand) {
+                break cand;
+            }
+        };
+        generated.insert(cand.clone());
+        fresh.push(cand);
     }
-    names
+    drop(seen);
+    left.extend(fresh);
+    left
 }
 
 fn exec_join(
@@ -351,7 +366,7 @@ fn exec_join(
     if let Some(&k) = right_keys.iter().find(|&&k| k >= r.arity()) {
         return Err(Error::Storage(format!("right join key {k} out of range")));
     }
-    let names = join_names(&l.names, &r.names);
+    let names = join_names(l.names.clone(), &r.names);
 
     let mut matched_right = vec![false; r.rows.len()];
     let mut rows = Vec::new();
@@ -566,6 +581,62 @@ mod tests {
     use super::*;
     use crate::plan::Aggregate;
     use proql_common::{tup, Schema, ValueType};
+
+    /// The original `join_names`: rescan the output for every right name
+    /// and every `_N` candidate. Kept as the oracle for the set-based one.
+    fn join_names_by_rescan(left: &[String], right: &[String]) -> Vec<String> {
+        let mut names = left.to_vec();
+        for n in right {
+            if names.iter().any(|x| x == n) {
+                let mut i = 1;
+                loop {
+                    let cand = format!("{n}_{i}");
+                    if !names.contains(&cand) {
+                        names.push(cand);
+                        break;
+                    }
+                    i += 1;
+                }
+            } else {
+                names.push(n.clone());
+            }
+        }
+        names
+    }
+
+    #[test]
+    fn join_names_equals_the_rescanning_original() {
+        // A tiny name pool forces duplicates on both sides, and the pool
+        // itself contains `_N`-shaped names, so generated candidates
+        // collide with given names, with each other, and chain (`k_1_1`).
+        const POOL: [&str; 8] = ["k", "k_1", "k_2", "k_1_1", "x", "x_1", "y", "k_3"];
+        let mut rng = proql_common::rng::SplitMix64::seed_from_u64(0x0101_AAE5);
+        let mut pick = |max: usize| -> Vec<String> {
+            let n = rng.gen_range_usize(0, max);
+            (0..n)
+                .map(|_| POOL[rng.gen_range_usize(0, POOL.len())].to_string())
+                .collect()
+        };
+        for round in 0..500 {
+            let (left, right) = (pick(12), pick(12));
+            assert_eq!(
+                join_names(left.clone(), &right),
+                join_names_by_rescan(&left, &right),
+                "round {round}: {left:?} ⋈ {right:?}"
+            );
+        }
+        // The accumulating shape of a join chain: the output of one join
+        // is the left input of the next.
+        let leaf: Vec<String> = ["k", "x", "y"].iter().map(|s| s.to_string()).collect();
+        let (mut fast, mut slow) = (leaf.clone(), leaf.clone());
+        for _ in 0..12 {
+            fast = join_names(fast, &leaf);
+            slow = join_names_by_rescan(&slow, &leaf);
+            assert_eq!(fast, slow);
+        }
+        assert_eq!(fast[3..6], ["k_1", "x_1", "y_1"]);
+        assert_eq!(fast.last().map(String::as_str), Some("y_12"));
+    }
 
     fn db() -> Database {
         let mut db = Database::new();

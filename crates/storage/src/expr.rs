@@ -149,33 +149,66 @@ impl Expr {
         }
     }
 
+    /// Visit every column reference, in evaluation order.
+    pub fn for_each_col(&self, f: &mut impl FnMut(usize)) {
+        match self {
+            Expr::Col(i) => f(*i),
+            Expr::Lit(_) => {}
+            Expr::Bin(_, a, b) => {
+                a.for_each_col(f);
+                b.for_each_col(f);
+            }
+            Expr::And(ps) | Expr::Or(ps) => ps.iter().for_each(|p| p.for_each_col(f)),
+            Expr::Not(p) | Expr::IsNull(p) => p.for_each_col(f),
+        }
+    }
+
+    /// The smallest and largest column index referenced, if any (decides
+    /// which join side a predicate belongs to).
+    pub fn col_range(&self) -> Option<(usize, usize)> {
+        let mut range: Option<(usize, usize)> = None;
+        self.for_each_col(&mut |c| {
+            range = Some(range.map_or((c, c), |(lo, hi)| (lo.min(c), hi.max(c))));
+        });
+        range
+    }
+
     /// The largest column index referenced, if any (used to validate plans).
     pub fn max_col(&self) -> Option<usize> {
-        match self {
-            Expr::Col(i) => Some(*i),
-            Expr::Lit(_) => None,
-            Expr::Bin(_, a, b) => a.max_col().into_iter().chain(b.max_col()).max(),
-            Expr::And(ps) | Expr::Or(ps) => ps.iter().filter_map(|p| p.max_col()).max(),
-            Expr::Not(p) | Expr::IsNull(p) => p.max_col(),
-        }
+        self.col_range().map(|(_, hi)| hi)
+    }
+
+    /// Rewrite every column reference through `f` (used when an expression
+    /// moves across a join side, a projection, or into a narrower batch).
+    pub fn map_cols(&self, f: &impl Fn(usize) -> usize) -> Expr {
+        self.try_map_cols(&|c| Some(f(c)))
+            .expect("an infallible mapping cannot fail")
+    }
+
+    /// [`Expr::map_cols`] through a partial mapping: `None` as soon as `f`
+    /// has no image for a referenced column.
+    pub fn try_map_cols(&self, f: &impl Fn(usize) -> Option<usize>) -> Option<Expr> {
+        let all =
+            |ps: &[Expr]| -> Option<Vec<Expr>> { ps.iter().map(|p| p.try_map_cols(f)).collect() };
+        Some(match self {
+            Expr::Col(i) => Expr::Col(f(*i)?),
+            Expr::Lit(v) => Expr::Lit(v.clone()),
+            Expr::Bin(op, a, b) => Expr::Bin(
+                *op,
+                Box::new(a.try_map_cols(f)?),
+                Box::new(b.try_map_cols(f)?),
+            ),
+            Expr::And(ps) => Expr::And(all(ps)?),
+            Expr::Or(ps) => Expr::Or(all(ps)?),
+            Expr::Not(p) => Expr::Not(Box::new(p.try_map_cols(f)?)),
+            Expr::IsNull(p) => Expr::IsNull(Box::new(p.try_map_cols(f)?)),
+        })
     }
 
     /// Shift every column reference by `delta` (used when an expression moves
     /// to the right side of a join output).
     pub fn shift_cols(&self, delta: usize) -> Expr {
-        match self {
-            Expr::Col(i) => Expr::Col(i + delta),
-            Expr::Lit(v) => Expr::Lit(v.clone()),
-            Expr::Bin(op, a, b) => Expr::Bin(
-                *op,
-                Box::new(a.shift_cols(delta)),
-                Box::new(b.shift_cols(delta)),
-            ),
-            Expr::And(ps) => Expr::And(ps.iter().map(|p| p.shift_cols(delta)).collect()),
-            Expr::Or(ps) => Expr::Or(ps.iter().map(|p| p.shift_cols(delta)).collect()),
-            Expr::Not(p) => Expr::Not(Box::new(p.shift_cols(delta))),
-            Expr::IsNull(p) => Expr::IsNull(Box::new(p.shift_cols(delta))),
-        }
+        self.map_cols(&|c| c + delta)
     }
 
     /// If this predicate (possibly a conjunction) pins a set of columns to
@@ -377,7 +410,14 @@ mod tests {
             Expr::cmp(BinOp::Lt, Expr::col(4), Expr::col(0)),
         ]);
         assert_eq!(e.max_col(), Some(4));
-        assert_eq!(e.shift_cols(2).max_col(), Some(6));
+        assert_eq!(e.col_range(), Some((0, 4)));
+        assert_eq!(e.shift_cols(2).col_range(), Some((2, 6)));
+        assert_eq!(Expr::lit(1).col_range(), None);
+        assert_eq!(e.try_map_cols(&|c| (c != 4).then_some(c)), None);
+        assert_eq!(e.try_map_cols(&|c| Some(c + 2)), Some(e.shift_cols(2)));
+        let mut seen = Vec::new();
+        e.for_each_col(&mut |c| seen.push(c));
+        assert_eq!(seen, vec![1, 4, 0]);
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //! this resembles pushing selections through joins" (§4.2). This module is
 //! that DBMS layer: a multi-pass framework
 //!
-//! 1. **Filter pushdown** — selections move through projections, unions,
-//!    and inner joins down to the scans they constrain.
+//! 1. **Filter pushdown** — each conjunct of a selection moves through
+//!    projections, unions, views, and joins down to the scans it
+//!    constrains, and a conjunct over inner-equi-join keys is mirrored
+//!    onto the other side of the join (see [`Pass::PushFilters`]).
 //! 2. **Index conversion** — `Filter(Scan)` with equality bindings becomes
 //!    [`Plan::IndexLookup`] (executors fall back to a filtered scan when no
 //!    physical index exists, so the rewrite is always safe).
@@ -27,13 +29,32 @@
 use crate::database::Database;
 use crate::expr::{BinOp, Expr};
 use crate::plan::{BuildSide, JoinType, Plan};
-use proql_common::Value;
+use proql_common::{Value, ValueType};
+use std::collections::HashMap;
 
 /// One optimizer pass. [`OptimizerConfig`] orders them; benchmarks ablate
 /// individual passes (e.g. `plan_bench` measures join reordering alone).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pass {
-    /// Push selections through projections, unions, and inner joins.
+    /// Push each conjunct of a selection as deep as it can go:
+    ///
+    /// * through a `Union` into every branch, and through a `Project`
+    ///   when every output column it reads is a plain column reference;
+    /// * into the side of an **inner** join it references, and — for an
+    ///   outer join — only into the preserved side (left of a left outer
+    ///   join, right of a right outer join; never through a full outer
+    ///   join), since NULL padding makes the other moves unsound;
+    /// * **mirrored** across an inner equi-join when every column it reads
+    ///   is a join key whose counterpart has the same declared type:
+    ///   `l.k = r.k ∧ l.k ∈ [lo, hi) ⇒ r.k ∈ [lo, hi)`, so both inputs
+    ///   shrink before the join (never into an outer join's
+    ///   null-supplying side);
+    /// * through a `Scan` of a view, by replacing the scan with the view's
+    ///   body so the conjunct reaches the base table underneath.
+    ///
+    /// Join arities, key types, and view bodies come from the catalog;
+    /// the catalog-free [`optimize`] runs the same pass knowing only the
+    /// arities a plan states itself, so it skips what it cannot decide.
     PushFilters,
     /// Convert `Filter(Scan)` equality bindings into [`Plan::IndexLookup`].
     IndexScans,
@@ -72,9 +93,10 @@ impl OptimizerConfig {
     }
 }
 
-/// Catalog-free optimization: filter pushdown and index conversion only.
+/// Catalog-free optimization: filter pushdown (as far as the plan's own
+/// arities decide it) and index conversion only.
 pub fn optimize(plan: Plan) -> Plan {
-    index_scans(push_filters(plan))
+    index_scans(push_filters(None, plan))
 }
 
 /// The full default pipeline: [`optimize`] plus catalog-aware passes —
@@ -89,7 +111,7 @@ pub fn optimize_with_config(db: &Database, plan: Plan, cfg: &OptimizerConfig) ->
     let mut plan = plan;
     for pass in &cfg.passes {
         plan = match pass {
-            Pass::PushFilters => push_filters(plan),
+            Pass::PushFilters => push_filters(Some(db), plan),
             Pass::IndexScans => index_scans(plan),
             Pass::ReorderJoins => reorder_joins(db, plan),
             Pass::PickBuildSides => pick_build_sides(db, plan),
@@ -229,6 +251,13 @@ fn join_est(
 /// Distinct values of output column `col`, traced through order- and
 /// column-preserving operators down to a base table's statistics.
 ///
+/// A filter on the column itself shrinks its domain by the selectivity of
+/// the conjuncts that read only that column. This is what keeps a range
+/// mirrored onto every leaf of a join chain from being counted once per
+/// leaf: both inputs of each join then carry the *same* reduced domain,
+/// so [`join_est`] divides by it and the range's selectivity applies once
+/// to the chain, not once per leaf.
+///
 /// For dictionary-encoded string columns the per-column stats key their
 /// value→count map by interned `u32` code instead of by owned [`Value`]
 /// ([`crate::stats`]), so this NDV **is** the dictionary cardinality —
@@ -246,21 +275,33 @@ fn col_ndv(db: &Database, plan: &Plan, col: usize, depth: usize) -> Option<f64> 
                 col_ndv(db, &db.view(table)?.plan, col, depth + 1)
             }
         }
-        Plan::IndexLookup { table, .. } => {
+        Plan::IndexLookup { table, columns, .. } => {
+            if columns.contains(&col) {
+                return Some(1.0);
+            }
             let t = db.table(table).ok()?;
             Some(t.stats().column(col)?.ndv() as f64)
         }
-        Plan::Filter { input, .. } | Plan::Distinct { input } | Plan::Sort { input, .. } => {
+        Plan::Filter { input, predicate } => {
+            let ndv = col_ndv(db, input, col, depth)?;
+            let mut on_col = 1.0;
+            for_each_conjunct(predicate, &mut |c| {
+                if c.col_range() == Some((col, col)) {
+                    on_col *= pred_selectivity(db, input, c, depth);
+                }
+            });
+            Some((ndv * on_col.clamp(0.0, 1.0)).max(1.0))
+        }
+        Plan::Distinct { input } | Plan::Sort { input, .. } | Plan::Limit { input, .. } => {
             col_ndv(db, input, col, depth)
         }
-        Plan::Limit { input, .. } => col_ndv(db, input, col, depth),
         Plan::Project { input, exprs, .. } => match exprs.get(col)? {
             Expr::Col(i) => col_ndv(db, input, *i, depth),
             Expr::Lit(_) => Some(1.0),
             _ => None,
         },
         Plan::Join { left, right, .. } => {
-            let la = plan_arity_cat(db, left, depth)?;
+            let la = plan_arity(Some(db), left, depth)?;
             if col < la {
                 col_ndv(db, left, col, depth)
             } else {
@@ -268,6 +309,14 @@ fn col_ndv(db: &Database, plan: &Plan, col: usize, depth: usize) -> Option<f64> 
             }
         }
         _ => None,
+    }
+}
+
+/// Visit the conjuncts of `pred` (nested `And`s flattened) by reference.
+fn for_each_conjunct<'e>(pred: &'e Expr, f: &mut impl FnMut(&'e Expr)) {
+    match pred {
+        Expr::And(ps) => ps.iter().for_each(|p| for_each_conjunct(p, f)),
+        p => f(p),
     }
 }
 
@@ -330,61 +379,108 @@ fn col_stats<'a>(
     col: usize,
     depth: usize,
 ) -> Option<&'a crate::stats::ColumnStats> {
+    let (t, c) = base_col(db, plan, None, col, depth)?;
+    t.stats().column(c)
+}
+
+/// Declared type of `plan`'s output column `col`: `None` when it does not
+/// trace to a base-table column or that column is untyped (view schemas
+/// are untyped, so views are traced through their bodies). `arity` is
+/// `plan`'s output arity when the caller already knows it.
+fn col_type(db: &Database, plan: &Plan, arity: Option<usize>, col: usize) -> Option<ValueType> {
+    let (t, c) = base_col(db, plan, arity, col, 0)?;
+    let ty = t.schema().attributes().get(c)?.ty;
+    (ty != ValueType::Null).then_some(ty)
+}
+
+/// The base-table column behind `plan`'s output column `col`, traced
+/// through row-filtering operators, plain-column projections, join sides,
+/// and view bodies. A known output `arity` spares re-deriving the arity of
+/// a join's left input from its leaves at every level of a left-deep
+/// chain (the right input is usually a single scan).
+fn base_col<'a>(
+    db: &'a Database,
+    plan: &Plan,
+    arity: Option<usize>,
+    col: usize,
+    depth: usize,
+) -> Option<(&'a crate::table::Table, usize)> {
     if depth > crate::exec::MAX_VIEW_DEPTH {
         return None;
     }
     match plan {
         Plan::Scan { table } => {
             if let Ok(t) = db.table(table) {
-                t.stats().column(col)
+                Some((t, col))
             } else {
-                col_stats(db, &db.view(table)?.plan, col, depth + 1)
+                base_col(db, &db.view(table)?.plan, None, col, depth + 1)
             }
         }
-        Plan::IndexLookup { table, .. } => db.table(table).ok()?.stats().column(col),
+        Plan::IndexLookup { table, .. } => Some((db.table(table).ok()?, col)),
         Plan::Filter { input, .. }
         | Plan::Distinct { input }
         | Plan::Sort { input, .. }
-        | Plan::Limit { input, .. } => col_stats(db, input, col, depth),
+        | Plan::Limit { input, .. } => base_col(db, input, arity, col, depth),
         Plan::Project { input, exprs, .. } => match exprs.get(col)? {
-            Expr::Col(i) => col_stats(db, input, *i, depth),
+            Expr::Col(i) => base_col(db, input, None, *i, depth),
             _ => None,
         },
         Plan::Join { left, right, .. } => {
-            let la = plan_arity_cat(db, left, depth)?;
+            let (la, ra) = join_arities(Some(db), left, right, arity)?;
             if col < la {
-                col_stats(db, left, col, depth)
+                base_col(db, left, Some(la), col, depth)
             } else {
-                col_stats(db, right, col - la, depth)
+                base_col(db, right, Some(ra), col - la, depth)
             }
         }
         _ => None,
     }
 }
 
-/// Catalog-aware output arity of a plan.
-fn plan_arity_cat(db: &Database, plan: &Plan, depth: usize) -> Option<usize> {
+/// Arities of a join's inputs. When the join's own output arity is known,
+/// the left input's follows from the right's — one catalog lookup on a
+/// left-deep chain instead of one per leaf below.
+fn join_arities(
+    db: Option<&Database>,
+    left: &Plan,
+    right: &Plan,
+    total: Option<usize>,
+) -> Option<(usize, usize)> {
+    let ra = plan_arity(db, right, 0)?;
+    let la = match total {
+        Some(t) => t.checked_sub(ra)?,
+        None => plan_arity(db, left, 0)?,
+    };
+    Some((la, ra))
+}
+
+/// Output arity of a plan. With a catalog, scans and index lookups take
+/// theirs from the table or view schema; without one (the catalog-free
+/// [`optimize`]) they are unknown and only operators that state their own
+/// arity — projections, inline values, aggregates — answer.
+fn plan_arity(db: Option<&Database>, plan: &Plan, depth: usize) -> Option<usize> {
     if depth > crate::exec::MAX_VIEW_DEPTH {
         return None;
     }
     match plan {
         Plan::Scan { table } => {
+            let db = db?;
             if let Ok(t) = db.table(table) {
                 Some(t.schema().arity())
             } else {
                 Some(db.view(table)?.schema.arity())
             }
         }
-        Plan::IndexLookup { table, .. } => Some(db.table(table).ok()?.schema().arity()),
+        Plan::IndexLookup { table, .. } => Some(db?.table(table).ok()?.schema().arity()),
         Plan::Values { schema, .. } => Some(schema.arity()),
         Plan::Project { exprs, .. } => Some(exprs.len()),
         Plan::Filter { input, .. }
         | Plan::Distinct { input }
         | Plan::Sort { input, .. }
-        | Plan::Limit { input, .. } => plan_arity_cat(db, input, depth),
-        Plan::Union { inputs, .. } => plan_arity_cat(db, inputs.first()?, depth),
+        | Plan::Limit { input, .. } => plan_arity(db, input, depth),
+        Plan::Union { inputs, .. } => plan_arity(db, inputs.first()?, depth),
         Plan::Join { left, right, .. } => {
-            Some(plan_arity_cat(db, left, depth)? + plan_arity_cat(db, right, depth)?)
+            Some(plan_arity(db, left, depth)? + plan_arity(db, right, depth)?)
         }
         Plan::Aggregate { group_by, aggs, .. } => Some(group_by.len() + aggs.len()),
     }
@@ -418,7 +514,7 @@ fn plan_names_cat(db: &Database, plan: &Plan, depth: usize) -> Option<Vec<String
         Plan::Join { left, right, .. } => {
             let l = plan_names_cat(db, left, depth)?;
             let r = plan_names_cat(db, right, depth)?;
-            Some(crate::exec::join_names(&l, &r))
+            Some(crate::exec::join_names(l, &r))
         }
         Plan::Aggregate {
             input,
@@ -578,6 +674,16 @@ fn try_reorder_chain(db: &Database, plan: Plan) -> Result<Plan, Plan> {
     // estimated join output, then repeatedly add the connected leaf whose
     // join with the accumulated set is estimated cheapest.
     let leaf_est: Vec<f64> = chain.leaves.iter().map(|l| est(db, l, 0)).collect();
+    // The greedy asks for the NDVs of the same few key columns O(n²)
+    // times; each answer walks a leaf down to the catalog, so look them
+    // up once.
+    let key_ndv: HashMap<usize, Option<f64>> = chain
+        .preds
+        .iter()
+        .flat_map(|&(a, b)| [a, b])
+        .map(|g| (g, leaf_global_ndv(db, &chain, g)))
+        .collect();
+    let ndv = |g: usize| key_ndv.get(&g).copied().flatten();
     let pair_est = |i: usize, j: usize| -> Option<f64> {
         let keys = connecting_keys(&chain, &[i], j);
         if keys.is_empty() {
@@ -585,8 +691,8 @@ fn try_reorder_chain(db: &Database, plan: Plan) -> Result<Plan, Plan> {
         }
         let mut out = leaf_est[i] * leaf_est[j];
         for &(gi, gj) in &keys {
-            let ni = leaf_global_ndv(db, &chain, gi).unwrap_or(leaf_est[i]);
-            let nj = leaf_global_ndv(db, &chain, gj).unwrap_or(leaf_est[j]);
+            let ni = ndv(gi).unwrap_or(leaf_est[i]);
+            let nj = ndv(gj).unwrap_or(leaf_est[j]);
             out /= ni.max(nj).max(1.0);
         }
         Some(out)
@@ -624,8 +730,8 @@ fn try_reorder_chain(db: &Database, plan: Plan) -> Result<Plan, Plan> {
             let connected = !keys.is_empty();
             let mut e = set_est * leaf_est[j];
             for &(gs, gj) in &keys {
-                let ns = leaf_global_ndv(db, &chain, gs).unwrap_or(set_est);
-                let nj = leaf_global_ndv(db, &chain, gj).unwrap_or(leaf_est[j]);
+                let ns = ndv(gs).unwrap_or(set_est);
+                let nj = ndv(gj).unwrap_or(leaf_est[j]);
                 e /= ns.max(nj).max(1.0);
             }
             let better = match pick {
@@ -645,7 +751,13 @@ fn try_reorder_chain(db: &Database, plan: Plan) -> Result<Plan, Plan> {
 
     // Identity order: the original plan is already the greedy choice.
     if order.iter().enumerate().all(|(k, &l)| k == l) {
-        return Err(rebuild_original(chain, names));
+        // On a left-deep chain every sub-chain is a prefix of this one
+        // and the greedy would walk it in the same (identity) order, so
+        // there is nothing left to try below: the leaves were reordered
+        // by `flatten`, and the rebuild reproduces the joins as they were.
+        let left_deep = chain.left_deep;
+        let rebuilt = rebuild_original(chain, names);
+        return if left_deep { Ok(rebuilt) } else { Err(rebuilt) };
     }
 
     Ok(build_ordered(chain, names, &order))
@@ -661,7 +773,7 @@ fn flatten_ok(db: &Database, plan: &Plan) -> bool {
             right,
             ..
         } => flatten_ok(db, left) && flatten_ok(db, right),
-        leaf => plan_arity_cat(db, leaf, 0).is_some(),
+        leaf => plan_arity(Some(db), leaf, 0).is_some(),
     }
 }
 
@@ -695,7 +807,7 @@ fn flatten(db: &Database, plan: Plan, chain: &mut Chain) {
             }
         }
         leaf => {
-            let arity = plan_arity_cat(db, &leaf, 0).expect("checked by flatten_ok");
+            let arity = plan_arity(Some(db), &leaf, 0).expect("checked by flatten_ok");
             chain.offsets.push(chain.total);
             chain.arities.push(arity);
             chain.leaves.push(reorder_joins(db, leaf));
@@ -902,27 +1014,35 @@ fn conjuncts(pred: Expr) -> Vec<Expr> {
     }
 }
 
-/// Recombine conjuncts.
+/// Recombine conjuncts. The conjunction lands in a plan that prepared
+/// queries keep cached — one per leaf after pushdown — so it keeps no
+/// spare capacity.
 fn recombine(mut preds: Vec<Expr>) -> Option<Expr> {
     match preds.len() {
         0 => None,
         1 => Some(preds.pop().unwrap()),
-        _ => Some(Expr::And(preds)),
+        _ => {
+            preds.shrink_to_fit();
+            Some(Expr::And(preds))
+        }
     }
 }
 
-fn push_filters(plan: Plan) -> Plan {
+/// Apply [`push_pred_into`] at every `Filter` of the plan, bottom-up.
+/// `db` is the pass's view of the catalog (`None` for the catalog-free
+/// [`optimize`]).
+fn push_filters(db: Option<&Database>, plan: Plan) -> Plan {
+    let rec = |p: Box<Plan>| Box::new(push_filters(db, *p));
     match plan {
         Plan::Filter { input, predicate } => {
-            let input = push_filters(*input);
-            push_pred_into(input, predicate)
+            push_pred_into(db, push_filters(db, *input), predicate, None, 0)
         }
         Plan::Project {
             input,
             exprs,
             names,
         } => Plan::Project {
-            input: Box::new(push_filters(*input)),
+            input: rec(input),
             exprs,
             names,
         },
@@ -934,45 +1054,68 @@ fn push_filters(plan: Plan) -> Plan {
             right_keys,
             build,
         } => Plan::Join {
-            left: Box::new(push_filters(*left)),
-            right: Box::new(push_filters(*right)),
+            left: rec(left),
+            right: rec(right),
             join_type,
             left_keys,
             right_keys,
             build,
         },
         Plan::Union { inputs, distinct } => Plan::Union {
-            inputs: inputs.into_iter().map(push_filters).collect(),
+            inputs: inputs.into_iter().map(|p| push_filters(db, p)).collect(),
             distinct,
         },
-        Plan::Distinct { input } => Plan::Distinct {
-            input: Box::new(push_filters(*input)),
-        },
+        Plan::Distinct { input } => Plan::Distinct { input: rec(input) },
         Plan::Aggregate {
             input,
             group_by,
             aggs,
             having,
         } => Plan::Aggregate {
-            input: Box::new(push_filters(*input)),
+            input: rec(input),
             group_by,
             aggs,
             having,
         },
         Plan::Sort { input, by } => Plan::Sort {
-            input: Box::new(push_filters(*input)),
+            input: rec(input),
             by,
         },
         Plan::Limit { input, n } => Plan::Limit {
-            input: Box::new(push_filters(*input)),
+            input: rec(input),
             n,
         },
         leaf => leaf,
     }
 }
 
-/// Push `predicate` as deep as possible into `input`.
-fn push_pred_into(input: Plan, predicate: Expr) -> Plan {
+/// `input` filtered by the conjunction of `preds` (no filter when empty).
+fn filtered(input: Plan, preds: Vec<Expr>) -> Plan {
+    match recombine(preds) {
+        Some(predicate) => Plan::Filter {
+            input: Box::new(input),
+            predicate,
+        },
+        None => input,
+    }
+}
+
+/// Push `predicate` as deep as possible into `input` (the rules are
+/// listed on [`Pass::PushFilters`]). `arity` is `input`'s output arity
+/// when the caller knows it (a join knows its inputs'). `view_depth`
+/// counts the view scans expanded on the way down, so a cyclic view
+/// definition stops expanding and is left for the executors to reject.
+fn push_pred_into(
+    db: Option<&Database>,
+    input: Plan,
+    predicate: Expr,
+    arity: Option<usize>,
+    view_depth: usize,
+) -> Plan {
+    let push = |plan: Plan, preds: Vec<Expr>, arity: Option<usize>| match recombine(preds) {
+        Some(p) => push_pred_into(db, plan, p, arity, view_depth),
+        None => plan,
+    };
     match input {
         // Filter(Filter(x)) -> Filter(x) with merged predicate.
         Plan::Filter {
@@ -980,122 +1123,183 @@ fn push_pred_into(input: Plan, predicate: Expr) -> Plan {
             predicate: p2,
         } => {
             let merged = Expr::and(vec![p2, predicate]);
-            push_pred_into(*inner, merged)
+            push_pred_into(db, *inner, merged, arity, view_depth)
         }
         // Push through a union into every branch.
         Plan::Union { inputs, distinct } => Plan::Union {
             inputs: inputs
                 .into_iter()
-                .map(|p| push_pred_into(p, predicate.clone()))
+                .map(|p| push_pred_into(db, p, predicate.clone(), arity, view_depth))
                 .collect(),
             distinct,
         },
-        // Push each conjunct into the join side it references, when the
-        // join is inner (outer joins change semantics under pushdown).
+        // A conjunct passes below a projection when every output column
+        // it reads is a plain column of the projection's input.
+        Plan::Project {
+            input,
+            exprs,
+            names,
+        } => {
+            let plain = |i: usize| match exprs.get(i) {
+                Some(Expr::Col(j)) => Some(*j),
+                _ => None,
+            };
+            let (mut below, mut keep) = (Vec::new(), Vec::new());
+            for c in conjuncts(predicate) {
+                match c.try_map_cols(&plain) {
+                    Some(moved) => below.push(moved),
+                    None => keep.push(c),
+                }
+            }
+            let projected = Plan::Project {
+                input: Box::new(push(*input, below, None)),
+                exprs,
+                names,
+            };
+            filtered(projected, keep)
+        }
+        // Each conjunct goes into the join side it reads — any side of an
+        // inner join, only the preserved side of an outer join — and a
+        // conjunct over inner-join keys is mirrored onto the other side.
         Plan::Join {
             left,
             right,
-            join_type: JoinType::Inner,
+            join_type,
             left_keys,
             right_keys,
             build,
         } => {
-            let left_arity = plan_arity_hint(&left);
-            let mut left_preds = Vec::new();
-            let mut right_preds = Vec::new();
-            let mut keep = Vec::new();
+            let (into_left, into_right) = match join_type {
+                JoinType::Inner => (true, true),
+                JoinType::LeftOuter => (true, false),
+                JoinType::RightOuter => (false, true),
+                JoinType::FullOuter => (false, false),
+            };
+            let inner = into_left && into_right;
+            let arities = join_arities(db, &left, &right, arity);
+            let (l_side, r_side) = (
+                (&*left, arities.map(|a| a.0), &left_keys[..]),
+                (&*right, arities.map(|a| a.1), &right_keys[..]),
+            );
+            let (mut left_preds, mut right_preds, mut keep) = (Vec::new(), Vec::new(), Vec::new());
             for c in conjuncts(predicate) {
-                match (c.max_col(), left_arity) {
-                    (Some(max), Some(la)) if max < la => left_preds.push(c),
-                    (Some(_), Some(la)) => {
-                        // References right side only if *all* cols >= la.
-                        if min_col(&c).map(|m| m >= la).unwrap_or(false) {
-                            right_preds.push(shift_down(&c, la));
-                        } else {
-                            keep.push(c);
+                // Constant conjuncts and ones spanning both sides stay on
+                // top; so does everything when an arity is unknown.
+                match (c.col_range(), arities) {
+                    (Some((_, hi)), Some((la, _))) if into_left && hi < la => {
+                        if inner {
+                            right_preds.extend(mirrored(db, &c, l_side, r_side));
                         }
+                        left_preds.push(c);
                     }
-                    (None, _) => keep.push(c), // constant predicate: keep on top
+                    (Some((lo, hi)), Some((la, ra))) if into_right && lo >= la && hi < la + ra => {
+                        let c = c.map_cols(&|i| i - la);
+                        if inner {
+                            left_preds.extend(mirrored(db, &c, r_side, l_side));
+                        }
+                        right_preds.push(c);
+                    }
                     _ => keep.push(c),
                 }
             }
-            let mut new_left = *left;
-            if let Some(p) = recombine(left_preds) {
-                new_left = push_pred_into(new_left, p);
-            }
-            let mut new_right = *right;
-            if let Some(p) = recombine(right_preds) {
-                new_right = push_pred_into(new_right, p);
-            }
             let joined = Plan::Join {
-                left: Box::new(new_left),
-                right: Box::new(new_right),
-                join_type: JoinType::Inner,
+                left: Box::new(push(*left, left_preds, arities.map(|a| a.0))),
+                right: Box::new(push(*right, right_preds, arities.map(|a| a.1))),
+                join_type,
                 left_keys,
                 right_keys,
                 build,
             };
-            match recombine(keep) {
-                Some(p) => Plan::Filter {
-                    input: Box::new(joined),
-                    predicate: p,
-                },
-                None => joined,
-            }
+            filtered(joined, keep)
         }
-        other => Plan::Filter {
-            input: Box::new(other),
-            predicate,
+        // A view scan is replaced by the view's body, so the predicate
+        // reaches the base table underneath.
+        Plan::Scan { table } => match db.and_then(|db| view_body(db, &table, view_depth)) {
+            Some(body) => push_pred_into(db, body, predicate, arity, view_depth + 1),
+            None => filtered(Plan::Scan { table }, vec![predicate]),
         },
+        other => filtered(other, vec![predicate]),
     }
 }
 
-/// Smallest column index referenced by the expression.
-fn min_col(e: &Expr) -> Option<usize> {
+/// `conjunct` (over the columns of join input `from`) restated over the
+/// other input `to`, when the join's key equalities imply it there:
+///
+/// * every column it reads is a key of `from`, so on any matched pair the
+///   counterpart key in `to` holds an equal value, and equal values
+///   compare alike against everything ([`Value`]'s order is total);
+/// * it is *total* — built from comparisons, `IS NULL` and boolean
+///   connectives only — so running it over rows of `to` the join would
+///   have dropped anyway cannot raise an error the original plan did not;
+/// * each key pair has the same declared type (an untyped column —
+///   provenance relations declare none — goes with any type).
+fn mirrored(db: Option<&Database>, conjunct: &Expr, from: JoinSide, to: JoinSide) -> Option<Expr> {
+    let db = db?;
+    if !is_total(conjunct) {
+        return None;
+    }
+    let (from, from_arity, from_keys) = from;
+    let (to, to_arity, to_keys) = to;
+    let counterpart = |col: usize| {
+        from_keys.iter().zip(to_keys).find_map(|(&fk, &tk)| {
+            let same_type = || {
+                let (a, b) = (
+                    col_type(db, from, from_arity, fk),
+                    col_type(db, to, to_arity, tk),
+                );
+                a.zip(b).is_none_or(|(a, b)| a == b)
+            };
+            (fk == col && same_type()).then_some(tk)
+        })
+    };
+    conjunct.try_map_cols(&counterpart)
+}
+
+/// One input of a join as [`mirrored`] sees it: the plan, its arity when
+/// known, and its key columns.
+type JoinSide<'a> = (&'a Plan, Option<usize>, &'a [usize]);
+
+/// True when evaluating `e` as a predicate cannot fail whatever values its
+/// columns hold: comparisons and `IS NULL` over columns and literals,
+/// combined with `AND`/`OR`/`NOT`.
+fn is_total(e: &Expr) -> bool {
+    let operand = |e: &Expr| matches!(e, Expr::Col(_) | Expr::Lit(_));
     match e {
-        Expr::Col(i) => Some(*i),
-        Expr::Lit(_) => None,
-        Expr::Bin(_, a, b) => match (min_col(a), min_col(b)) {
-            (Some(x), Some(y)) => Some(x.min(y)),
-            (x, y) => x.or(y),
-        },
-        Expr::And(ps) | Expr::Or(ps) => ps.iter().filter_map(min_col).min(),
-        Expr::Not(p) | Expr::IsNull(p) => min_col(p),
+        Expr::Bin(op, a, b) => {
+            use BinOp::*;
+            matches!(op, Eq | Ne | Lt | Le | Gt | Ge) && operand(a) && operand(b)
+        }
+        Expr::IsNull(a) => operand(a),
+        Expr::And(ps) | Expr::Or(ps) => ps.iter().all(is_total),
+        Expr::Not(p) => is_total(p),
+        Expr::Lit(v) => matches!(v, Value::Bool(_)),
+        Expr::Col(_) => false,
     }
 }
 
-/// Shift all columns down by `delta` (inverse of `shift_cols`).
-fn shift_down(e: &Expr, delta: usize) -> Expr {
-    match e {
-        Expr::Col(i) => Expr::Col(i - delta),
-        Expr::Lit(v) => Expr::Lit(v.clone()),
-        Expr::Bin(op, a, b) => Expr::Bin(
-            *op,
-            Box::new(shift_down(a, delta)),
-            Box::new(shift_down(b, delta)),
-        ),
-        Expr::And(ps) => Expr::And(ps.iter().map(|p| shift_down(p, delta)).collect()),
-        Expr::Or(ps) => Expr::Or(ps.iter().map(|p| shift_down(p, delta)).collect()),
-        Expr::Not(p) => Expr::Not(Box::new(shift_down(p, delta))),
-        Expr::IsNull(p) => Expr::IsNull(Box::new(shift_down(p, delta))),
+/// The plan a scan of view `table` expands to, or `None` when `table` is
+/// not a view, expansion would change the scan's output schema, or
+/// `view_depth` says the definition is cyclic. The executors name a view's
+/// columns after its schema: a `Project` body takes those names (no extra
+/// node), any other body must already produce them.
+fn view_body(db: &Database, table: &str, view_depth: usize) -> Option<Plan> {
+    if view_depth >= crate::exec::MAX_VIEW_DEPTH || db.has_table(table) {
+        return None;
     }
-}
-
-/// Static arity of a plan, when derivable without a catalog. Scans have
-/// unknown arity (None): pushdown through joins over bare scans is skipped,
-/// which is conservative but safe. Projects and Values fix the arity.
-fn plan_arity_hint(plan: &Plan) -> Option<usize> {
-    match plan {
-        Plan::Project { exprs, .. } => Some(exprs.len()),
-        Plan::Values { schema, .. } => Some(schema.arity()),
-        Plan::Filter { input, .. }
-        | Plan::Distinct { input }
-        | Plan::Sort { input, .. }
-        | Plan::Limit { input, .. } => plan_arity_hint(input),
-        Plan::Union { inputs, .. } => inputs.first().and_then(plan_arity_hint),
-        Plan::Join { left, right, .. } => Some(plan_arity_hint(left)? + plan_arity_hint(right)?),
-        Plan::Aggregate { group_by, aggs, .. } => Some(group_by.len() + aggs.len()),
-        Plan::Scan { .. } | Plan::IndexLookup { .. } => None,
+    let view = db.view(table)?;
+    let schema_names = || view.schema.attributes().iter().map(|a| &a.name);
+    match &view.plan {
+        Plan::Project { input, exprs, .. } if exprs.len() == view.schema.arity() => {
+            Some(Plan::Project {
+                input: input.clone(),
+                exprs: exprs.clone(),
+                names: schema_names().cloned().collect(),
+            })
+        }
+        Plan::Project { .. } => None,
+        body => plan_names_cat(db, body, 0)
+            .is_some_and(|names| names.iter().eq(schema_names()))
+            .then(|| body.clone()),
     }
 }
 
@@ -1321,6 +1525,306 @@ mod tests {
         assert_eq!(
             execute(&db(), &opt).unwrap().sorted_rows(),
             execute(&db(), &p).unwrap().sorted_rows()
+        );
+    }
+
+    /// `chain_db`: the shape of an unfolded ProQL rule — `n`-row relations
+    /// sharing the key `k` in column 0: untyped provenance tables `P1`/`P2`
+    /// (as `ProvSpec::schema` declares them), typed base tables `A` (Int
+    /// key, Str payload) and `F` (Float key), and the view `V` projecting
+    /// `A`'s key, like `P_L_*` does.
+    fn chain_db(n: i64) -> Database {
+        let mut db = Database::new();
+        for name in ["P1", "P2"] {
+            db.create_table(Schema::build(name, &[("k", ValueType::Null)], &[0]).unwrap())
+                .unwrap();
+        }
+        db.create_table(
+            Schema::build("A", &[("k", ValueType::Int), ("s", ValueType::Str)], &[0]).unwrap(),
+        )
+        .unwrap();
+        db.create_table(
+            Schema::build("F", &[("k", ValueType::Float), ("v", ValueType::Int)], &[0]).unwrap(),
+        )
+        .unwrap();
+        for i in 0..n {
+            db.insert("P1", tup![i]).unwrap();
+            db.insert("P2", tup![i]).unwrap();
+            db.insert("A", tup![i, format!("s{}", i % 7)]).unwrap();
+            db.insert("F", tup![i as f64, i * 2]).unwrap();
+        }
+        db.create_view(
+            "V",
+            Plan::scan("A").project_named(vec![Expr::col(0)], vec!["k".into()]),
+            Schema::build("V", &[("k", ValueType::Null)], &[0]).unwrap(),
+        )
+        .unwrap();
+        db
+    }
+
+    fn range(col: usize, lo: i64, hi: i64) -> Expr {
+        Expr::And(vec![
+            Expr::cmp(BinOp::Ge, Expr::col(col), Expr::lit(lo)),
+            Expr::cmp(BinOp::Lt, Expr::col(col), Expr::lit(hi)),
+        ])
+    }
+
+    fn push_only(db: &Database, plan: Plan) -> Plan {
+        let cfg = OptimizerConfig {
+            passes: vec![Pass::PushFilters],
+        };
+        optimize_with_config(db, plan, &cfg)
+    }
+
+    /// Every scan leaf of `plan` (views unexpanded), with the predicate of
+    /// the filter directly above it, if any.
+    fn leaves(plan: &Plan) -> Vec<(String, Option<Expr>)> {
+        fn walk(plan: &Plan, above: Option<&Expr>, out: &mut Vec<(String, Option<Expr>)>) {
+            match plan {
+                Plan::Scan { table } => out.push((table.clone(), above.cloned())),
+                Plan::Filter { input, predicate } => walk(input, Some(predicate), out),
+                Plan::Project { input, .. } => walk(input, None, out),
+                Plan::Join { left, right, .. } => {
+                    walk(left, None, out);
+                    walk(right, None, out);
+                }
+                other => panic!("unexpected node {other:?}"),
+            }
+        }
+        let mut out = Vec::new();
+        walk(plan, None, &mut out);
+        out
+    }
+
+    #[test]
+    fn range_reaches_every_leaf_of_a_same_key_chain() {
+        // The regression this pass exists for: joins over *bare scans*
+        // (arity only the catalog knows), a view, untyped provenance
+        // tables next to a typed base table.
+        let db = chain_db(200);
+        let plan = Plan::scan("P1")
+            .join(Plan::scan("P2"), vec![0], vec![0])
+            .join(Plan::scan("V"), vec![0], vec![0])
+            .join(Plan::scan("A"), vec![0], vec![0])
+            .filter(range(0, 11, 19));
+        let want = execute(&db, &plan).unwrap();
+        assert_eq!(want.rows.len(), 8);
+        let opt = push_only(&db, plan.clone());
+        // No filter is left above the joins, the view scan became its body
+        // over the base table, and all four leaves carry the range.
+        assert!(matches!(opt, Plan::Join { .. }), "{opt:?}");
+        let got: Vec<(String, Option<Expr>)> = leaves(&opt);
+        let names: Vec<&str> = got.iter().map(|(t, _)| t.as_str()).collect();
+        assert_eq!(names, ["P1", "P2", "A", "A"]);
+        for (table, pred) in &got {
+            assert_eq!(pred.as_ref(), Some(&range(0, 11, 19)), "leaf {table}");
+        }
+        let run = execute(&db, &opt).unwrap();
+        assert_eq!((run.names, run.rows), (want.names, want.rows));
+        // The catalog-free pass cannot know the scans' arities: it leaves
+        // the filter where it was.
+        assert_eq!(optimize(plan.clone()), plan);
+    }
+
+    #[test]
+    fn mirroring_needs_matching_declared_key_types_and_total_conjuncts() {
+        let db = chain_db(50);
+        // Int key ⋈ Float key: pushed into its own side, not mirrored.
+        let plan = Plan::scan("A")
+            .join(Plan::scan("F"), vec![0], vec![0])
+            .filter(range(0, 5, 9));
+        let opt = push_only(&db, plan.clone());
+        assert_eq!(
+            leaves(&opt),
+            vec![("A".into(), Some(range(0, 5, 9))), ("F".into(), None)]
+        );
+        assert_eq!(
+            execute(&db, &opt).unwrap().rows,
+            execute(&db, &plan).unwrap().rows
+        );
+        // Arithmetic can fail on values the other side holds: pushed, not
+        // mirrored, even between same-typed keys.
+        let arith = Expr::cmp(
+            BinOp::Lt,
+            Expr::cmp(BinOp::Add, Expr::col(0), Expr::lit(1)),
+            Expr::lit(9),
+        );
+        let plan = Plan::scan("A")
+            .join(Plan::scan("A"), vec![0], vec![0])
+            .filter(arith.clone());
+        assert_eq!(
+            leaves(&push_only(&db, plan)),
+            vec![("A".into(), Some(arith)), ("A".into(), None)]
+        );
+        // A conjunct over a non-key column is not implied on the other
+        // side either; one over the right side's key mirrors leftwards.
+        let plan = Plan::scan("A")
+            .join(Plan::scan("A"), vec![0], vec![0])
+            .filter(Expr::And(vec![
+                Expr::col(1).eq(Expr::lit("s3")),
+                Expr::col(2).eq(Expr::lit(3)),
+            ]));
+        assert_eq!(
+            leaves(&push_only(&db, plan)),
+            vec![
+                (
+                    "A".into(),
+                    Some(Expr::And(vec![
+                        Expr::col(1).eq(Expr::lit("s3")),
+                        Expr::col(0).eq(Expr::lit(3))
+                    ]))
+                ),
+                ("A".into(), Some(Expr::col(0).eq(Expr::lit(3))))
+            ]
+        );
+    }
+
+    #[test]
+    fn outer_joins_take_filters_on_the_preserved_side_only() {
+        let db = chain_db(20);
+        // One conjunct per side, both over join keys (so an inner join
+        // would also mirror them), above sides that already carry a filter.
+        let on_left = Expr::cmp(BinOp::Lt, Expr::col(0), Expr::lit(5));
+        let on_right = Expr::cmp(BinOp::Lt, Expr::col(2), Expr::lit(9));
+        let has = |pred: &Option<Expr>, c: &Expr| {
+            pred.as_ref().map_or(0, |p| conjuncts(p.clone()).len()) == 2
+                && pred
+                    .as_ref()
+                    .is_some_and(|p| conjuncts(p.clone()).contains(c))
+        };
+        for (join_type, left_gets, right_gets) in [
+            (JoinType::LeftOuter, true, false),
+            (JoinType::RightOuter, false, true),
+            (JoinType::FullOuter, false, false),
+        ] {
+            let plan = Plan::scan("A")
+                .filter(Expr::cmp(BinOp::Ge, Expr::col(0), Expr::lit(3)))
+                .join_as(
+                    Plan::scan("A").filter(Expr::cmp(BinOp::Ge, Expr::col(0), Expr::lit(1))),
+                    join_type,
+                    vec![0],
+                    vec![0],
+                )
+                .filter(Expr::And(vec![on_left.clone(), on_right.clone()]));
+            let opt = push_only(&db, plan.clone());
+            // The conjunct over the null-supplying side stays above.
+            let Plan::Filter { input, predicate } = &opt else {
+                panic!("{join_type:?}: {opt:?}");
+            };
+            let kept = conjuncts(predicate.clone());
+            assert_eq!(kept.contains(&on_left), !left_gets, "{join_type:?}");
+            assert_eq!(kept.contains(&on_right), !right_gets, "{join_type:?}");
+            // Each side holds its own filter plus at most the conjunct
+            // that reads it — never a mirrored one.
+            let l = leaves(input);
+            assert_eq!(has(&l[0].1, &on_left), left_gets, "{join_type:?}");
+            let moved = Expr::cmp(BinOp::Lt, Expr::col(0), Expr::lit(9));
+            assert_eq!(has(&l[1].1, &moved), right_gets, "{join_type:?}");
+            for (_, pred) in &l {
+                let n = pred.as_ref().map_or(0, |p| conjuncts(p.clone()).len());
+                assert!(
+                    n <= 2,
+                    "{join_type:?}: mirrored into an outer join: {opt:?}"
+                );
+            }
+            assert_eq!(
+                execute(&db, &opt).unwrap().rows,
+                execute(&db, &plan).unwrap().rows,
+                "{join_type:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn filters_pass_projections_and_views_only_over_plain_columns() {
+        let db = chain_db(30);
+        // Output 0 is computed, output 1 is plain column 0.
+        let plan = Plan::scan("A")
+            .project(vec![
+                Expr::cmp(BinOp::Add, Expr::col(0), Expr::lit(100)),
+                Expr::col(0),
+            ])
+            .filter(Expr::And(vec![
+                Expr::cmp(BinOp::Lt, Expr::col(0), Expr::lit(110)),
+                Expr::cmp(BinOp::Ge, Expr::col(1), Expr::lit(4)),
+            ]));
+        let opt = push_only(&db, plan.clone());
+        let Plan::Filter { input, predicate } = &opt else {
+            panic!("computed-column conjunct must stay above: {opt:?}");
+        };
+        assert_eq!(
+            predicate,
+            &Expr::cmp(BinOp::Lt, Expr::col(0), Expr::lit(110))
+        );
+        assert_eq!(
+            leaves(input),
+            vec![(
+                "A".into(),
+                Some(Expr::cmp(BinOp::Ge, Expr::col(0), Expr::lit(4)))
+            )]
+        );
+        assert_eq!(
+            execute(&db, &opt).unwrap().rows,
+            execute(&db, &plan).unwrap().rows
+        );
+
+        // A view over a view, the outer one renaming its column: the scan
+        // expands through both bodies and keeps the outer schema's names.
+        let mut db = db;
+        db.create_view(
+            "W",
+            Plan::scan("V").project_named(vec![Expr::col(0)], vec!["inner".into()]),
+            Schema::build("W", &[("key", ValueType::Null)], &[0]).unwrap(),
+        )
+        .unwrap();
+        let plan = Plan::scan("W").filter(range(0, 2, 6));
+        let want = execute(&db, &plan).unwrap();
+        let opt = push_only(&db, plan);
+        assert_eq!(leaves(&opt), vec![("A".into(), Some(range(0, 2, 6)))]);
+        let got = execute(&db, &opt).unwrap();
+        assert_eq!(got.names, vec!["key".to_string()]);
+        assert_eq!((got.names, got.rows), (want.names, want.rows));
+        // Unfiltered view scans stay scans (nothing to push, nothing to
+        // retain).
+        assert_eq!(push_only(&db, Plan::scan("W")), Plan::scan("W"));
+    }
+
+    #[test]
+    fn mirrored_ranges_are_estimated_once_per_chain() {
+        // q-error on the target-query shape: with the range on every
+        // leaf, each join must still be estimated near its actual size —
+        // not range-selectivity^leaves, which used to print `~0 rows`.
+        let db = chain_db(200);
+        let plan = Plan::scan("P1")
+            .join(Plan::scan("P2"), vec![0], vec![0])
+            .join(Plan::scan("V"), vec![0], vec![0])
+            .join(Plan::scan("A"), vec![0], vec![0])
+            .join(Plan::scan("P2"), vec![0], vec![0])
+            .filter(range(0, 11, 19));
+        let opt = optimize_with(&db, plan);
+        fn check(db: &Database, plan: &Plan, joins: &mut usize) {
+            if let Plan::Join { left, right, .. } = plan {
+                *joins += 1;
+                let actual = execute(db, plan).unwrap().rows.len() as f64;
+                let est = estimate_rows(db, plan) as f64;
+                let q = (est.max(1.0) / actual.max(1.0)).max(actual.max(1.0) / est.max(1.0));
+                assert!(q <= 4.0, "estimated {est} rows, actual {actual}: {plan:?}");
+                check(db, left, joins);
+                check(db, right, joins);
+            }
+        }
+        let mut joins = 0;
+        check(&db, &opt, &mut joins);
+        assert_eq!(joins, 4);
+        // And a range on one side only keeps the other side's domain.
+        let one_sided =
+            Plan::scan("A")
+                .filter(range(0, 11, 19))
+                .join(Plan::scan("F"), vec![0], vec![0]);
+        let est = estimate_rows(&db, &one_sided) as f64;
+        assert!(
+            (2.0..=32.0).contains(&est),
+            "estimated {est} rows, actual 8"
         );
     }
 

@@ -353,12 +353,30 @@ impl Table {
     /// the number of zones (morsels) skipped. With `preds = None` this is a
     /// full scan.
     pub fn to_batch_pruned(&self, preds: Option<&[ZonePred]>) -> (RecordBatch, u64) {
-        let names: Vec<String> = self
-            .schema
+        let (positions, skipped) = self.scan_positions(preds);
+        let columns = (0..self.schema.arity())
+            .map(|c| self.scan_column(c, &positions))
+            .collect();
+        let batch = RecordBatch::new(self.column_names(), columns, positions.len());
+        (batch, skipped)
+    }
+
+    /// The table's column names, in schema order.
+    pub(crate) fn column_names(&self) -> Vec<String> {
+        self.schema
             .attributes()
             .iter()
             .map(|a| a.name.clone())
-            .collect();
+            .collect()
+    }
+
+    /// Physical positions (ascending) of the live rows a scan under `preds`
+    /// must read — every live row outside the zones
+    /// [`ZoneMaps::can_skip`] rules out — plus the number of zones
+    /// skipped. A late-materialising scan reads only the predicate's
+    /// columns at these positions ([`Table::scan_column`]), filters, and
+    /// reads the remaining columns at the survivors.
+    pub(crate) fn scan_positions(&self, preds: Option<&[ZonePred]>) -> (Vec<u32>, u64) {
         let mut skipped = 0u64;
         let mut positions: Vec<u32> = Vec::with_capacity(self.pk.len());
         match preds {
@@ -385,14 +403,14 @@ impl Table {
                 }
             }
         }
-        let columns = (0..self.schema.arity())
-            .map(|c| self.scan_column(c, &positions))
-            .collect();
-        (RecordBatch::new(names, columns, positions.len()), skipped)
+        (positions, skipped)
     }
 
-    /// One column of a scan over the given physical positions.
-    fn scan_column(&self, c: usize, positions: &[u32]) -> Column {
+    /// Column `c` at the given physical positions (from
+    /// [`Table::scan_positions`]). Dictionary-encoded NULL-free string
+    /// columns come out as [`Column::Dict`]; every other column takes the
+    /// densest representation its values at `positions` allow.
+    pub(crate) fn scan_column(&self, c: usize, positions: &[u32]) -> Column {
         let dict_ok =
             self.dicts[c].is_some() && self.stats.column(c).is_some_and(|s| s.null_count() == 0);
         if dict_ok {

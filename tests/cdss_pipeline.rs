@@ -1,7 +1,7 @@
 //! Integration: the full CDSS pipeline — topology building, exchange,
 //! querying with and without ASRs, and incremental deletion.
 
-use proql::engine::{Engine, EngineOptions, Strategy};
+use proql::engine::{Engine, EngineOptions, QueryOutput, Strategy};
 use proql_asr::{advise, AsrKind, AsrRegistry};
 use proql_cdss::topology::{build_system, target_query, CdssConfig, Topology};
 use proql_cdss::{delete_local, remains_derivable};
@@ -89,4 +89,91 @@ fn unfold_and_graph_strategies_agree_on_acyclic_cdss() {
     let rb = b.query(target_query()).unwrap();
     assert_eq!(ra.projection.bindings, rb.projection.bindings);
     assert_eq!(ra.projection.derivations, rb.projection.derivations);
+}
+
+/// The selection of the paper's target query reaches every scan — through
+/// the inner joins (mirrored over the shared key) and through the `P_L_*`
+/// views — and moving it changes nothing a client can observe: the
+/// answer, its digest and the read set equal a run of the same rules
+/// optimized without `PushFilters`.
+#[test]
+fn target_query_selection_is_pushed_to_the_scans_and_changes_nothing() {
+    use proql::{parse_query, prepare_rule_with, run_projection_prepared, translate};
+    use proql_common::Parallelism;
+    use proql_service::proto::result_digest;
+    use proql_storage::{ExecMode, OptimizerConfig, Pass};
+
+    let sys = build_system(Topology::Chain, &CdssConfig::upstream_data(4, 2, 60)).unwrap();
+    let mut e = Engine::new(sys);
+    e.options.strategy = Strategy::Unfold;
+    let text = "FOR [R0a $x] INCLUDE PATH [$x] <-+ [] WHERE $x.k >= 11 AND $x.k < 19 RETURN $x";
+
+    let explain = e.query(&format!("EXPLAIN {text}")).unwrap().plan.unwrap();
+    let lines: Vec<&str> = explain.lines().collect();
+    let (mut scans, mut rules) = (0, 0);
+    for (i, line) in lines.iter().enumerate() {
+        if line.starts_with("rule ") {
+            rules += 1;
+            // The rule's root is a join, not the filter it was compiled under.
+            assert!(lines[i + 1].starts_with("InnerJoin"), "{explain}");
+        }
+        let op = line.trim_start();
+        if op.starts_with("Scan ") {
+            scans += 1;
+            assert!(
+                !op.starts_with("Scan P_L_"),
+                "view left unexpanded:\n{explain}"
+            );
+            let above = lines[i - 1].trim_start();
+            assert!(
+                above.starts_with("Filter ((c0 >= 11) AND (c0 < 19))"),
+                "scan without the range directly above it:\n{explain}"
+            );
+        }
+    }
+    assert!(rules >= 4 && scans >= 6 * rules, "{explain}");
+
+    let served = e.query(text).unwrap();
+    assert_eq!(served.projection.bindings.len(), 8);
+    // The read set still names the views the plans no longer scan: a
+    // write to `R2a_l` must invalidate this answer through `P_L_R2a` too.
+    for rel in ["P_L_R2a", "R2a_l", "P_m1", "R0a"] {
+        assert!(served.touched.contains(rel), "{:?}", served.touched);
+    }
+
+    let translation = translate(
+        &e.sys,
+        &parse_query(text).unwrap(),
+        None,
+        &Default::default(),
+    )
+    .unwrap();
+    let unpushed: Vec<_> = translation
+        .rules
+        .iter()
+        .map(|r| prepare_rule_with(&e.sys, r, &OptimizerConfig::without(Pass::PushFilters)))
+        .collect::<Result<_, _>>()
+        .unwrap();
+    assert!(unpushed
+        .iter()
+        .all(|r| matches!(r.plan, proql_storage::Plan::Filter { .. })));
+    let projection = run_projection_prepared(
+        &e.sys,
+        &translation,
+        &unpushed,
+        ExecMode::Batch,
+        Parallelism::Serial,
+    )
+    .unwrap();
+    assert_eq!(projection.bindings, served.projection.bindings);
+    assert_eq!(projection.derivations, served.projection.derivations);
+    let oracle = QueryOutput {
+        projection,
+        annotated: None,
+        stats: served.stats.clone(),
+        touched: e.prepare(text).unwrap().touched,
+        plan: None,
+    };
+    assert_eq!(oracle.touched, served.touched);
+    assert_eq!(result_digest(&oracle), result_digest(&served));
 }

@@ -3,7 +3,7 @@
 //!
 //! Starts a [`proql_service::ServiceCore`] over a CDSS chain (plus the
 //! disconnected `Island` family), exposes it on a loopback TCP port,
-//! and drives it in three phases:
+//! and drives it in four phases:
 //!
 //! 1. **Load**: `PROQL_CLIENTS` concurrent connections replay a small
 //!    set of hot target-peer queries while a writer deletes island
@@ -23,14 +23,13 @@
 //!    from scratch, which also demonstrates prepared-plan reuse), and a
 //!    second in-process core with maintenance disabled reproduces the
 //!    old evict-on-write contract as the ablation baseline.
-//!
 //! 4. **High connection count**: `PROQL_HICONN_CLIENTS` connections
-//!    (≥ 8× the worker threads) replay the hot set twice — once against
-//!    the event-loop server in pipelined binary mode, once against the
-//!    thread-per-connection blocking baseline ([`serve_blocking`]) in
-//!    line mode — and the throughput ratio is reported (and gated by
-//!    `PROQL_MIN_EVENTLOOP_SPEEDUP`). Server-side latency percentiles
-//!    come from the transport's log-bucketed histogram via `STATS`.
+//!    (≥ 8× the worker threads) replay the hot set against a fresh
+//!    server in pipelined binary mode — many more connections than
+//!    workers, multiplexed by the one event loop. Throughput is
+//!    reported; the server-side latency percentiles, the shed count and
+//!    the decoded-frame count come from the transport's own metrics via
+//!    `STATS`, and every pipelined frame is asserted decoded.
 //!
 //! Reports throughput, client-observed latency percentiles, cache hit
 //! rate, maintenance counters, and the demo outcomes; `PROQL_JSON=1`
@@ -43,7 +42,7 @@ use proql_bench::{banner, json_output, percentile, scaled};
 use proql_cdss::topology::{build_system_with_island, CdssConfig, Topology};
 use proql_common::tup;
 use proql_service::proto::{json_f64_field, json_str_field, json_u64_field};
-use proql_service::{serve, serve_blocking, BinClient, Client, ServiceCore};
+use proql_service::{serve, BinClient, Client, ServiceCore};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -61,10 +60,9 @@ fn main() {
     );
 
     // This bench measures the *transport and cache*, so the span layer
-    // must not pollute it — in particular the event-loop vs blocking
-    // A/B phase, whose gate sits at 1x on single-core runners.
-    // `obs_bench` owns the tracing-overhead measurement. Set before any
-    // core exists so every `trace::init_from_env` call honors it.
+    // must not pollute it. `obs_bench` owns the tracing-overhead
+    // measurement. Set before any core exists so every
+    // `trace::init_from_env` call honors it.
     std::env::set_var("PROQL_TRACE", "0");
     proql_common::trace::set_enabled(false);
 
@@ -246,17 +244,12 @@ fn main() {
         !resp.cache_hit
     };
 
-    // Phase 4: high connection count — event loop (pipelined binary) vs
-    // thread-per-connection blocking baseline (lockstep lines), same
-    // worker budget, connections ≥ 8x workers. With the baseline, a
-    // connection beyond the pool size waits for a whole pinned worker;
-    // the event loop multiplexes them all.
+    // Phase 4: high connection count — pipelined binary clients,
+    // connections ≥ 8x workers, all multiplexed by the one event loop.
     let hc_workers = env_usize("PROQL_HICONN_WORKERS", 2);
     let hc_conns = env_usize("PROQL_HICONN_CLIENTS", hc_workers * 8).max(hc_workers * 8);
     let hc_requests = env_usize("PROQL_HICONN_REQUESTS", scaled(40, 150));
-    let (eventloop_qps, eventloop_stats) = hiconn_phase(true, hc_workers, hc_conns, hc_requests);
-    let (blocking_qps, _blocking_stats) = hiconn_phase(false, hc_workers, hc_conns, hc_requests);
-    let eventloop_speedup = eventloop_qps / blocking_qps.max(1e-9);
+    let (eventloop_qps, eventloop_stats) = hiconn_phase(hc_workers, hc_conns, hc_requests);
     // Server-side latency percentiles from the transport histogram.
     let server_p50 = json_f64_field(&eventloop_stats, "latency_p50_ms").unwrap_or(0.0);
     let server_p95 = json_f64_field(&eventloop_stats, "latency_p95_ms").unwrap_or(0.0);
@@ -332,8 +325,7 @@ fn main() {
     println!("   plan-cache hit rate: {plan_hit_rate:.3}");
     println!(
         "   high-conn ({hc_conns} conns / {hc_workers} workers, {hc_requests} req each): \
-         event loop {eventloop_qps:.1} qps vs blocking baseline {blocking_qps:.1} qps \
-         ({eventloop_speedup:.2}x)"
+         event loop {eventloop_qps:.1} qps"
     );
     println!(
         "   server-side latency (histogram): p50 {server_p50:.4} ms, p95 {server_p95:.4} ms, \
@@ -357,8 +349,7 @@ fn main() {
              \"fresh_requery_plan_hit\": {fresh_requery_plan_hit}, \
              \"ablation_touching_write_miss\": {ablation_touching_write_miss}, \
              \"hiconn_clients\": {hc_conns}, \"hiconn_workers\": {hc_workers}, \
-             \"eventloop_qps\": {eventloop_qps:.1}, \"blocking_qps\": {blocking_qps:.1}, \
-             \"eventloop_speedup\": {eventloop_speedup:.4}, \
+             \"eventloop_qps\": {eventloop_qps:.1}, \
              \"server_p50_ms\": {server_p50:.4}, \"server_p95_ms\": {server_p95:.4}, \
              \"server_p99_ms\": {server_p99:.4}, \"shed_count\": {hc_shed}, \
              \"stale_evictions\": {}, \"version\": {}}}",
@@ -386,32 +377,17 @@ fn main() {
         );
         println!("   maintenance hit-rate gate passed: {maint_hit_rate:.3} >= {min}");
     }
-    if let Ok(min) = std::env::var("PROQL_MIN_EVENTLOOP_SPEEDUP") {
-        let min: f64 = min.parse().expect("PROQL_MIN_EVENTLOOP_SPEEDUP parses");
-        assert!(
-            eventloop_speedup >= min,
-            "event-loop speedup {eventloop_speedup:.2}x below the \
-             PROQL_MIN_EVENTLOOP_SPEEDUP={min} gate \
-             ({eventloop_qps:.1} qps vs {blocking_qps:.1} qps baseline)"
-        );
-        println!("   event-loop speedup gate passed: {eventloop_speedup:.2}x >= {min}");
-    }
 }
 
-/// One phase-4 run: a fresh core, served either by the event loop
-/// (driven in pipelined binary mode) or by the thread-per-connection
-/// blocking baseline (driven in lockstep line mode), with `conns`
-/// concurrent client threads issuing `requests` hot queries each.
-/// Returns (throughput qps, final STATS payload).
-fn hiconn_phase(event_loop: bool, workers: usize, conns: usize, requests: usize) -> (f64, String) {
+/// The phase-4 run: a fresh core behind a fresh event-loop server, with
+/// `conns` concurrent client threads each replaying `requests` hot
+/// queries in pipelined binary batches. Returns (throughput qps, final
+/// STATS payload).
+fn hiconn_phase(workers: usize, conns: usize, requests: usize) -> (f64, String) {
     let sys = build_system_with_island(Topology::Chain, &CdssConfig::new(3, vec![2], 64), 8)
         .expect("hiconn topology builds");
     let core = Arc::new(ServiceCore::new(sys, EngineOptions::default()));
-    let server = if event_loop {
-        serve(Arc::clone(&core), "127.0.0.1:0", workers).expect("event-loop server starts")
-    } else {
-        serve_blocking(Arc::clone(&core), "127.0.0.1:0", workers).expect("baseline server starts")
-    };
+    let server = serve(Arc::clone(&core), "127.0.0.1:0", workers).expect("server starts");
     let addr = server.addr();
     // Warm the two hot entries so the phase measures the transport, not
     // first-evaluation cost.
@@ -421,53 +397,30 @@ fn hiconn_phase(event_loop: bool, workers: usize, conns: usize, requests: usize)
             warm.query(q).expect("warm query");
         }
     }
-    // Best-of-N passes against the same warm server: one descheduled
-    // pass on a shared runner would otherwise fake a transport
-    // regression in the A/B ratio.
-    let passes = env_usize("PROQL_HICONN_PASSES", 3);
-    let mut qps: f64 = 0.0;
-    for _ in 0..passes.max(1) {
-        qps = qps.max(hiconn_pass(addr, event_loop, conns, requests));
-    }
+    let t0 = Instant::now();
+    std::thread::scope(|s| {
+        for c in 0..conns {
+            s.spawn(move || {
+                let mut client = BinClient::connect(addr).expect("bin client connects");
+                let mut done = 0usize;
+                while done < requests {
+                    let batch = (requests - done).min(16);
+                    let qs: Vec<&str> = (0..batch)
+                        .map(|i| HOT_QUERIES[(c + done + i) % 2])
+                        .collect();
+                    let payloads = client.pipeline_queries(&qs).expect("pipelined batch");
+                    assert_eq!(payloads.len(), batch, "batch answered in full");
+                    done += batch;
+                }
+            });
+        }
+    });
+    let qps = (conns * requests) as f64 / t0.elapsed().as_secs_f64();
     let mut stats_client = Client::connect(addr).expect("stats client");
     let stats = stats_client.stats().expect("stats");
     drop(stats_client);
     server.shutdown();
     (qps, stats)
-}
-
-/// One timed sweep of the high-connection phase: `conns` client threads
-/// replay the hot set, pipelined binary against the event loop or line
-/// mode against the blocking baseline.
-fn hiconn_pass(addr: std::net::SocketAddr, event_loop: bool, conns: usize, requests: usize) -> f64 {
-    let t0 = Instant::now();
-    std::thread::scope(|s| {
-        for c in 0..conns {
-            s.spawn(move || {
-                if event_loop {
-                    let mut client = BinClient::connect(addr).expect("bin client connects");
-                    let mut done = 0usize;
-                    while done < requests {
-                        let batch = (requests - done).min(16);
-                        let qs: Vec<&str> = (0..batch)
-                            .map(|i| HOT_QUERIES[(c + done + i) % 2])
-                            .collect();
-                        let payloads = client.pipeline_queries(&qs).expect("pipelined batch");
-                        assert_eq!(payloads.len(), batch, "batch answered in full");
-                        done += batch;
-                    }
-                } else {
-                    let mut client = Client::connect(addr).expect("line client connects");
-                    for r in 0..requests {
-                        client
-                            .query(HOT_QUERIES[(c + r) % 2])
-                            .expect("query succeeds");
-                    }
-                }
-            });
-        }
-    });
-    (conns * requests) as f64 / t0.elapsed().as_secs_f64()
 }
 
 fn env_usize(name: &str, default: usize) -> usize {

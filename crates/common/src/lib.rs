@@ -14,6 +14,7 @@ pub mod ids;
 pub mod par;
 pub mod rng;
 pub mod schema;
+pub mod sync;
 pub mod trace;
 pub mod tuple;
 pub mod value;

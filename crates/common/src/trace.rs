@@ -19,6 +19,7 @@
 //! turns it on unless `PROQL_TRACE=0` (the query service calls this at
 //! construction).
 
+use crate::sync::lock;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -41,14 +42,12 @@ struct Ring {
 }
 
 fn ring() -> MutexGuard<'static, Ring> {
-    RING.get_or_init(|| {
+    lock(RING.get_or_init(|| {
         Mutex::new(Ring {
             cap: DEFAULT_CAPACITY,
             spans: VecDeque::new(),
         })
-    })
-    .lock()
-    .unwrap_or_else(|e| e.into_inner())
+    }))
 }
 
 /// The process-wide monotonic epoch all span timestamps are relative to.
@@ -452,7 +451,7 @@ mod tests {
     /// Serialize tests that toggle the global switch.
     fn guard() -> MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+        lock(&LOCK)
     }
 
     #[test]

@@ -18,6 +18,7 @@ use crate::exec::{
 };
 use crate::parser::parse_query;
 use crate::translate::{translate, BodyRewriter, TranslateOptions, TranslateStats, Translation};
+use proql_common::sync::{read_lock, write_lock};
 use proql_common::{trace, Parallelism, Result};
 use proql_provgraph::{ProvGraph, ProvenanceSystem};
 use proql_storage::{
@@ -28,22 +29,8 @@ use proql_storage::{
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
-
-/// Read-lock with poison recovery: a thread that panicked while holding
-/// the graph-cache lock leaves at worst a stale-or-absent cache entry,
-/// which the version stamp already guards against — so the poison flag
-/// carries no information and recovering keeps one crashed query from
-/// wedging every other worker on the engine.
-fn read_lock<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    lock.read().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Write-lock with poison recovery (see [`read_lock`]).
-fn write_lock<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-    lock.write().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Which execution strategy to use for graph projections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

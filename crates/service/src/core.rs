@@ -23,48 +23,21 @@
 //!   survives the epoch check is valid at the version the reader
 //!   reports.
 
-use crate::cache::{CacheCounters, PlanCache, PlanCacheCounters, ResultCache};
-use crate::metrics::{LatencyHistogram, Metrics, TransportMetrics, TransportSnapshot};
+use crate::cache::{PlanCache, ResultCache};
+use crate::fanout::{wall_micros, ReplSink, SinkList, Subscription, SubscriptionEvent};
+use crate::metrics::{LatencyHistogram, TransportMetrics};
 use crate::proto::result_digest;
+use crate::stats::ServiceStats;
 use proql::engine::{Engine, EngineOptions, QueryOutput};
 use proql::{maintain_output, MaintainResult};
 use proql_cdss::update::{delete_local_with_graph, DeleteStats};
+use proql_common::sync::{lock, read_lock, write_lock};
 use proql_common::{trace, Error, Result, Tuple};
 use proql_provgraph::encode::wire;
 use proql_provgraph::ProvenanceSystem;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::time::{SystemTime, UNIX_EPOCH};
-
-/// Primary wall clock in microseconds since the UNIX epoch — stamped on
-/// outgoing replication frames so replicas (on the same clock domain) can
-/// measure apply lag.
-fn wall_micros() -> u64 {
-    SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_micros().min(u64::MAX as u128) as u64)
-        .unwrap_or(0)
-}
-
-/// Lock with poison recovery: a worker that panicked mid-query must not
-/// wedge every other worker. The data behind each service lock is safe to
-/// resume after a panic — the snapshot slot is a single `Arc` swap, and
-/// the caches are freshness-checked on every read — so the poison flag
-/// carries no information here.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Read-lock with poison recovery (see [`lock`]).
-fn read_lock<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    l.read().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Write-lock with poison recovery (see [`lock`]).
-fn write_lock<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-    l.write().unwrap_or_else(|e| e.into_inner())
-}
+use std::sync::{Arc, Mutex, RwLock};
 
 /// One immutable published version of the system: queries run against a
 /// snapshot end-to-end, so a write landing mid-query cannot tear results.
@@ -76,132 +49,11 @@ pub struct Snapshot {
     pub engine: Engine,
 }
 
-/// Point-in-time service statistics (the `STATS` verb's payload).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ServiceStats {
-    /// Currently published system version.
-    pub version: u64,
-    /// Queries served (hits + misses + errors).
-    pub queries: u64,
-    /// Writes applied (deletions + insert/exchange rounds).
-    pub writes: u64,
-    /// Live cache entries.
-    pub cache_entries: u64,
-    /// Cache counters.
-    pub cache: CacheCounters,
-    /// Live prepared-plan entries.
-    pub plan_entries: u64,
-    /// Prepared-plan cache counters.
-    pub plans: PlanCacheCounters,
-    /// Delta-log compactions in the published system (sealed entries
-    /// merged to bound log growth; see `proql_provgraph::DeltaLog`).
-    pub delta_compactions: u64,
-    /// Provenance-graph builds from scratch, accumulated across every
-    /// published snapshot plus the current one.
-    pub graph_builds: u64,
-    /// Provenance-graph delta patches, accumulated the same way.
-    pub graph_patches: u64,
-    /// Transport counters and latency percentiles, when a TCP front end
-    /// is attached (zeros otherwise).
-    pub transport: TransportSnapshot,
-    /// Sealed entries currently retained in the published system's delta
-    /// log (bounded by `delta_log_cap`).
-    pub delta_log_depth: u64,
-    /// The delta log's trimmed low watermark: the oldest version the log
-    /// can still replicate **from**.
-    pub delta_log_base: u64,
-    /// The delta log's configured retention bound, in entries
-    /// (`PROQL_DELTA_LOG_CAP`).
-    pub delta_log_cap: u64,
-    /// Live replica subscriptions on this node.
-    pub repl_subscribers: u64,
-    /// `REPL_DELTA` frames streamed to replica subscribers.
-    pub repl_deltas_streamed: u64,
-    /// `REPL_SNAPSHOT` frames streamed to replica subscribers (each one
-    /// is a broken-chain fallback — never silent).
-    pub repl_snapshots_streamed: u64,
-    /// Replicated deltas applied on this node (replica mode).
-    pub repl_deltas_applied: u64,
-    /// Full snapshots installed on this node (replica mode).
-    pub repl_snapshots_installed: u64,
-    /// Replayed-digest mismatches detected **before** publishing (each
-    /// one triggers a forced snapshot resubscribe).
-    pub repl_digest_mismatches: u64,
-    /// Times this node's replica loop re-subscribed to its primary
-    /// (reconnects and digest-mismatch recoveries).
-    pub repl_resubscribes: u64,
-    /// Replication apply-lag observations (primary seal → replica
-    /// publish, same clock domain).
-    pub repl_lag_count: u64,
-    /// Apply-lag p50 in milliseconds.
-    pub repl_lag_p50_ms: f64,
-    /// Apply-lag p99 in milliseconds.
-    pub repl_lag_p99_ms: f64,
-}
-
-impl ServiceStats {
-    /// Assemble the unified metrics registry — the **single** source both
-    /// the JSON (`STATS`) and text (`STATS TEXT`) renderings draw from,
-    /// so the two surfaces can never drift apart.
-    pub fn registry(&self) -> Metrics {
-        let mut m = Metrics::new();
-        m.push_u64("version", self.version);
-        m.push_u64("queries", self.queries);
-        m.push_u64("writes", self.writes);
-        m.push_u64("cache_entries", self.cache_entries);
-        m.push_u64("cache_hits", self.cache.hits);
-        m.push_u64("cache_misses", self.cache.misses);
-        m.push_f64("cache_hit_rate", self.cache.hit_rate(), 6);
-        m.push_u64("stale_evictions", self.cache.stale_evictions);
-        m.push_u64("capacity_evictions", self.cache.capacity_evictions);
-        m.push_u64("rejected_inserts", self.cache.rejected_inserts);
-        m.push_u64("maint_hits", self.cache.maint_hits);
-        m.push_u64("maint_fallbacks", self.cache.maint_fallbacks);
-        m.push_u64("maint_rows_patched", self.cache.maint_rows_patched);
-        m.push_u64("delta_compactions", self.delta_compactions);
-        m.push_u64("graph_builds", self.graph_builds);
-        m.push_u64("graph_patches", self.graph_patches);
-        m.push_u64("plan_entries", self.plan_entries);
-        m.push_u64("plan_cache_hits", self.plans.hits);
-        m.push_u64("plan_cache_misses", self.plans.misses);
-        m.push_f64("plan_cache_hit_rate", self.plans.hit_rate(), 6);
-        m.push_u64("plan_reprepares", self.plans.reprepares);
-        m.push_u64("connections_open", self.transport.connections_open);
-        m.push_u64("connections_total", self.transport.connections_total);
-        m.push_u64("frames_in", self.transport.frames_in);
-        m.push_u64("frames_out", self.transport.frames_out);
-        m.push_u64("shed_count", self.transport.shed_count);
-        m.push_u64("protocol_errors", self.transport.protocol_errors);
-        m.push_u64("requests_recorded", self.transport.requests_recorded);
-        m.push_f64("latency_p50_ms", self.transport.latency_p50_ms, 4);
-        m.push_f64("latency_p95_ms", self.transport.latency_p95_ms, 4);
-        m.push_f64("latency_p99_ms", self.transport.latency_p99_ms, 4);
-        m.push_u64("delta_log_depth", self.delta_log_depth);
-        m.push_u64("delta_log_base", self.delta_log_base);
-        m.push_u64("delta_log_cap", self.delta_log_cap);
-        m.push_u64("repl_subscribers", self.repl_subscribers);
-        m.push_u64("repl_deltas_streamed", self.repl_deltas_streamed);
-        m.push_u64("repl_snapshots_streamed", self.repl_snapshots_streamed);
-        m.push_u64("repl_deltas_applied", self.repl_deltas_applied);
-        m.push_u64("repl_snapshots_installed", self.repl_snapshots_installed);
-        m.push_u64("repl_digest_mismatches", self.repl_digest_mismatches);
-        m.push_u64("repl_resubscribes", self.repl_resubscribes);
-        m.push_u64("repl_lag_count", self.repl_lag_count);
-        m.push_f64("repl_lag_p50_ms", self.repl_lag_p50_ms, 4);
-        m.push_f64("repl_lag_p99_ms", self.repl_lag_p99_ms, 4);
-        m
-    }
-
-    /// Single-line JSON rendering of [`Self::registry`] (the workspace
-    /// has no serde).
-    pub fn to_json(&self) -> String {
-        self.registry().to_json()
-    }
-
-    /// `name value` line rendering of [`Self::registry`] (the `STATS
-    /// TEXT` payload).
-    pub fn to_text(&self) -> String {
-        self.registry().to_text()
+impl Snapshot {
+    /// This snapshot's provenance-graph digest, or 0 — "unchecked" on the
+    /// replication wire — when the graph cannot be built.
+    pub(crate) fn graph_digest(&self) -> u64 {
+        self.engine.graph().map(|g| g.digest()).unwrap_or(0)
     }
 }
 
@@ -220,83 +72,6 @@ pub struct QueryResponse {
     /// The answer.
     pub output: Arc<QueryOutput>,
 }
-
-/// The receiving end of a subscription channel: `(subscription id,
-/// event)` pairs, one sender shared by all of a connection's
-/// subscriptions.
-pub type SubscriptionReceiver = mpsc::Receiver<(u64, SubscriptionEvent)>;
-
-/// What happened to a subscribed query's answer after a write (pushed to
-/// `SUBSCRIBE` clients, tagged with the subscription id).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SubscriptionEvent {
-    /// The cached answer was patched forward by incremental maintenance:
-    /// the subscriber's view is current again at `version` without a
-    /// recompute. `digest` is the canonical result digest of the patched
-    /// answer (what a re-`QUERY` would report); `rows_patched` is how
-    /// many projection/annotation rows actually changed.
-    Delta {
-        /// The version the patched answer is valid at.
-        version: u64,
-        /// Projection and annotation rows added, removed, or revalued.
-        rows_patched: u64,
-        /// Canonical digest of the patched answer.
-        digest: u64,
-    },
-    /// The write could not be maintained (fallback or the entry was
-    /// gone): the cached answer died and the subscriber must re-issue
-    /// the query to resynchronize.
-    Resync {
-        /// The version the subscriber should re-query at (or later).
-        version: u64,
-    },
-}
-
-/// Where subscription events are delivered: called with `(subscription
-/// id, event)` on every intersecting write, returning whether the
-/// subscriber is still alive (`false` prunes the subscription). Sinks
-/// run on the writer's thread and must be cheap and non-blocking — the
-/// TCP server's sink appends a pre-rendered PUSH frame to the
-/// connection's outbound queue and wakes the event loop.
-pub type PushSink = Box<dyn Fn(u64, SubscriptionEvent) -> bool + Send + Sync>;
-
-/// One live subscription: where to push events for a cache key.
-struct Subscription {
-    id: u64,
-    key: String,
-    /// The answer's read set at subscribe time — a write intersecting it
-    /// triggers an event even if the cache entry itself has vanished.
-    deps: BTreeSet<String>,
-    sink: PushSink,
-}
-
-impl std::fmt::Debug for Subscription {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Subscription")
-            .field("id", &self.id)
-            .field("key", &self.key)
-            .field("deps", &self.deps)
-            .finish_non_exhaustive()
-    }
-}
-
-/// The payload kind of a replication frame (selects the transport verb:
-/// `REPL_DELTA` vs `REPL_SNAPSHOT`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplFrameKind {
-    /// A [`wire`]-encoded [`wire::DeltaFrame`].
-    Delta,
-    /// A [`wire`]-encoded [`wire::SnapshotFrame`] (broken-chain or
-    /// forced-recovery fallback).
-    Snapshot,
-}
-
-/// Where replication frames are delivered: called with `(kind, encoded
-/// payload)` on every published write, returning whether the subscriber
-/// is still alive (`false` prunes the subscription). Payloads are
-/// encoded once and shared across subscribers; like [`PushSink`], sinks
-/// run on the writer's thread and must be cheap and non-blocking.
-pub type ReplSink = Box<dyn Fn(ReplFrameKind, &Arc<Vec<u8>>) -> bool + Send + Sync>;
 
 /// What applying one replication frame did to a replica's state (see
 /// [`ServiceCore::apply_repl_delta_frame`]).
@@ -335,20 +110,6 @@ pub enum ReplApplyOutcome {
     },
 }
 
-/// One live replica subscription.
-struct ReplSub {
-    id: u64,
-    sink: ReplSink,
-}
-
-impl std::fmt::Debug for ReplSub {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReplSub")
-            .field("id", &self.id)
-            .finish_non_exhaustive()
-    }
-}
-
 /// A shared, thread-safe ProQL query service over a [`ProvenanceSystem`]:
 /// single-writer / multi-reader with versioned snapshots and a
 /// dependency-tracked result cache.
@@ -372,17 +133,16 @@ pub struct ServiceCore {
     /// cache entries forward across writes; `false` reproduces the old
     /// evict-on-write behavior (the ablation baseline).
     maintenance: bool,
-    subs: Mutex<Vec<Subscription>>,
-    next_sub_id: AtomicU64,
+    /// `SUBSCRIBE` listeners (see [`crate::fanout`]).
+    pub(crate) subs: Mutex<SinkList<Subscription>>,
     /// Metrics of the attached TCP front end, if any (installed by
     /// `serve`); folded into [`ServiceStats`].
     transport: Mutex<Option<Arc<TransportMetrics>>>,
-    /// Replica subscriptions: every published write streams its sealed
+    /// Replica listeners: every published write streams its sealed
     /// delta (or a snapshot, on a broken chain) to each sink.
-    repl: Mutex<Vec<ReplSub>>,
-    next_repl_id: AtomicU64,
-    repl_deltas_streamed: AtomicU64,
-    repl_snapshots_streamed: AtomicU64,
+    pub(crate) repl: Mutex<SinkList<ReplSink>>,
+    pub(crate) repl_deltas_streamed: AtomicU64,
+    pub(crate) repl_snapshots_streamed: AtomicU64,
     repl_deltas_applied: AtomicU64,
     repl_snapshots_installed: AtomicU64,
     repl_digest_mismatches: AtomicU64,
@@ -411,16 +171,6 @@ impl ServiceCore {
         )
     }
 
-    /// Serve `sys` with an explicit result-cache capacity and the default
-    /// plan-cache capacity.
-    pub fn with_cache_capacity(
-        sys: ProvenanceSystem,
-        options: EngineOptions,
-        capacity: usize,
-    ) -> Self {
-        ServiceCore::with_capacities(sys, options, capacity, DEFAULT_PLAN_CACHE_CAPACITY)
-    }
-
     /// Serve `sys` with explicit result-cache and plan-cache capacities
     /// (a plan capacity of 0 disables prepared-plan reuse — the
     /// unprepared baseline benchmarks measure against).
@@ -446,11 +196,9 @@ impl ServiceCore {
             graph_builds: AtomicU64::new(0),
             graph_patches: AtomicU64::new(0),
             maintenance: true,
-            subs: Mutex::new(Vec::new()),
-            next_sub_id: AtomicU64::new(0),
+            subs: Mutex::default(),
             transport: Mutex::new(None),
-            repl: Mutex::new(Vec::new()),
-            next_repl_id: AtomicU64::new(0),
+            repl: Mutex::default(),
             repl_deltas_streamed: AtomicU64::new(0),
             repl_snapshots_streamed: AtomicU64::new(0),
             repl_deltas_applied: AtomicU64::new(0),
@@ -668,23 +416,85 @@ impl ServiceCore {
         let Some((write_set, value)) = mutate(&current, &mut sys)? else {
             return Ok(None);
         };
-        let version = sys.version();
-        debug_assert!(version > current.version, "mutations must bump the version");
-        let engine = Engine::with_options(sys, self.options.clone());
-        engine.adopt_graph_cache(&current.engine);
-        let next = Arc::new(Snapshot { version, engine });
+        debug_assert!(
+            sys.version() > current.version,
+            "mutations must bump the version"
+        );
+        let next = self
+            .seal_and_verify(&current, sys, true, 0)?
+            .expect("a local write vouches no digest, so nothing can mismatch");
+        let version = next.version;
         self.publish(&current, next, &write_set);
         self.writes.fetch_add(1, Ordering::Relaxed);
         sp.field("version", version.to_string());
         Ok(Some((version, value)))
     }
 
-    /// The shared publish tail of every state transition — local writes
-    /// and replicated applies alike. Caller holds the write gate. Runs
-    /// incremental maintenance over intersecting cache entries, installs
-    /// the results + write epoch + snapshot under one cache lock, then
-    /// notifies query subscribers and streams the transition to replica
-    /// subscribers.
+    /// Seal `sys` — the copy-on-write successor of `current` — as the
+    /// next snapshot, and verify it before anything is published. With
+    /// `adopt_graph` the new engine takes over the outgoing snapshot's
+    /// cached provenance graph, so the next graph use is a delta patch;
+    /// without it (table state replaced wholesale) the graph rebuilds
+    /// from scratch. A nonzero `vouched_digest` is the primary's graph
+    /// digest at this version: the replayed graph must match it, or the
+    /// state is discarded unpublished and the mismatch counted — corrupt
+    /// state is never served. Zero means unchecked.
+    fn seal_and_verify(
+        &self,
+        current: &Snapshot,
+        sys: ProvenanceSystem,
+        adopt_graph: bool,
+        vouched_digest: u64,
+    ) -> Result<std::result::Result<Arc<Snapshot>, ReplApplyOutcome>> {
+        let version = sys.version();
+        let engine = Engine::with_options(sys, self.options.clone());
+        if adopt_graph {
+            engine.adopt_graph_cache(&current.engine);
+        }
+        if vouched_digest != 0 {
+            let actual = engine.graph()?.digest();
+            if actual != vouched_digest {
+                self.repl_digest_mismatches.fetch_add(1, Ordering::Relaxed);
+                return Ok(Err(ReplApplyOutcome::DigestMismatch {
+                    version,
+                    expected: vouched_digest,
+                    actual,
+                }));
+            }
+        }
+        Ok(Ok(Arc::new(Snapshot { version, engine })))
+    }
+
+    /// Retire `current` and make `next` the published snapshot. The
+    /// caller passes the **held** cache lock: the write epoch is recorded
+    /// and the state swapped under it (on top of whatever the caller did
+    /// to the entries under the same acquisition), so no reader can see
+    /// a new-version answer at the old published version.
+    fn retire_and_swap(
+        &self,
+        cache: &mut ResultCache,
+        current: &Snapshot,
+        next: &Arc<Snapshot>,
+        write_set: &BTreeSet<String>,
+    ) {
+        cache.record_write(write_set.iter().map(String::as_str), next.version);
+        // The outgoing snapshot's engine retires here: fold its graph
+        // counters into the service-lifetime accumulators (stragglers
+        // still reading it may add a few more — an acceptable
+        // undercount for monotonic service-level counters).
+        self.graph_builds
+            .fetch_add(current.engine.graph_build_count(), Ordering::Relaxed);
+        self.graph_patches
+            .fetch_add(current.engine.graph_patch_count(), Ordering::Relaxed);
+        *write_lock(&self.state) = Arc::clone(next);
+    }
+
+    /// The shared publish tail of every maintained state transition —
+    /// local writes and replicated deltas alike. Caller holds the write
+    /// gate. Runs incremental maintenance over intersecting cache
+    /// entries, installs the results + write epoch + snapshot under one
+    /// cache lock, then fans the transition out to query subscribers and
+    /// replicas.
     fn publish(&self, current: &Snapshot, next: Arc<Snapshot>, write_set: &BTreeSet<String>) {
         let version = next.version;
         // Maintenance runs outside the cache lock (it executes delta
@@ -742,46 +552,9 @@ impl ServiceCore {
                     }
                 }
             }
-            cache.record_write(write_set.iter().map(String::as_str), version);
-            // The outgoing snapshot's engine retires here: fold its graph
-            // counters into the service-lifetime accumulators (stragglers
-            // still reading it may add a few more — an acceptable
-            // undercount for monotonic service-level counters).
-            self.graph_builds
-                .fetch_add(current.engine.graph_build_count(), Ordering::Relaxed);
-            self.graph_patches
-                .fetch_add(current.engine.graph_patch_count(), Ordering::Relaxed);
-            *write_lock(&self.state) = Arc::clone(&next);
+            self.retire_and_swap(&mut cache, current, &next, write_set);
         }
-        self.notify_subscribers(write_set, version, &events);
-        self.stream_to_replicas(current.version, &next);
-    }
-
-    /// Push this write's outcome to every subscription whose read set it
-    /// intersects: a `Delta` when the subscribed entry was maintained, a
-    /// `Resync` otherwise (fallback, eviction, or maintenance disabled).
-    /// Subscriptions whose receiver hung up are pruned.
-    fn notify_subscribers(
-        &self,
-        write_set: &BTreeSet<String>,
-        version: u64,
-        events: &[(String, SubscriptionEvent)],
-    ) {
-        let mut subs = lock(&self.subs);
-        if subs.is_empty() {
-            return;
-        }
-        subs.retain(|sub| {
-            if !sub.deps.iter().any(|d| write_set.contains(d)) {
-                return true;
-            }
-            let event = events
-                .iter()
-                .find(|(key, _)| *key == sub.key)
-                .map(|(_, e)| *e)
-                .unwrap_or(SubscriptionEvent::Resync { version });
-            (sub.sink)(sub.id, event)
-        });
+        self.fan_out(current.version, &next, write_set, &events);
     }
 
     /// CDSS deletion: remove a tuple from `relation`'s local table and
@@ -836,68 +609,11 @@ impl ServiceCore {
         lock(&self.cache).clear()
     }
 
-    /// Subscribe to a query (the `SUBSCRIBE` verb): runs it once (warming
-    /// the cache entry maintenance keeps patched) and registers `sender`
-    /// to receive `(subscription id, event)` pairs on every write that
-    /// intersects the answer's read set — [`SubscriptionEvent::Delta`]
-    /// when the answer was patched forward, [`SubscriptionEvent::Resync`]
-    /// when the subscriber must re-query. One sender can serve many
-    /// subscriptions (the TCP server uses one channel per connection).
-    pub fn subscribe_with(
-        &self,
-        text: &str,
-        sender: mpsc::Sender<(u64, SubscriptionEvent)>,
-    ) -> Result<(u64, QueryResponse)> {
-        self.subscribe_sink(
-            text,
-            Box::new(move |id, event| sender.send((id, event)).is_ok()),
-        )
-    }
-
-    /// [`Self::subscribe_with`] with an arbitrary delivery callback
-    /// instead of an mpsc channel. The event-loop server uses this to
-    /// write PUSH frames straight into a connection's outbound queue —
-    /// no per-subscription channel, no polling cadence. The sink
-    /// returning `false` prunes the subscription.
-    pub fn subscribe_sink(&self, text: &str, sink: PushSink) -> Result<(u64, QueryResponse)> {
-        let resp = self.query(text)?;
-        let id = self.next_sub_id.fetch_add(1, Ordering::Relaxed) + 1;
-        lock(&self.subs).push(Subscription {
-            id,
-            key: ServiceCore::cache_key(text),
-            deps: resp.output.touched.clone(),
-            sink,
-        });
-        Ok((id, resp))
-    }
-
-    /// [`Self::subscribe_with`] over a private channel: returns the
-    /// subscription id, the initial answer, and the event receiver.
-    pub fn subscribe(&self, text: &str) -> Result<(u64, QueryResponse, SubscriptionReceiver)> {
-        let (tx, rx) = mpsc::channel();
-        let (id, resp) = self.subscribe_with(text, tx)?;
-        Ok((id, resp, rx))
-    }
-
-    /// Drop a subscription. Returns whether it was live.
-    pub fn unsubscribe(&self, id: u64) -> bool {
-        let mut subs = lock(&self.subs);
-        let before = subs.len();
-        subs.retain(|s| s.id != id);
-        subs.len() < before
-    }
-
-    /// Live subscriptions.
-    pub fn subscription_count(&self) -> usize {
-        lock(&self.subs).len()
-    }
-
     /// The published provenance graph's digest — the bit-identity check
     /// replicas replay against (0 when the graph cannot be built, which
     /// downgrades the check to "unchecked" rather than failing writes).
     pub fn graph_digest(&self) -> u64 {
-        let snap = self.snapshot();
-        snap.engine.graph().map(|g| g.digest()).unwrap_or(0)
+        self.snapshot().graph_digest()
     }
 
     /// Switch replica mode on or off: a read-only node refuses local
@@ -930,157 +646,6 @@ impl ServiceCore {
         self.repl_resubscribes.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Subscribe a replica: `sink` receives every future published write
-    /// as encoded replication frames (see [`wire`]), after being caught
-    /// up from `from_version` to the current version — via the delta log
-    /// when it can bridge the span, via a full snapshot otherwise (or
-    /// when `force_snapshot` is set: the digest-mismatch recovery path,
-    /// where re-streaming deltas from the same version would replay the
-    /// same corruption). Returns the subscription id.
-    pub fn repl_subscribe_sink(
-        &self,
-        from_version: u64,
-        force_snapshot: bool,
-        sink: ReplSink,
-    ) -> u64 {
-        let id = self.next_repl_id.fetch_add(1, Ordering::Relaxed) + 1;
-        // Lock order matters: taking the repl lock *before* reading the
-        // snapshot means a write publishing after our read blocks on
-        // this lock and re-delivers its frames once we are registered —
-        // no transition can fall between catch-up and live streaming.
-        // Replicas treat re-delivered versions as stale no-ops.
-        let mut repl = lock(&self.repl);
-        let snap = self.snapshot();
-        let sys = &snap.engine.sys;
-        let now = wall_micros();
-        let digest = snap.engine.graph().map(|g| g.digest()).unwrap_or(0);
-        let snapshot_frame = || {
-            (
-                ReplFrameKind::Snapshot,
-                Arc::new(wire::encode_snapshot_parts(
-                    snap.version,
-                    digest,
-                    now,
-                    &sys.snapshot_tables(),
-                )),
-            )
-        };
-        let catch_up: Vec<(ReplFrameKind, Arc<Vec<u8>>)> =
-            if force_snapshot || from_version > snap.version {
-                vec![snapshot_frame()]
-            } else if from_version == snap.version {
-                Vec::new()
-            } else {
-                match Self::delta_frames(sys, from_version, snap.version, digest, now) {
-                    Some(frames) => frames,
-                    None => vec![snapshot_frame()],
-                }
-            };
-        let mut alive = true;
-        for (kind, payload) in &catch_up {
-            self.count_streamed(*kind);
-            if !sink(*kind, payload) {
-                alive = false;
-                break;
-            }
-        }
-        if alive {
-            repl.push(ReplSub { id, sink });
-        }
-        id
-    }
-
-    /// Drop a replica subscription. Returns whether it was live.
-    pub fn repl_unsubscribe(&self, id: u64) -> bool {
-        let mut repl = lock(&self.repl);
-        let before = repl.len();
-        repl.retain(|s| s.id != id);
-        repl.len() < before
-    }
-
-    /// Live replica subscriptions.
-    pub fn repl_subscriber_count(&self) -> usize {
-        lock(&self.repl).len()
-    }
-
-    /// Encode one `REPL_DELTA` frame per sealed log entry bridging
-    /// `from` → `to`, or `None` when the log cannot (chain broken by an
-    /// out-of-band bump, an oversized mutation, or retention trimming).
-    /// Only the head frame carries the graph digest — intermediate
-    /// versions' graphs are never materialized — so replicas check
-    /// bit-identity exactly at the versions the primary vouches for.
-    fn delta_frames(
-        sys: &ProvenanceSystem,
-        from: u64,
-        to: u64,
-        head_digest: u64,
-        now: u64,
-    ) -> Option<Vec<(ReplFrameKind, Arc<Vec<u8>>)>> {
-        let entries: Vec<_> = sys.delta_entries(from, to)?.collect();
-        if entries.len() as u64 != to - from || entries.iter().any(|d| d.is_overflowed()) {
-            return None;
-        }
-        let n = entries.len();
-        Some(
-            entries
-                .into_iter()
-                .enumerate()
-                .map(|(i, d)| {
-                    let version = from + i as u64 + 1;
-                    let digest = if i + 1 == n { head_digest } else { 0 };
-                    let payload = wire::encode_delta_parts(version, digest, now, d);
-                    (ReplFrameKind::Delta, Arc::new(payload))
-                })
-                .collect(),
-        )
-    }
-
-    fn count_streamed(&self, kind: ReplFrameKind) {
-        match kind {
-            ReplFrameKind::Delta => &self.repl_deltas_streamed,
-            ReplFrameKind::Snapshot => &self.repl_snapshots_streamed,
-        }
-        .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Stream a just-published transition to every replica subscriber:
-    /// delta frames when the log bridges `from_version` → `next.version`,
-    /// one full snapshot otherwise (the counted, never-silent fallback).
-    /// Payloads are encoded once and shared across subscribers. Chained
-    /// topologies compose: a replica applying a delta re-seals it in its
-    /// own log, so its downstream gets deltas too, while a snapshot
-    /// install resets the log and cascades a snapshot.
-    fn stream_to_replicas(&self, from_version: u64, next: &Snapshot) {
-        let mut repl = lock(&self.repl);
-        if repl.is_empty() {
-            return;
-        }
-        let now = wall_micros();
-        let digest = next.engine.graph().map(|g| g.digest()).unwrap_or(0);
-        let sys = &next.engine.sys;
-        let frames = Self::delta_frames(sys, from_version, next.version, digest, now)
-            .unwrap_or_else(|| {
-                vec![(
-                    ReplFrameKind::Snapshot,
-                    Arc::new(wire::encode_snapshot_parts(
-                        next.version,
-                        digest,
-                        now,
-                        &sys.snapshot_tables(),
-                    )),
-                )]
-            });
-        repl.retain(|sub| {
-            for (kind, payload) in &frames {
-                self.count_streamed(*kind);
-                if !(sub.sink)(*kind, payload) {
-                    return false;
-                }
-            }
-            true
-        });
-    }
-
     /// Apply one replicated delta frame (the replica-side write path).
     /// The frame must chain directly onto the node's version; the
     /// replayed provenance graph's digest is checked against the
@@ -1105,23 +670,10 @@ impl ServiceCore {
         }
         let mut sys = current.engine.sys.clone();
         sys.apply_replica_delta(frame.version, &frame.delta)?;
-        let engine = Engine::with_options(sys, self.options.clone());
-        engine.adopt_graph_cache(&current.engine);
-        let next = Arc::new(Snapshot {
-            version: frame.version,
-            engine,
-        });
-        if frame.digest != 0 {
-            let actual = next.engine.graph()?.digest();
-            if actual != frame.digest {
-                self.repl_digest_mismatches.fetch_add(1, Ordering::Relaxed);
-                return Ok(ReplApplyOutcome::DigestMismatch {
-                    version: frame.version,
-                    expected: frame.digest,
-                    actual,
-                });
-            }
-        }
+        let next = match self.seal_and_verify(&current, sys, true, frame.digest)? {
+            Ok(next) => next,
+            Err(mismatch) => return Ok(mismatch),
+        };
         self.publish(&current, next, &frame.delta.touched);
         self.record_repl_lag(frame.sealed_at_micros);
         self.repl_deltas_applied.fetch_add(1, Ordering::Relaxed);
@@ -1131,10 +683,11 @@ impl ServiceCore {
     }
 
     /// Install a full snapshot frame (the broken-chain / forced-recovery
-    /// path). Replaces every stored table wholesale, so the result cache
-    /// is cleared rather than maintained and every intersecting
-    /// subscriber is told to resync. The installed state's digest is
-    /// checked before publishing, exactly like the delta path.
+    /// path). Replaces every stored table wholesale, so the graph
+    /// rebuilds from scratch, the result cache is cleared rather than
+    /// maintained, and every subscriber is told to resync. The installed
+    /// state's digest is checked before publishing, exactly like the
+    /// delta path.
     pub fn install_repl_snapshot_frame(
         &self,
         frame: &wire::SnapshotFrame,
@@ -1148,24 +701,10 @@ impl ServiceCore {
         }
         let mut sys = current.engine.sys.clone();
         sys.install_snapshot(frame.version, &frame.tables)?;
-        let engine = Engine::with_options(sys, self.options.clone());
-        // No graph adoption: table state was replaced wholesale, so the
-        // graph must rebuild from scratch.
-        let next = Arc::new(Snapshot {
-            version: frame.version,
-            engine,
-        });
-        if frame.digest != 0 {
-            let actual = next.engine.graph()?.digest();
-            if actual != frame.digest {
-                self.repl_digest_mismatches.fetch_add(1, Ordering::Relaxed);
-                return Ok(ReplApplyOutcome::DigestMismatch {
-                    version: frame.version,
-                    expected: frame.digest,
-                    actual,
-                });
-            }
-        }
+        let next = match self.seal_and_verify(&current, sys, false, frame.digest)? {
+            Ok(next) => next,
+            Err(mismatch) => return Ok(mismatch),
+        };
         let write_set: BTreeSet<String> = next
             .engine
             .sys
@@ -1176,15 +715,9 @@ impl ServiceCore {
         {
             let mut cache = lock(&self.cache);
             cache.clear();
-            cache.record_write(write_set.iter().map(String::as_str), frame.version);
-            self.graph_builds
-                .fetch_add(current.engine.graph_build_count(), Ordering::Relaxed);
-            self.graph_patches
-                .fetch_add(current.engine.graph_patch_count(), Ordering::Relaxed);
-            *write_lock(&self.state) = Arc::clone(&next);
+            self.retire_and_swap(&mut cache, &current, &next, &write_set);
         }
-        self.notify_subscribers(&write_set, frame.version, &[]);
-        self.stream_to_replicas(current.version, &next);
+        self.fan_out(current.version, &next, &write_set, &[]);
         self.record_repl_lag(frame.sealed_at_micros);
         self.repl_snapshots_installed
             .fetch_add(1, Ordering::Relaxed);
@@ -1256,7 +789,9 @@ impl ServiceCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fanout::{PushSink, ReplFrameKind};
     use proql_common::{tup, Schema, ValueType};
+    use std::sync::mpsc;
 
     /// Two disconnected mapping families: X → Y (via mxy) and U → V (via
     /// muv). A query over one family must not be invalidated by writes to
@@ -1573,21 +1108,36 @@ mod tests {
         }
     }
 
+    type EventLog = Arc<Mutex<Vec<(u64, SubscriptionEvent)>>>;
+
+    /// A subscription sink that records every event it is handed and
+    /// answers `alive`.
+    fn recording_sink(alive: bool) -> (PushSink, EventLog) {
+        let log = EventLog::default();
+        let sink_log = Arc::clone(&log);
+        let sink: PushSink = Box::new(move |id, event| {
+            lock(&sink_log).push((id, event));
+            alive
+        });
+        (sink, log)
+    }
+
     #[test]
     fn subscriptions_receive_deltas_and_resyncs() {
         let core = ServiceCore::new(two_island_system(), EngineOptions::default());
-        let (id, initial, rx) = core.subscribe(Q_Y).unwrap();
+        let (sink, log) = recording_sink(true);
+        let (id, initial) = core.subscribe_sink(Q_Y, sink).unwrap();
         assert_eq!(initial.output.projection.bindings.len(), 5);
         assert_eq!(core.subscription_count(), 1);
 
         // Unrelated write: no event.
         core.delete("U", &tup![0]).unwrap();
-        assert!(rx.try_recv().is_err(), "unrelated write must not notify");
+        assert!(lock(&log).is_empty(), "unrelated write must not notify");
 
         // Touching write: maintained → a Delta event with the patched
         // answer's digest.
         let (v, _) = core.delete("X", &tup![0]).unwrap();
-        let (got_id, event) = rx.try_recv().expect("touching write must notify");
+        let (got_id, event) = lock(&log).pop().expect("touching write must notify");
         assert_eq!(got_id, id);
         match event {
             SubscriptionEvent::Delta {
@@ -1608,8 +1158,8 @@ mod tests {
         // subscriber is told to resync.
         core.invalidate();
         let (v2, _) = core.delete("X", &tup![1]).unwrap();
-        match rx.try_recv() {
-            Ok((_, SubscriptionEvent::Resync { version })) => assert_eq!(version, v2),
+        match lock(&log).pop() {
+            Some((_, SubscriptionEvent::Resync { version })) => assert_eq!(version, v2),
             other => panic!("expected Resync, got {other:?}"),
         }
 
@@ -1621,14 +1171,18 @@ mod tests {
     #[test]
     fn dropped_subscribers_are_pruned_on_notify() {
         let core = ServiceCore::new(two_island_system(), EngineOptions::default());
-        let (_, _, rx) = core.subscribe(Q_Y).unwrap();
-        drop(rx);
+        let (sink, log) = recording_sink(false);
+        core.subscribe_sink(Q_Y, sink).unwrap();
+        assert_eq!(core.subscription_count(), 1);
         core.delete("X", &tup![0]).unwrap();
         assert_eq!(
             core.subscription_count(),
             0,
-            "hung-up subscriber must be pruned"
+            "a sink answering false must be pruned"
         );
+        // Pruned means gone: the next touching write is not offered to it.
+        core.delete("X", &tup![1]).unwrap();
+        assert_eq!(lock(&log).len(), 1);
     }
 
     #[test]
@@ -1947,6 +1501,38 @@ mod tests {
         assert_eq!(replica.version(), primary.version());
         assert_eq!(replica.graph_digest(), primary.graph_digest());
         assert_eq!(replica.stats().repl_resubscribes, 1);
+    }
+
+    /// The shared sink list's other entrance: a replica sink that reports
+    /// itself dead while being caught up is never registered, so the
+    /// next write is not offered to it.
+    #[test]
+    fn replica_sink_dead_during_catch_up_is_never_registered() {
+        let primary = ServiceCore::new(two_island_system(), EngineOptions::default());
+        let joined_at = primary.version();
+        primary.insert_and_exchange("X", tup![7, 70]).unwrap();
+        let offered = Arc::new(AtomicU64::new(0));
+        let seen = Arc::clone(&offered);
+        let id = primary.repl_subscribe_sink(
+            joined_at,
+            false,
+            Box::new(move |_, _| {
+                seen.fetch_add(1, Ordering::Relaxed);
+                false
+            }),
+        );
+        assert_eq!(
+            offered.load(Ordering::Relaxed),
+            1,
+            "catch-up stops at false"
+        );
+        assert_eq!(primary.repl_subscriber_count(), 0);
+        assert!(!primary.repl_unsubscribe(id), "never registered");
+        primary.insert_and_exchange("X", tup![8, 80]).unwrap();
+        assert_eq!(offered.load(Ordering::Relaxed), 1);
+        // The id was still consumed: a later subscriber gets a fresh one.
+        let (sink, _rx) = repl_queue();
+        assert!(primary.repl_subscribe_sink(primary.version(), false, sink) > id);
     }
 
     #[test]

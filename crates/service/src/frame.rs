@@ -231,12 +231,6 @@ pub fn decode(buf: &[u8]) -> Result<Option<(Frame, usize)>, DecodeError> {
     Ok(None)
 }
 
-/// Whether `verb` is one a client may send (the server answers anything
-/// else, well-formed, with an ERR frame).
-pub fn is_request_verb(verb: u8) -> bool {
-    (verb::QUERY..=verb::REPL_SUBSCRIBE).contains(&verb)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -21,17 +21,16 @@
 //!   hot-template traffic skips parse → translate → optimize entirely.
 //! * [`server`] — a zero-dependency `std::net` TCP front end built
 //!   around a nonblocking readiness-driven event loop ([`net`] supplies
-//!   the `poll(2)` shim and cross-thread waker). Two wire protocols
-//!   share the port, auto-detected from a connection's first byte: the
-//!   pipelined length-prefixed binary framing layer ([`frame`]) with
-//!   out-of-band `PUSH` frames and explicit `OVERLOADED` load shedding,
-//!   and the legacy line protocol (`QUERY` / `DELETE` / `INSERT` /
-//!   `STATS` / `INVALIDATE` / `SUBSCRIBE`). Matching blocking clients:
-//!   [`server::Client`] (lines) and [`server::BinClient`] (frames,
-//!   pipelining). Per-connection admission control and an
-//!   allocation-free latency histogram ([`metrics`]) ride along, and
-//!   [`server::serve_blocking`] keeps the previous thread-per-connection
-//!   design as a bench baseline.
+//!   the `poll(2)` shim and cross-thread waker). Two wire formats share
+//!   the port, decided from a connection's first byte: the pipelined
+//!   length-prefixed binary framing layer ([`frame`]) with out-of-band
+//!   `PUSH` frames and explicit `OVERLOADED` load shedding, and the line
+//!   protocol. Both decode to the same request, run through the one
+//!   dispatcher, and are answered through the one reply encoder
+//!   ([`proto`]). Matching blocking clients live in [`client`]:
+//!   [`Client`] (lines) and [`BinClient`] (frames, pipelining).
+//!   Per-connection admission control and an allocation-free latency
+//!   histogram ([`metrics`]) ride along.
 //!
 //! Writes do not simply evict intersecting cache entries: the write path
 //! first tries **incremental view maintenance** ([`proql::maintain_output`])
@@ -40,13 +39,17 @@
 //! forward in O(delta). Only non-localizable shapes (graph-walk answers,
 //! set-valued semirings, broken delta chains, oversized deltas) fall back
 //! to eviction. `SUBSCRIBE` clients ride the same machinery: maintained
-//! entries push result deltas, fallbacks push a resync notice.
+//! entries push result deltas, fallbacks push a resync notice. They and
+//! replicas are listeners on one fan-out ([`fanout`]), the last step of
+//! every published write.
 //!
 //! The `serve` binary in `proql-bench` load-tests this stack end to end
 //! and reports throughput, latency percentiles, and cache hit rates.
 
 pub mod cache;
+pub mod client;
 pub mod core;
+pub mod fanout;
 pub mod frame;
 pub mod metrics;
 pub mod net;
@@ -55,17 +58,16 @@ pub mod replica;
 pub mod retry;
 pub mod router;
 pub mod server;
+pub mod stats;
 
-pub use crate::core::{
-    PushSink, QueryResponse, ReplApplyOutcome, ReplFrameKind, ReplSink, ServiceCore, ServiceStats,
-    Snapshot, SubscriptionEvent, SubscriptionReceiver,
-};
+pub use crate::core::{QueryResponse, ReplApplyOutcome, ServiceCore, Snapshot};
 pub use cache::{CacheCounters, MaintenanceCandidate, PlanCache, PlanCacheCounters, ResultCache};
+pub use client::{BinClient, Client};
+pub use fanout::{PushSink, ReplFrameKind, ReplSink, SubscriptionEvent};
 pub use metrics::{HistogramSnapshot, LatencyHistogram, TransportMetrics, TransportSnapshot};
 pub use proto::{handle_line, result_digest};
 pub use replica::{start_replica, wait_for_version, ReplicaConfig, ReplicaHandle};
 pub use retry::{retry, retry_with, Backoff, RetryPolicy};
 pub use router::{Router, RouterCounters, ShardMap};
-pub use server::{
-    serve, serve_blocking, serve_with, BinClient, Client, ServerConfig, ServerHandle,
-};
+pub use server::{serve, serve_with, ServerConfig, ServerHandle};
+pub use stats::ServiceStats;

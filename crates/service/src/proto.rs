@@ -1,6 +1,14 @@
-//! The line-based wire protocol.
+//! The protocol: verbs, the one dispatcher, and the one reply encoder.
 //!
-//! Requests are single lines, `<VERB> [args]`; responses are single
+//! Both wire formats decode to the same request — a verb byte from
+//! [`crate::frame::verb`] plus argument text — which `execute` runs
+//! against a [`ServiceCore`]; the JSON (or error) it returns is spelled
+//! for the connection's format by `Wire::encode`. The binary framing
+//! carries the verb byte and text as they are ([`crate::frame`]); the
+//! line format's decoder (`parse_line`) is a small adapter from a verb
+//! *word* to the same byte.
+//!
+//! Line requests are single lines, `<VERB> [args]`; responses are single
 //! lines, either `OK <json-object>` or `ERR <kind>: <message>` (message
 //! newlines escaped). Verbs:
 //!
@@ -9,11 +17,14 @@
 //! | `QUERY` | ProQL text | version, cache + plan-cache hit/miss, result sizes, digest; `EXPLAIN <query>` adds the rendered plan |
 //! | `DELETE` | `<relation> <v1,v2,...>` | version, delete stats |
 //! | `INSERT` | `<relation> <v1,v2,...>` | version, write-set size |
-//! | `STATS` | `[TEXT]` | [`crate::core::ServiceStats`] JSON; with `TEXT`, the `name value` line rendering inside `{"text": ...}` |
+//! | `STATS` | `[TEXT]` | [`crate::stats::ServiceStats`] JSON; with `TEXT`, the `name value` line rendering inside `{"text": ...}` |
 //! | `INVALIDATE` | — | number of dropped cache entries |
 //! | `PING` | — | `{"pong": true}` |
 //! | `SUBSCRIBE` | ProQL text | like `QUERY` plus a `subscription` id; the server then pushes `PUSH <json>` lines on writes |
 //! | `TRACE` | `[n]` | the `n` (default 8, max 64) most recent span trees from the telemetry ring as JSON |
+//! | `QUIT` | — | no reply: the connection closes once pending responses drain |
+//! | `HELLO` | protocol version | `{"protocol": n}` — the version this server speaks |
+//! | `REPL_SUBSCRIBE` | `<from_version> [SNAPSHOT]` | binary framing only (replication frames are binary payloads); a line connection gets a clean `ERR` |
 //!
 //! Tuple values in `DELETE`/`INSERT` are comma-separated and typed by
 //! shape: `true`/`false` → bool, integers → int, decimals → float,
@@ -25,11 +36,15 @@
 //! incremental maintenance (carrying the new version, patched row count,
 //! and the answer's digest) or a `"resync"` event when the client must
 //! re-issue the query. Clients distinguish pushes by the `PUSH ` prefix
-//! ([`crate::server::Client`] stashes them transparently).
+//! ([`crate::client::Client`] stashes them transparently).
 
-use crate::core::{QueryResponse, ServiceCore, SubscriptionEvent};
+use crate::core::{QueryResponse, ServiceCore};
+use crate::fanout::SubscriptionEvent;
+use crate::frame::{self, verb};
+use crate::server::ConnShared;
 use proql::engine::QueryOutput;
 use proql_common::{trace, Error, Tuple, Value};
+use std::sync::Arc;
 
 /// Parse a comma-separated value list into a [`Tuple`].
 pub fn parse_values(text: &str) -> Result<Tuple, Error> {
@@ -233,32 +248,151 @@ fn extract_token(json: &str, key: &str) -> Option<String> {
     Some(token.trim_matches('"').to_string())
 }
 
-/// Dispatch one request — `verb` plus its argument text — against a
-/// service, returning the reply's JSON payload. Shared by both wire
-/// protocols: the line protocol wraps the result in `OK `/`ERR ` lines
-/// ([`handle_line`]), the binary framing layer in OK/ERR frames.
-pub fn dispatch(core: &ServiceCore, verb: &str, rest: &str) -> Result<String, Error> {
-    match verb.to_ascii_uppercase().as_str() {
-        "QUERY" => query_cmd(core, rest),
-        "DELETE" => delete_cmd(core, rest),
-        "INSERT" => insert_cmd(core, rest),
-        "STATS" if rest.eq_ignore_ascii_case("TEXT") => Ok(format!(
+/// The request verbs by their line-protocol words. `QUIT` is absent on
+/// purpose: it closes the connection instead of executing, so both
+/// decoders act on it before a request exists.
+const VERB_WORDS: [(&str, u8); 10] = [
+    ("QUERY", verb::QUERY),
+    ("DELETE", verb::DELETE),
+    ("INSERT", verb::INSERT),
+    ("STATS", verb::STATS),
+    ("INVALIDATE", verb::INVALIDATE),
+    ("PING", verb::PING),
+    ("SUBSCRIBE", verb::SUBSCRIBE),
+    ("TRACE", verb::TRACE),
+    ("HELLO", verb::HELLO),
+    ("REPL_SUBSCRIBE", verb::REPL_SUBSCRIBE),
+];
+
+/// The verb byte a line-protocol verb word (any case) names.
+fn verb_of_word(word: &str) -> Result<u8, Error> {
+    VERB_WORDS
+        .iter()
+        .find(|(w, _)| word.eq_ignore_ascii_case(w))
+        .map(|&(_, v)| v)
+        .ok_or_else(|| {
+            let words: Vec<&str> = VERB_WORDS.iter().map(|&(w, _)| w).collect();
+            Error::Parse(format!(
+                "unknown verb {:?}; expected {}",
+                word.to_ascii_uppercase(),
+                words.join("/")
+            ))
+        })
+}
+
+/// The line decoder: split `<VERB> [args]` into the verb byte and the
+/// trimmed argument text — the same request the binary framing carries.
+pub(crate) fn parse_line(line: &str) -> Result<(u8, &str), Error> {
+    let line = line.trim();
+    let (word, rest) = match line.split_once(char::is_whitespace) {
+        Some((w, r)) => (w, r.trim()),
+        None => (line, ""),
+    };
+    Ok((verb_of_word(word)?, rest))
+}
+
+/// Execute one request — a verb byte plus its argument text — against a
+/// service, returning the reply's JSON payload. This is the only
+/// dispatcher: the TCP server's workers call it for both wire formats
+/// with the requesting connection, and [`dispatch`] / [`handle_line`]
+/// call it with none (the two subscription verbs need a connection to
+/// push down).
+pub(crate) fn execute(
+    core: &ServiceCore,
+    conn: Option<&Arc<ConnShared>>,
+    verb: u8,
+    text: &str,
+) -> Result<String, Error> {
+    let text = text.trim();
+    match verb {
+        verb::QUERY => query_cmd(core, text),
+        verb::DELETE => delete_cmd(core, text),
+        verb::INSERT => insert_cmd(core, text),
+        verb::STATS if text.eq_ignore_ascii_case("TEXT") => Ok(format!(
             "{{\"text\": {}}}",
             json_str(&core.stats().to_text())
         )),
-        "STATS" => Ok(core.stats().to_json()),
-        "INVALIDATE" => Ok(format!("{{\"cleared\": {}}}", core.invalidate())),
-        "PING" => Ok("{\"pong\": true}".to_string()),
-        // SUBSCRIBE needs a connection to push events down; the TCP
-        // server intercepts it before this dispatcher.
-        "SUBSCRIBE" => Err(Error::Other(
-            "SUBSCRIBE requires a streaming connection (served over TCP only)".into(),
-        )),
-        "TRACE" => trace_cmd(rest),
-        other => Err(Error::Parse(format!(
-            "unknown verb {other:?}; expected \
-             QUERY/DELETE/INSERT/STATS/INVALIDATE/PING/SUBSCRIBE/TRACE"
-        ))),
+        verb::STATS => Ok(core.stats().to_json()),
+        verb::INVALIDATE => Ok(format!("{{\"cleared\": {}}}", core.invalidate())),
+        verb::PING => Ok("{\"pong\": true}".to_string()),
+        verb::TRACE => trace_cmd(text),
+        verb::HELLO => hello_cmd(text),
+        verb::SUBSCRIBE | verb::REPL_SUBSCRIBE => {
+            let conn = conn.ok_or_else(|| {
+                Error::Other(
+                    "subscriptions require a streaming connection (served over TCP only)".into(),
+                )
+            })?;
+            if verb == verb::SUBSCRIBE {
+                conn.subscribe(core, text)
+            } else {
+                conn.repl_subscribe(core, text)
+            }
+        }
+        other => Err(Error::Parse(format!("unknown frame verb {other}"))),
+    }
+}
+
+/// `execute` by verb *word*, outside any connection — the in-process
+/// front of the dispatcher the server runs.
+pub fn dispatch(core: &ServiceCore, verb: &str, rest: &str) -> Result<String, Error> {
+    execute(core, None, verb_of_word(verb)?, rest)
+}
+
+/// Handle one protocol line against a service, outside any connection.
+/// Always returns a single line (no trailing newline).
+pub fn handle_line(core: &ServiceCore, line: &str) -> String {
+    let result = parse_line(line).and_then(|(verb, rest)| execute(core, None, verb, rest));
+    let mut reply = Wire::Line.reply(0, result.map_err(|e| error_payload(&e)));
+    reply.pop(); // the line terminator
+    String::from_utf8(reply).expect("a line reply is its UTF-8 payload behind an ASCII word")
+}
+
+/// Which of the two wire formats a connection speaks — decided once,
+/// from its first byte — and therefore how every reply to it is
+/// spelled.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Wire {
+    /// `<WORD> <payload>\n` lines.
+    Line,
+    /// [`crate::frame`] frames.
+    Binary,
+}
+
+impl Wire {
+    /// The protocol's name in spans and logs.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Wire::Line => "line",
+            Wire::Binary => "binary",
+        }
+    }
+
+    /// Spell the answer to request `id`: `OK` with the JSON, or `ERR` with
+    /// the rendered error.
+    pub(crate) fn reply(self, id: u64, result: Result<String, String>) -> Vec<u8> {
+        match result {
+            Ok(json) => self.encode(verb::OK, id, json.as_bytes()),
+            Err(msg) => self.encode(verb::ERR, id, msg.as_bytes()),
+        }
+    }
+
+    /// Spell one reply. `kind` is the reply's frame verb (`OK`, `ERR`,
+    /// `OVERLOADED`, `PUSH`, or a replication verb); `id` is the request
+    /// (or subscription) id it answers, which only frames can carry.
+    pub(crate) fn encode(self, kind: u8, id: u64, payload: &[u8]) -> Vec<u8> {
+        let word: &[u8] = match (self, kind) {
+            (Wire::Binary, _) => return frame::encode(kind, id, payload),
+            (Wire::Line, verb::OK) => b"OK ",
+            (Wire::Line, verb::PUSH) => b"PUSH ",
+            // The line format has no shed notice of its own: an ERR of
+            // kind `overloaded` stands in for the OVERLOADED frame.
+            (Wire::Line, verb::OVERLOADED) => {
+                b"ERR overloaded: request shed by admission control; drain responses and retry"
+            }
+            (Wire::Line, _) => b"ERR ",
+        };
+        [word, payload, b"\n"].concat()
     }
 }
 
@@ -281,24 +415,34 @@ fn trace_cmd(rest: &str) -> Result<String, Error> {
     Ok(trace::traces_json(limit))
 }
 
-/// Render an error as the line protocol's `ERR ` payload (also the
-/// binary ERR frame's payload): `<kind>: <message>`, newlines flattened.
-pub fn error_payload(e: &Error) -> String {
-    format!("{}: {}", e.kind(), e.message().replace(['\n', '\r'], " "))
+/// Answer a `HELLO` handshake: the payload is the client's protocol
+/// version as decimal text. A version this server cannot serve is a
+/// clean error (the client may retry with a lower version on the same
+/// connection); garbage is a parse error. The OK payload reports the
+/// server's version either way the client can proceed.
+fn hello_cmd(text: &str) -> Result<String, Error> {
+    let client: u8 = text
+        .parse()
+        .map_err(|_| Error::Parse(format!("HELLO payload {text:?} is not a version number")))?;
+    if client == 0 || client > frame::VERSION_WINDOW {
+        return Err(Error::Parse(format!(
+            "HELLO version {client} is outside the valid window 1..={}",
+            frame::VERSION_WINDOW
+        )));
+    }
+    if client > frame::PROTOCOL_VERSION {
+        return Err(Error::Other(format!(
+            "unsupported: protocol version {client} (this server speaks {})",
+            frame::PROTOCOL_VERSION
+        )));
+    }
+    Ok(format!("{{\"protocol\": {}}}", frame::PROTOCOL_VERSION))
 }
 
-/// Handle one protocol line against a service. Always returns a single
-/// line (no trailing newline).
-pub fn handle_line(core: &ServiceCore, line: &str) -> String {
-    let line = line.trim();
-    let (verb, rest) = match line.split_once(char::is_whitespace) {
-        Some((v, r)) => (v, r.trim()),
-        None => (line, ""),
-    };
-    match dispatch(core, verb, rest) {
-        Ok(json) => format!("OK {json}"),
-        Err(e) => format!("ERR {}", error_payload(&e)),
-    }
+/// Render an error as the `ERR` reply's payload (the same on both wire
+/// formats): `<kind>: <message>`, newlines flattened.
+pub fn error_payload(e: &Error) -> String {
+    format!("{}: {}", e.kind(), e.message().replace(['\n', '\r'], " "))
 }
 
 fn query_cmd(core: &ServiceCore, text: &str) -> Result<String, Error> {

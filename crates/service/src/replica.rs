@@ -26,10 +26,10 @@
 //! Reconnects use the jittered capped backoff from [`mod@crate::retry`], so
 //! a restarting primary is not met by a thundering herd of replicas.
 
+use crate::client::BinClient;
 use crate::core::{ReplApplyOutcome, ServiceCore};
 use crate::frame::verb;
 use crate::retry::{Backoff, RetryPolicy};
-use crate::server::BinClient;
 use proql_provgraph::encode::wire;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -39,9 +39,9 @@
 //! need a true cross-family join run it against an unsharded node;
 //! everything family-local scales out linearly with the shard count.
 
+use crate::client::BinClient;
 use crate::proto::{json_str, json_u64_field};
 use crate::retry::{retry_with, RetryPolicy};
-use crate::server::BinClient;
 use proql::ast::{Condition, PathExpr, Query};
 use proql::parse_query;
 use proql_common::{Error, Result};

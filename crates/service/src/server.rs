@@ -11,11 +11,15 @@
 //! [`crate::net::Waker`]. The pool size bounds *concurrent request
 //! execution*, not connections.
 //!
-//! Two wire protocols share the port, auto-detected from a connection's
-//! first byte: the binary framing layer ([`crate::frame`], first byte
-//! [`crate::frame::MAGIC`]) supports pipelining, out-of-band `PUSH`
-//! frames, and explicit `OVERLOADED` shedding; anything else is the
-//! legacy line protocol ([`crate::proto`]) served in the same loop.
+//! Two wire formats share the port, decided once per connection from its
+//! first byte (`Wire`): the binary framing layer ([`crate::frame`],
+//! first byte [`crate::frame::MAGIC`]) supports pipelining, out-of-band
+//! `PUSH` frames, and explicit `OVERLOADED` shedding; anything else is
+//! the line protocol. They differ only at the two ends of a request's
+//! life: each has a decoder producing the same `Request`, and every
+//! reply — response, error, shed notice, push — is spelled by
+//! `Wire::encode`. Between the two, one path: admission control, the
+//! worker pool, `proto::execute`, the reorder buffer.
 //!
 //! Backpressure and admission control are per connection: more than
 //! [`ServerConfig::max_inflight`] unanswered requests, or an outbound
@@ -25,35 +29,25 @@
 //! reading the connection entirely so TCP flow control pushes back on
 //! the client. Shedding and latency are recorded in
 //! [`crate::metrics::TransportMetrics`], surfaced through `STATS`.
-//!
-//! [`serve_blocking`] keeps the previous thread-per-connection blocking
-//! design (minus its 200 ms read-timeout shutdown polling — shutdown now
-//! closes the registered sockets directly) as a measurable baseline for
-//! the `serve` bench.
 
-use crate::core::{ReplFrameKind, ServiceCore, SubscriptionEvent};
+use crate::client::io_err;
+use crate::core::ServiceCore;
+use crate::fanout::{ReplFrameKind, SubscriptionEvent};
 use crate::frame::{self, verb};
 use crate::metrics::TransportMetrics;
 use crate::net::{poll, PollFd, WakeReceiver, Waker, POLLHUP, POLLIN, POLLOUT};
-use crate::proto::dispatch;
-use crate::proto::{error_payload, handle_line, push_json, subscribe_json};
+use crate::proto::{error_payload, execute, parse_line, push_json, subscribe_json, Wire};
+use proql_common::sync::lock;
 use proql_common::{trace, Error, Result};
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::collections::{BTreeMap, VecDeque};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-/// Recover from a poisoned lock: every structure here stays consistent
-/// across a panicking holder (queues and counters, no multi-step
-/// invariants worth dying for).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
+use std::time::Instant;
 
 /// Tuning for the event-loop server.
 #[derive(Debug, Clone)]
@@ -88,8 +82,7 @@ pub struct ServerHandle {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     threads: Vec<JoinHandle<()>>,
-    waker: Option<Arc<Waker>>,
-    registry: Option<Arc<BlockingRegistry>>,
+    waker: Arc<Waker>,
 }
 
 impl ServerHandle {
@@ -107,16 +100,10 @@ impl ServerHandle {
         if self.stop.swap(true, Ordering::SeqCst) {
             return;
         }
-        // Event loop: one wake makes it observe `stop`. Blocking
-        // baseline: unblock the acceptor with a throwaway connection and
-        // every pinned worker by closing its registered socket.
-        if let Some(waker) = &self.waker {
-            waker.wake();
-        }
-        if let Some(registry) = &self.registry {
-            let _ = TcpStream::connect(self.addr);
-            registry.close_all();
-        }
+        // One wake makes the loop observe `stop`; it closes every
+        // connection on its way out, and dropping its `Ctx` ends the
+        // workers.
+        self.waker.wake();
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -160,11 +147,7 @@ pub fn serve_with(core: Arc<ServiceCore>, addr: &str, cfg: ServerConfig) -> Resu
     for _ in 0..cfg.workers.max(1) {
         let core = Arc::clone(&core);
         let work_rx = Arc::clone(&work_rx);
-        let waker = Arc::clone(&waker);
-        let metrics = Arc::clone(&metrics);
-        threads.push(std::thread::spawn(move || {
-            worker_loop(core, work_rx, waker, metrics)
-        }));
+        threads.push(std::thread::spawn(move || worker_loop(core, work_rx)));
     }
 
     let ctx = Ctx {
@@ -183,8 +166,7 @@ pub fn serve_with(core: Arc<ServiceCore>, addr: &str, cfg: ServerConfig) -> Resu
         addr,
         stop,
         threads,
-        waker: Some(waker),
-        registry: None,
+        waker,
     })
 }
 
@@ -198,10 +180,55 @@ struct Ctx {
     waker: Arc<Waker>,
 }
 
-/// One decoded request traveling to the worker pool.
-enum Request {
-    Line(String),
-    Frame(frame::Frame),
+/// One decoded request traveling to the worker pool — what both
+/// decoders produce.
+struct Request {
+    /// A request verb from [`frame::verb`].
+    verb: u8,
+    /// The id the reply echoes (frames carry one; lines have none).
+    id: u64,
+    /// The verb's argument text, as received: a frame's payload is
+    /// checked for UTF-8 by the worker that executes it, so the loop
+    /// thread — the one resource every connection shares — never walks
+    /// payload bytes. Or, when the decoder itself refused the request
+    /// (unknown verb word, a frame from a future protocol version), the
+    /// `ERR` payload it is answered with: in its sequence slot like any
+    /// reply, without executing.
+    text: std::result::Result<Vec<u8>, String>,
+}
+
+impl Request {
+    /// The line decoder (see [`parse_line`]).
+    fn from_line(line: &str) -> Request {
+        let (verb, text) = match parse_line(line) {
+            Ok((verb, rest)) => (verb, Ok(rest.as_bytes().to_vec())),
+            Err(e) => (0, Err(error_payload(&e))),
+        };
+        Request { verb, id: 0, text }
+    }
+
+    /// The frame decoder's second half: [`frame::decode`] has split the
+    /// bytes; this checks the version they were stamped with.
+    fn from_frame(f: frame::Frame) -> Request {
+        // A well-formed frame from a future protocol (version inside the
+        // decoder's window but beyond ours) gets a clean per-frame ERR —
+        // the connection and its pipeline stay healthy. Version 0 is a
+        // legacy peer and fine.
+        let text = if f.proto > frame::PROTOCOL_VERSION {
+            Err(format!(
+                "unsupported: frame protocol version {} (this server speaks {})",
+                f.proto,
+                frame::PROTOCOL_VERSION
+            ))
+        } else {
+            Ok(f.payload)
+        };
+        Request {
+            verb: f.verb,
+            id: f.id,
+            text,
+        }
+    }
 }
 
 struct Job {
@@ -213,16 +240,17 @@ struct Job {
 
 /// The connection state shared with workers and subscription push sinks.
 #[derive(Debug)]
-struct ConnShared {
+pub(crate) struct ConnShared {
     out: Mutex<OutBuf>,
     /// Set once the loop has torn the connection down; sinks and workers
     /// stop enqueueing.
     closed: AtomicBool,
     /// Decoded-but-unanswered requests (admission control input).
     in_flight: AtomicUsize,
-    /// Whether this connection speaks the binary framing (push sinks
-    /// pick their encoding off this).
-    binary: AtomicBool,
+    /// The wire format, set by the loop when the first byte arrives —
+    /// before any request of this connection exists, so everything that
+    /// replies finds it set.
+    wire: OnceLock<Wire>,
     /// Subscription ids to drop when the connection closes.
     subs: Mutex<Vec<u64>>,
     /// Replication subscription ids to drop when the connection closes.
@@ -238,17 +266,109 @@ struct ConnShared {
 }
 
 impl ConnShared {
-    /// Enqueue an out-of-band message (a push) and wake the loop. PUSH
-    /// bytes bypass the reorder buffer: they are ordered with respect to
-    /// each other and with already-completed responses, which is exactly
-    /// the per-subscription in-order guarantee.
-    fn push_oob(&self, bytes: Vec<u8>) {
-        if self.closed.load(Ordering::Acquire) {
-            return;
+    fn new(waker: Arc<Waker>, metrics: Arc<TransportMetrics>) -> ConnShared {
+        ConnShared {
+            out: Mutex::new(OutBuf::default()),
+            closed: AtomicBool::new(false),
+            in_flight: AtomicUsize::new(0),
+            wire: OnceLock::new(),
+            subs: Mutex::new(Vec::new()),
+            repl_subs: Mutex::new(Vec::new()),
+            trace_ctx: trace::new_trace(),
+            waker,
+            metrics,
         }
-        lock(&self.out).append(bytes);
+    }
+
+    fn wire(&self) -> Wire {
+        *self
+            .wire
+            .get()
+            .expect("the wire format is decided before a connection's first request")
+    }
+
+    /// Enqueue an out-of-band message (a push) and wake the loop, unless
+    /// the connection is gone — the `false` that prunes its sink. Pushes
+    /// bypass the reorder buffer: they are ordered with respect to each
+    /// other and with already-completed responses, which is exactly the
+    /// per-subscription in-order guarantee.
+    fn push_oob(&self, kind: u8, id: u64, payload: &[u8]) -> bool {
+        if self.closed.load(Ordering::Acquire) {
+            return false;
+        }
+        lock(&self.out).append(self.wire().encode(kind, id, payload));
         self.metrics.frames_out.fetch_add(1, Ordering::Relaxed);
         self.waker.wake();
+        true
+    }
+
+    /// The `SUBSCRIBE` verb: register a subscription whose sink writes
+    /// `PUSH` replies straight into this connection's outbound queue.
+    /// Returns the `OK` payload JSON.
+    pub(crate) fn subscribe(self: &Arc<Self>, core: &ServiceCore, query: &str) -> Result<String> {
+        let conn = Arc::clone(self);
+        let (id, resp) = core.subscribe_sink(
+            query,
+            Box::new(move |id, event: SubscriptionEvent| {
+                conn.push_oob(verb::PUSH, id, push_json(id, &event).as_bytes())
+            }),
+        )?;
+        lock(&self.subs).push(id);
+        Ok(subscribe_json(id, &resp))
+    }
+
+    /// The `REPL_SUBSCRIBE` verb: register a replication subscription
+    /// whose sink writes `REPL_DELTA` / `REPL_SNAPSHOT` frames straight
+    /// into this connection's outbound queue. Payload: `<from_version>
+    /// [SNAPSHOT]` — `SNAPSHOT` forces a full-state transfer (the
+    /// digest-mismatch recovery path). Returns the `OK` payload JSON.
+    /// Replication requires the binary framing; the line protocol has no
+    /// out-of-band binary channel.
+    pub(crate) fn repl_subscribe(
+        self: &Arc<Self>,
+        core: &ServiceCore,
+        args: &str,
+    ) -> Result<String> {
+        if self.wire() != Wire::Binary {
+            return Err(Error::Other(
+                "unsupported: REPL_SUBSCRIBE requires the binary framing".into(),
+            ));
+        }
+        let mut parts = args.split_whitespace();
+        let from_version: u64 = parts.next().unwrap_or("").parse().map_err(|_| {
+            Error::Parse(format!(
+                "REPL_SUBSCRIBE payload {args:?}: expected <from_version> [SNAPSHOT]"
+            ))
+        })?;
+        let force_snapshot = match parts.next() {
+            None => false,
+            Some(s) if s.eq_ignore_ascii_case("SNAPSHOT") => true,
+            Some(other) => {
+                return Err(Error::Parse(format!(
+                    "REPL_SUBSCRIBE: unexpected argument {other:?}"
+                )))
+            }
+        };
+        let conn = Arc::clone(self);
+        let id = core.repl_subscribe_sink(
+            from_version,
+            force_snapshot,
+            Box::new(move |kind, payload| {
+                let verb = match kind {
+                    ReplFrameKind::Delta => verb::REPL_DELTA,
+                    ReplFrameKind::Snapshot => verb::REPL_SNAPSHOT,
+                };
+                // Replication frames are out-of-band like PUSH; the id
+                // slot is unused — the frame payload itself carries the
+                // version ordering.
+                conn.push_oob(verb, 0, payload)
+            }),
+        );
+        lock(&self.repl_subs).push(id);
+        Ok(format!(
+            "{{\"repl_subscription\": {id}, \"version\": {}}}",
+            core.version()
+        ))
     }
 }
 
@@ -291,14 +411,6 @@ impl OutBuf {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// Awaiting the first byte.
-    Detect,
-    Line,
-    Binary,
-}
-
 /// Loop-local per-connection state (the loop thread exclusively owns the
 /// socket).
 #[derive(Debug)]
@@ -306,7 +418,6 @@ struct Conn {
     stream: TcpStream,
     shared: Arc<ConnShared>,
     rbuf: Vec<u8>,
-    mode: Mode,
     /// Next request seq to assign (paired with `OutBuf::next_release`).
     next_seq: u64,
     /// QUIT received: read no more; close once responses drain.
@@ -416,19 +527,11 @@ fn accept_new(ctx: &Ctx, listener: &TcpListener, conns: &mut Vec<Conn>) {
                 ctx.metrics.connections_open.fetch_add(1, Ordering::Relaxed);
                 conns.push(Conn {
                     stream,
-                    shared: Arc::new(ConnShared {
-                        out: Mutex::new(OutBuf::default()),
-                        closed: AtomicBool::new(false),
-                        in_flight: AtomicUsize::new(0),
-                        binary: AtomicBool::new(false),
-                        subs: Mutex::new(Vec::new()),
-                        repl_subs: Mutex::new(Vec::new()),
-                        trace_ctx: trace::new_trace(),
-                        waker: Arc::clone(&ctx.waker),
-                        metrics: Arc::clone(&ctx.metrics),
-                    }),
+                    shared: Arc::new(ConnShared::new(
+                        Arc::clone(&ctx.waker),
+                        Arc::clone(&ctx.metrics),
+                    )),
                     rbuf: Vec::new(),
-                    mode: Mode::Detect,
                     next_seq: 0,
                     closing: false,
                     dead: false,
@@ -467,20 +570,16 @@ fn read_and_process(ctx: &Ctx, c: &mut Conn, scratch: &mut [u8]) {
 }
 
 fn process_input(ctx: &Ctx, c: &mut Conn) {
-    if c.mode == Mode::Detect {
-        match c.rbuf.first() {
-            None => return,
-            Some(&frame::MAGIC) => {
-                c.mode = Mode::Binary;
-                c.shared.binary.store(true, Ordering::Relaxed);
-            }
-            Some(_) => c.mode = Mode::Line,
-        }
-    }
-    match c.mode {
-        Mode::Binary => process_frames(ctx, c),
-        Mode::Line => process_lines(ctx, c),
-        Mode::Detect => unreachable!("mode decided above"),
+    let Some(&first) = c.rbuf.first() else {
+        return;
+    };
+    let wire = *c.shared.wire.get_or_init(|| match first {
+        frame::MAGIC => Wire::Binary,
+        _ => Wire::Line,
+    });
+    match wire {
+        Wire::Binary => process_frames(ctx, c),
+        Wire::Line => process_lines(ctx, c),
     }
     if c.rbuf.len() > MAX_INPUT_BUFFER {
         ctx.metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
@@ -500,7 +599,7 @@ fn process_frames(ctx: &Ctx, c: &mut Conn) {
                 if f.verb == verb::QUIT {
                     c.closing = true;
                 } else {
-                    dispatch_request(ctx, c, Request::Frame(f));
+                    dispatch_request(ctx, c, Request::from_frame(f));
                 }
             }
             Ok(None) => break,
@@ -519,9 +618,8 @@ fn process_lines(ctx: &Ctx, c: &mut Conn) {
         let Some(pos) = c.rbuf[consumed..].iter().position(|&b| b == b'\n') else {
             break;
         };
-        let line = String::from_utf8_lossy(&c.rbuf[consumed..consumed + pos])
-            .trim()
-            .to_string();
+        let line = String::from_utf8_lossy(&c.rbuf[consumed..consumed + pos]);
+        let line = line.trim();
         consumed += pos + 1;
         if line.is_empty() {
             continue;
@@ -529,7 +627,8 @@ fn process_lines(ctx: &Ctx, c: &mut Conn) {
         if line.eq_ignore_ascii_case("QUIT") {
             c.closing = true;
         } else {
-            dispatch_request(ctx, c, Request::Line(line));
+            let req = Request::from_line(line);
+            dispatch_request(ctx, c, req);
         }
     }
     c.rbuf.drain(..consumed);
@@ -542,18 +641,12 @@ fn dispatch_request(ctx: &Ctx, c: &mut Conn, req: Request) {
     ctx.metrics.frames_in.fetch_add(1, Ordering::Relaxed);
     let seq = c.next_seq;
     c.next_seq += 1;
+    let (wire, id) = (c.shared.wire(), req.id);
     let in_flight = c.shared.in_flight.load(Ordering::Acquire);
     let out_bytes = lock(&c.shared.out).bytes;
     if in_flight >= ctx.cfg.max_inflight || out_bytes >= ctx.cfg.out_high_water {
         ctx.metrics.shed_count.fetch_add(1, Ordering::Relaxed);
-        let notice = match &req {
-            Request::Frame(f) => frame::encode(verb::OVERLOADED, f.id, b""),
-            Request::Line(_) => {
-                b"ERR overloaded: request shed by admission control; drain responses and retry\n"
-                    .to_vec()
-            }
-        };
-        lock(&c.shared.out).complete(seq, notice);
+        lock(&c.shared.out).complete(seq, wire.encode(verb::OVERLOADED, id, b""));
         ctx.metrics.frames_out.fetch_add(1, Ordering::Relaxed);
         return;
     }
@@ -567,7 +660,8 @@ fn dispatch_request(ctx: &Ctx, c: &mut Conn, req: Request) {
     if ctx.work_tx.send(job).is_err() {
         // Workers gone (can only happen mid-shutdown): answer in place.
         c.shared.in_flight.fetch_sub(1, Ordering::AcqRel);
-        lock(&c.shared.out).complete(seq, b"ERR internal: worker pool unavailable\n".to_vec());
+        let notice = wire.encode(verb::ERR, id, b"internal: worker pool unavailable");
+        lock(&c.shared.out).complete(seq, notice);
     }
 }
 
@@ -610,12 +704,7 @@ fn close_conn(c: &mut Conn, ctx: &Ctx) {
     ctx.metrics.connections_open.fetch_sub(1, Ordering::Relaxed);
 }
 
-fn worker_loop(
-    core: Arc<ServiceCore>,
-    work_rx: Arc<Mutex<Receiver<Job>>>,
-    waker: Arc<Waker>,
-    metrics: Arc<TransportMetrics>,
-) {
+fn worker_loop(core: Arc<ServiceCore>, work_rx: Arc<Mutex<Receiver<Job>>>) {
     loop {
         // Hold the receiver lock only while picking up a job; recover
         // from a panicked sibling's poison.
@@ -623,37 +712,35 @@ fn worker_loop(
             Ok(j) => j,
             Err(_) => return, // loop gone
         };
+        let Job {
+            conn,
+            seq,
+            req,
+            started,
+        } = job;
+        let wire = conn.wire();
         // The explicit context hand-off: this worker thread has no span
         // stack of its own, so the request span is parented on the
         // connection's trace anchor — every engine span opened below
         // nests under it via the thread-local stack.
-        let mut sp = trace::span_child_of("request", job.conn.trace_ctx);
-        sp.field("seq", job.seq.to_string());
-        sp.field(
-            "proto",
-            if matches!(job.req, Request::Frame(_)) {
-                "binary"
-            } else {
-                "line"
-            },
-        );
-        let bytes = match job.req {
-            Request::Line(ref line) => {
-                let mut response = execute_line(&core, &job.conn, line);
-                response.push('\n');
-                response.into_bytes()
-            }
-            Request::Frame(ref f) => execute_frame(&core, &job.conn, f),
-        };
+        let mut sp = trace::span_child_of("request", conn.trace_ctx);
+        sp.field("seq", seq.to_string());
+        sp.field("proto", wire.name());
+        let result = req.text.and_then(|bytes| {
+            let text = std::str::from_utf8(&bytes)
+                .map_err(|_| "parse: frame payload is not valid UTF-8".to_string())?;
+            execute(&core, Some(&conn), req.verb, text).map_err(|e| error_payload(&e))
+        });
+        let bytes = wire.reply(req.id, result);
         let span_id = sp.id();
         drop(sp); // record the finished span before rendering its tree
-        let elapsed = job.started.elapsed();
+        let elapsed = started.elapsed();
         log_slow_query(span_id, elapsed);
-        lock(&job.conn.out).complete(job.seq, bytes);
-        job.conn.in_flight.fetch_sub(1, Ordering::AcqRel);
-        metrics.latency.record(elapsed);
-        metrics.frames_out.fetch_add(1, Ordering::Relaxed);
-        waker.wake();
+        lock(&conn.out).complete(seq, bytes);
+        conn.in_flight.fetch_sub(1, Ordering::AcqRel);
+        conn.metrics.latency.record(elapsed);
+        conn.metrics.frames_out.fetch_add(1, Ordering::Relaxed);
+        conn.waker.wake();
     }
 }
 
@@ -686,786 +773,10 @@ fn log_slow_query(span_id: Option<u64>, elapsed: std::time::Duration) {
         ),
     }
 }
-
-fn execute_line(core: &Arc<ServiceCore>, conn: &Arc<ConnShared>, line: &str) -> String {
-    // SUBSCRIBE is connection-stateful (it registers this connection's
-    // push sink), so it is intercepted rather than dispatched through
-    // the stateless `handle_line`.
-    match subscribe_request(line) {
-        Some(query) => match subscribe_on_conn(core, conn, query) {
-            Ok((id, json)) => {
-                let _ = id;
-                format!("OK {json}")
-            }
-            Err(e) => format!("ERR {}", error_payload(&e)),
-        },
-        None => handle_line(core, line),
-    }
-}
-
-fn execute_frame(core: &Arc<ServiceCore>, conn: &Arc<ConnShared>, f: &frame::Frame) -> Vec<u8> {
-    let id = f.id;
-    // A well-formed frame from a future protocol (version inside the
-    // decoder's window but beyond ours) gets a clean per-frame ERR — the
-    // connection and its pipeline stay healthy. Version 0 is a legacy
-    // peer and fine.
-    if f.proto > frame::PROTOCOL_VERSION {
-        let msg = format!(
-            "unsupported: frame protocol version {} (this server speaks {})",
-            f.proto,
-            frame::PROTOCOL_VERSION
-        );
-        return frame::encode(verb::ERR, id, msg.as_bytes());
-    }
-    let Some(text) = f.text() else {
-        return frame::encode(verb::ERR, id, b"parse: frame payload is not valid UTF-8");
-    };
-    if f.verb == verb::HELLO {
-        return match hello_response(text.trim()) {
-            Ok(json) => frame::encode(verb::OK, id, json.as_bytes()),
-            Err(e) => frame::encode(verb::ERR, id, error_payload(&e).as_bytes()),
-        };
-    }
-    if f.verb == verb::SUBSCRIBE {
-        return match subscribe_on_conn(core, conn, text.trim()) {
-            Ok((_, json)) => frame::encode(verb::OK, id, json.as_bytes()),
-            Err(e) => frame::encode(verb::ERR, id, error_payload(&e).as_bytes()),
-        };
-    }
-    if f.verb == verb::REPL_SUBSCRIBE {
-        return match repl_subscribe_on_conn(core, conn, text.trim()) {
-            Ok(json) => frame::encode(verb::OK, id, json.as_bytes()),
-            Err(e) => frame::encode(verb::ERR, id, error_payload(&e).as_bytes()),
-        };
-    }
-    let verb_str = match f.verb {
-        verb::QUERY => "QUERY",
-        verb::DELETE => "DELETE",
-        verb::INSERT => "INSERT",
-        verb::STATS => "STATS",
-        verb::INVALIDATE => "INVALIDATE",
-        verb::PING => "PING",
-        verb::TRACE => "TRACE",
-        other => {
-            let msg = format!("parse: unknown frame verb {other}");
-            return frame::encode(verb::ERR, id, msg.as_bytes());
-        }
-    };
-    match dispatch(core, verb_str, text.trim()) {
-        Ok(json) => frame::encode(verb::OK, id, json.as_bytes()),
-        Err(e) => frame::encode(verb::ERR, id, error_payload(&e).as_bytes()),
-    }
-}
-
-/// Register a subscription whose sink writes `PUSH` bytes straight into
-/// this connection's outbound queue (encoding picked by the connection's
-/// detected protocol) and wakes the loop. Returns the `OK` payload JSON.
-fn subscribe_on_conn(
-    core: &Arc<ServiceCore>,
-    conn: &Arc<ConnShared>,
-    query: &str,
-) -> Result<(u64, String)> {
-    let sink_conn = Arc::clone(conn);
-    let (id, resp) = core.subscribe_sink(
-        query,
-        Box::new(move |id, event: SubscriptionEvent| {
-            if sink_conn.closed.load(Ordering::Acquire) {
-                return false; // prune: the connection is gone
-            }
-            let json = push_json(id, &event);
-            let bytes = if sink_conn.binary.load(Ordering::Relaxed) {
-                frame::encode(verb::PUSH, id, json.as_bytes())
-            } else {
-                format!("PUSH {json}\n").into_bytes()
-            };
-            sink_conn.push_oob(bytes);
-            true
-        }),
-    )?;
-    lock(&conn.subs).push(id);
-    Ok((id, subscribe_json(id, &resp)))
-}
-
-/// Answer a `HELLO` handshake: the payload is the client's protocol
-/// version as decimal text. A version this server cannot serve is a
-/// clean error (the client may retry with a lower version on the same
-/// connection); garbage is a parse error. The OK payload reports the
-/// server's version either way the client can proceed.
-fn hello_response(text: &str) -> Result<String> {
-    let client: u8 = text
-        .trim()
-        .parse()
-        .map_err(|_| Error::Parse(format!("HELLO payload {text:?} is not a version number")))?;
-    if client == 0 || client > frame::VERSION_WINDOW {
-        return Err(Error::Parse(format!(
-            "HELLO version {client} is outside the valid window 1..={}",
-            frame::VERSION_WINDOW
-        )));
-    }
-    if client > frame::PROTOCOL_VERSION {
-        return Err(Error::Other(format!(
-            "unsupported: protocol version {client} (this server speaks {})",
-            frame::PROTOCOL_VERSION
-        )));
-    }
-    Ok(format!("{{\"protocol\": {}}}", frame::PROTOCOL_VERSION))
-}
-
-/// Register a replication subscription whose sink writes `REPL_DELTA` /
-/// `REPL_SNAPSHOT` frames straight into this connection's outbound
-/// queue. Payload: `<from_version> [SNAPSHOT]` — `SNAPSHOT` forces a
-/// full-state transfer (the digest-mismatch recovery path). Returns the
-/// `OK` payload JSON. Replication requires the binary framing; the line
-/// protocol has no out-of-band binary channel.
-fn repl_subscribe_on_conn(
-    core: &Arc<ServiceCore>,
-    conn: &Arc<ConnShared>,
-    args: &str,
-) -> Result<String> {
-    if !conn.binary.load(Ordering::Relaxed) {
-        return Err(Error::Other(
-            "unsupported: REPL_SUBSCRIBE requires the binary framing".into(),
-        ));
-    }
-    let mut parts = args.split_whitespace();
-    let from_version: u64 = parts.next().unwrap_or("").parse().map_err(|_| {
-        Error::Parse(format!(
-            "REPL_SUBSCRIBE payload {args:?}: expected <from_version> [SNAPSHOT]"
-        ))
-    })?;
-    let force_snapshot = match parts.next() {
-        None => false,
-        Some(s) if s.eq_ignore_ascii_case("SNAPSHOT") => true,
-        Some(other) => {
-            return Err(Error::Parse(format!(
-                "REPL_SUBSCRIBE: unexpected argument {other:?}"
-            )))
-        }
-    };
-    let sink_conn = Arc::clone(conn);
-    let id = core.repl_subscribe_sink(
-        from_version,
-        force_snapshot,
-        Box::new(move |kind, payload| {
-            if sink_conn.closed.load(Ordering::Acquire) {
-                return false; // prune: the connection is gone
-            }
-            let verb = match kind {
-                ReplFrameKind::Delta => verb::REPL_DELTA,
-                ReplFrameKind::Snapshot => verb::REPL_SNAPSHOT,
-            };
-            // Replication frames are out-of-band like PUSH (they bypass
-            // the reorder buffer); the id slot is unused — the frame
-            // payload itself carries the version ordering.
-            sink_conn.push_oob(frame::encode(verb, 0, payload));
-            true
-        }),
-    );
-    lock(&conn.repl_subs).push(id);
-    Ok(format!(
-        "{{\"repl_subscription\": {id}, \"version\": {}}}",
-        core.version()
-    ))
-}
-
-/// If `line` is a `SUBSCRIBE` request, return its query text.
-fn subscribe_request(line: &str) -> Option<&str> {
-    let (verb, rest) = line.split_once(char::is_whitespace)?;
-    if verb.eq_ignore_ascii_case("SUBSCRIBE") {
-        Some(rest.trim())
-    } else {
-        None
-    }
-}
-
-// ---------------------------------------------------------------------
-// Thread-per-connection blocking baseline
-// ---------------------------------------------------------------------
-
-/// Open connections of the blocking baseline, so shutdown can close them
-/// directly instead of the old 200 ms read-timeout polling.
-#[derive(Debug, Default)]
-struct BlockingRegistry {
-    closed: AtomicBool,
-    next: AtomicU64,
-    streams: Mutex<HashMap<u64, TcpStream>>,
-}
-
-impl BlockingRegistry {
-    fn register(&self, stream: &TcpStream) -> Option<u64> {
-        let clone = stream.try_clone().ok()?;
-        let id = self.next.fetch_add(1, Ordering::Relaxed);
-        lock(&self.streams).insert(id, clone);
-        // Close-all may have raced the insert: re-check so no connection
-        // registered after shutdown lingers blocked in a read.
-        if self.closed.load(Ordering::SeqCst) {
-            self.deregister(id);
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-            return None;
-        }
-        Some(id)
-    }
-
-    fn deregister(&self, id: u64) {
-        lock(&self.streams).remove(&id);
-    }
-
-    fn close_all(&self) {
-        self.closed.store(true, Ordering::SeqCst);
-        for (_, s) in lock(&self.streams).drain() {
-            let _ = s.shutdown(std::net::Shutdown::Both);
-        }
-    }
-}
-
-/// The previous design, kept as the bench baseline: an acceptor thread
-/// hands connections to a pool of workers, each pinned to one connection
-/// at a time, serving the line protocol with blocking reads. Shutdown
-/// closes registered sockets (no read-timeout spin), but pushes still
-/// only flush between requests — the event loop has no such coupling.
-pub fn serve_blocking(core: Arc<ServiceCore>, addr: &str, workers: usize) -> Result<ServerHandle> {
-    let listener = TcpListener::bind(addr).map_err(io_err)?;
-    let addr = listener.local_addr().map_err(io_err)?;
-    let metrics = Arc::new(TransportMetrics::new());
-    core.set_transport_metrics(Arc::clone(&metrics));
-    let stop = Arc::new(AtomicBool::new(false));
-    let registry = Arc::new(BlockingRegistry::default());
-    let (tx, rx) = channel::<TcpStream>();
-    let rx = Arc::new(Mutex::new(rx));
-
-    let mut threads = Vec::new();
-    for _ in 0..workers.max(1) {
-        let core = Arc::clone(&core);
-        let rx = Arc::clone(&rx);
-        let stop = Arc::clone(&stop);
-        let registry = Arc::clone(&registry);
-        let metrics = Arc::clone(&metrics);
-        threads.push(std::thread::spawn(move || {
-            blocking_worker_loop(core, rx, stop, registry, metrics)
-        }));
-    }
-
-    let acceptor_stop = Arc::clone(&stop);
-    threads.push(std::thread::spawn(move || {
-        for conn in listener.incoming() {
-            if acceptor_stop.load(Ordering::SeqCst) {
-                break;
-            }
-            match conn {
-                // A send error means every worker is gone; stop accepting.
-                Ok(stream) => {
-                    if tx.send(stream).is_err() {
-                        break;
-                    }
-                }
-                Err(_) => continue,
-            }
-        }
-        // Dropping `tx` unblocks idle workers.
-    }));
-
-    Ok(ServerHandle {
-        addr,
-        stop,
-        threads,
-        waker: None,
-        registry: Some(registry),
-    })
-}
-
-fn blocking_worker_loop(
-    core: Arc<ServiceCore>,
-    rx: Arc<Mutex<Receiver<TcpStream>>>,
-    stop: Arc<AtomicBool>,
-    registry: Arc<BlockingRegistry>,
-    metrics: Arc<TransportMetrics>,
-) {
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        // Hold the receiver lock only while picking up a connection.
-        let stream = match lock(&rx).recv() {
-            Ok(s) => s,
-            Err(_) => return, // acceptor gone
-        };
-        let Some(reg_id) = registry.register(&stream) else {
-            continue; // shutdown raced the hand-off
-        };
-        metrics.connections_total.fetch_add(1, Ordering::Relaxed);
-        metrics.connections_open.fetch_add(1, Ordering::Relaxed);
-        let _ = blocking_serve_connection(&core, stream, &metrics);
-        metrics.connections_open.fetch_sub(1, Ordering::Relaxed);
-        registry.deregister(reg_id);
-    }
-}
-
-fn blocking_serve_connection(
-    core: &ServiceCore,
-    stream: TcpStream,
-    metrics: &TransportMetrics,
-) -> io::Result<()> {
-    // Per-connection subscription plumbing: every SUBSCRIBE on this
-    // connection shares one event channel, drained into `PUSH` lines
-    // between requests. The write timeout keeps a client that stops
-    // draining responses from pinning the worker in `write_all`. Reads
-    // block indefinitely — shutdown closes the socket via the registry.
-    let (push_tx, push_rx) = channel::<(u64, SubscriptionEvent)>();
-    let mut sub_ids: Vec<u64> = Vec::new();
-    let conn_trace = trace::new_trace();
-    stream.set_write_timeout(Some(std::time::Duration::from_secs(5)))?;
-    stream.set_nodelay(true)?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    let result = 'session: loop {
-        // Deliver pending subscription events before blocking on the
-        // next request.
-        while let Ok((id, event)) = push_rx.try_recv() {
-            let push = format!("PUSH {}\n", push_json(id, &event));
-            if let Err(e) = writer
-                .write_all(push.as_bytes())
-                .and_then(|()| writer.flush())
-            {
-                break 'session Err(e);
-            }
-            metrics.frames_out.fetch_add(1, Ordering::Relaxed);
-        }
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => break Ok(()), // EOF (or shutdown via the registry)
-            Ok(_) => {}
-            Err(e) => break Err(e),
-        }
-        let trimmed = line.trim();
-        if trimmed.eq_ignore_ascii_case("QUIT") {
-            break Ok(());
-        }
-        if trimmed.is_empty() {
-            continue;
-        }
-        metrics.frames_in.fetch_add(1, Ordering::Relaxed);
-        let started = Instant::now();
-        let mut sp = trace::span_child_of("request", conn_trace);
-        sp.field("proto", "line");
-        let response = match subscribe_request(trimmed) {
-            Some(query) => match core.subscribe_with(query, push_tx.clone()) {
-                Ok((id, resp)) => {
-                    sub_ids.push(id);
-                    format!("OK {}", subscribe_json(id, &resp))
-                }
-                Err(e) => format!("ERR {}", error_payload(&e)),
-            },
-            None => handle_line(core, trimmed),
-        };
-        let span_id = sp.id();
-        drop(sp);
-        let elapsed = started.elapsed();
-        log_slow_query(span_id, elapsed);
-        metrics.latency.record(elapsed);
-        if let Err(e) = writer
-            .write_all(response.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .and_then(|()| writer.flush())
-        {
-            break Err(e);
-        }
-        metrics.frames_out.fetch_add(1, Ordering::Relaxed);
-    };
-    for id in sub_ids {
-        core.unsubscribe(id);
-    }
-    result
-}
-
-fn io_err(e: io::Error) -> Error {
-    Error::Other(format!("io: {e}"))
-}
-
-// ---------------------------------------------------------------------
-// Clients
-// ---------------------------------------------------------------------
-
-/// A minimal blocking client for the line protocol — used by the
-/// integration tests and the `serve` load generator.
-///
-/// Responses and asynchronous `PUSH` lines can interleave arbitrarily on
-/// the wire (the event loop pushes the instant an event fires, not
-/// between requests), so both read paths stash what the other expects:
-/// the internal `read_response` stashes pushes for
-/// [`Client::next_push`], and `next_push` stashes responses for
-/// `read_response`.
-#[derive(Debug)]
-pub struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-    pushes: VecDeque<String>,
-    responses: VecDeque<String>,
-}
-
-impl Client {
-    /// Connect to a server.
-    pub fn connect(addr: SocketAddr) -> Result<Client> {
-        let stream = TcpStream::connect(addr).map_err(io_err)?;
-        stream.set_nodelay(true).map_err(io_err)?;
-        let writer = stream.try_clone().map_err(io_err)?;
-        Ok(Client {
-            reader: BufReader::new(stream),
-            writer,
-            pushes: VecDeque::new(),
-            responses: VecDeque::new(),
-        })
-    }
-
-    fn read_line(&mut self) -> Result<String> {
-        let mut line = String::new();
-        let n = self.reader.read_line(&mut line).map_err(io_err)?;
-        if n == 0 {
-            return Err(Error::Other("server closed the connection".into()));
-        }
-        Ok(line.trim_end().to_string())
-    }
-
-    /// Read one non-push line, stashing any `PUSH` lines encountered.
-    fn read_response(&mut self) -> Result<String> {
-        if let Some(stashed) = self.responses.pop_front() {
-            return Ok(stashed);
-        }
-        loop {
-            let line = self.read_line()?;
-            match line.strip_prefix("PUSH ") {
-                Some(event) => self.pushes.push_back(event.to_string()),
-                None => return Ok(line),
-            }
-        }
-    }
-
-    /// Send one request line, read one response line.
-    pub fn request(&mut self, line: &str) -> Result<String> {
-        self.writer.write_all(line.as_bytes()).map_err(io_err)?;
-        self.writer.write_all(b"\n").map_err(io_err)?;
-        self.writer.flush().map_err(io_err)?;
-        self.read_response()
-    }
-
-    /// `QUERY` helper: sends the query, returns the `OK` JSON payload or
-    /// the server's error.
-    pub fn query(&mut self, proql: &str) -> Result<String> {
-        expect_ok(self.request(&format!("QUERY {proql}"))?)
-    }
-
-    /// `STATS` helper.
-    pub fn stats(&mut self) -> Result<String> {
-        expect_ok(self.request("STATS")?)
-    }
-
-    /// `TRACE` helper: the `limit` most recent span trees as JSON.
-    pub fn trace(&mut self, limit: usize) -> Result<String> {
-        expect_ok(self.request(&format!("TRACE {limit}"))?)
-    }
-
-    /// `SUBSCRIBE` helper: returns the `OK` JSON payload (the initial
-    /// answer plus the `subscription` id).
-    pub fn subscribe(&mut self, proql: &str) -> Result<String> {
-        expect_ok(self.request(&format!("SUBSCRIBE {proql}"))?)
-    }
-
-    /// Next pushed subscription event (the JSON after `PUSH `): a
-    /// stashed one if available, else a blocking read. A response line
-    /// racing in here is stashed for the next [`Client::request`], never
-    /// dropped.
-    pub fn next_push(&mut self) -> Result<String> {
-        if let Some(event) = self.pushes.pop_front() {
-            return Ok(event);
-        }
-        loop {
-            let line = self.read_line()?;
-            match line.strip_prefix("PUSH ") {
-                Some(event) => return Ok(event.to_string()),
-                None => self.responses.push_back(line),
-            }
-        }
-    }
-}
-
-fn expect_ok(response: String) -> Result<String> {
-    match response.strip_prefix("OK ") {
-        Some(json) => Ok(json.to_string()),
-        None => Err(Error::Other(response)),
-    }
-}
-
-/// A blocking client for the binary framing layer with pipelining:
-/// requests carry client-chosen ids, any number may be sent (or batched
-/// into a single write) before reading responses, and `PUSH` frames are
-/// stashed out-of-band exactly like [`Client`] does for push lines.
-#[derive(Debug)]
-pub struct BinClient {
-    stream: TcpStream,
-    rbuf: Vec<u8>,
-    pushes: VecDeque<frame::Frame>,
-    repls: VecDeque<frame::Frame>,
-    responses: VecDeque<frame::Frame>,
-    next_id: u64,
-}
-
-/// Whether a frame verb is out-of-band (never the answer to a request).
-fn is_oob_verb(v: u8) -> bool {
-    v == verb::PUSH || v == verb::REPL_DELTA || v == verb::REPL_SNAPSHOT
-}
-
-impl BinClient {
-    /// Connect to a server; the first frame sent selects binary mode.
-    pub fn connect(addr: SocketAddr) -> Result<BinClient> {
-        let stream = TcpStream::connect(addr).map_err(io_err)?;
-        stream.set_nodelay(true).map_err(io_err)?;
-        Ok(BinClient {
-            stream,
-            rbuf: Vec::new(),
-            pushes: VecDeque::new(),
-            repls: VecDeque::new(),
-            responses: VecDeque::new(),
-            next_id: 1,
-        })
-    }
-
-    /// Send one request frame (auto-assigned id, returned) without
-    /// waiting for the response — the pipelining primitive.
-    pub fn send(&mut self, verb: u8, payload: &[u8]) -> Result<u64> {
-        let id = self.next_id;
-        self.next_id += 1;
-        let bytes = frame::encode(verb, id, payload);
-        self.stream.write_all(&bytes).map_err(io_err)?;
-        Ok(id)
-    }
-
-    /// Encode a whole batch of requests into one buffer and send it with
-    /// a single write. Returns the assigned ids in order.
-    pub fn send_batch(&mut self, reqs: &[(u8, &[u8])]) -> Result<Vec<u64>> {
-        let mut buf = Vec::new();
-        let mut ids = Vec::with_capacity(reqs.len());
-        for &(verb, payload) in reqs {
-            let id = self.next_id;
-            self.next_id += 1;
-            frame::encode_into(&mut buf, verb, id, payload);
-            ids.push(id);
-        }
-        self.stream.write_all(&buf).map_err(io_err)?;
-        Ok(ids)
-    }
-
-    /// Read one frame off the wire (blocking, incremental decode).
-    fn read_frame(&mut self) -> Result<frame::Frame> {
-        loop {
-            if let Some(f) = self.read_frame_step()? {
-                return Ok(f);
-            }
-        }
-    }
-
-    /// One decode/read step. `Ok(None)` means the socket read timed out
-    /// (only possible while a read timeout is set); any partial frame
-    /// stays buffered for the next call.
-    fn read_frame_step(&mut self) -> Result<Option<frame::Frame>> {
-        let mut scratch = [0u8; 16 * 1024];
-        loop {
-            match frame::decode(&self.rbuf) {
-                Ok(Some((f, n))) => {
-                    self.rbuf.drain(..n);
-                    return Ok(Some(f));
-                }
-                Ok(None) => {}
-                Err(e) => return Err(Error::Other(format!("framing: {e}"))),
-            }
-            match self.stream.read(&mut scratch) {
-                Ok(0) => return Err(Error::Other("server closed the connection".into())),
-                Ok(n) => self.rbuf.extend_from_slice(&scratch[..n]),
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    return Ok(None);
-                }
-                Err(e) => return Err(io_err(e)),
-            }
-        }
-    }
-
-    /// Stash an out-of-band frame on the queue its reader expects.
-    fn stash_oob(&mut self, f: frame::Frame) {
-        if f.verb == verb::PUSH {
-            self.pushes.push_back(f);
-        } else {
-            self.repls.push_back(f);
-        }
-    }
-
-    /// Next response frame (`OK` / `ERR` / `OVERLOADED`), stashing any
-    /// out-of-band frames for [`BinClient::next_push`] /
-    /// [`BinClient::next_repl`].
-    pub fn recv_response(&mut self) -> Result<frame::Frame> {
-        if let Some(f) = self.responses.pop_front() {
-            return Ok(f);
-        }
-        loop {
-            let f = self.read_frame()?;
-            if is_oob_verb(f.verb) {
-                self.stash_oob(f);
-            } else {
-                return Ok(f);
-            }
-        }
-    }
-
-    /// Next `PUSH` frame, stashing any other frames encountered.
-    pub fn next_push(&mut self) -> Result<frame::Frame> {
-        if let Some(f) = self.pushes.pop_front() {
-            return Ok(f);
-        }
-        loop {
-            let f = self.read_frame()?;
-            if f.verb == verb::PUSH {
-                return Ok(f);
-            } else if is_oob_verb(f.verb) {
-                self.repls.push_back(f);
-            } else {
-                self.responses.push_back(f);
-            }
-        }
-    }
-
-    /// Next replication frame (`REPL_DELTA` / `REPL_SNAPSHOT`), stashing
-    /// any other frames encountered. Blocks until one arrives.
-    pub fn next_repl(&mut self) -> Result<frame::Frame> {
-        if let Some(f) = self.repls.pop_front() {
-            return Ok(f);
-        }
-        loop {
-            let f = self.read_frame()?;
-            if f.verb == verb::REPL_DELTA || f.verb == verb::REPL_SNAPSHOT {
-                return Ok(f);
-            } else if is_oob_verb(f.verb) {
-                self.pushes.push_back(f);
-            } else {
-                self.responses.push_back(f);
-            }
-        }
-    }
-
-    /// Like [`BinClient::next_repl`], but waits at most `timeout` for
-    /// bytes, returning `Ok(None)` on a quiet wire — the replica loop
-    /// uses this to recheck its shutdown flag between waits.
-    pub fn next_repl_timeout(&mut self, timeout: Duration) -> Result<Option<frame::Frame>> {
-        if let Some(f) = self.repls.pop_front() {
-            return Ok(Some(f));
-        }
-        self.stream
-            .set_read_timeout(Some(timeout))
-            .map_err(io_err)?;
-        let stepped = self.read_frame_step();
-        self.stream.set_read_timeout(None).map_err(io_err)?;
-        match stepped? {
-            None => Ok(None),
-            Some(f) if f.verb == verb::REPL_DELTA || f.verb == verb::REPL_SNAPSHOT => Ok(Some(f)),
-            Some(f) if is_oob_verb(f.verb) => {
-                self.pushes.push_back(f);
-                Ok(None)
-            }
-            Some(f) => {
-                self.responses.push_back(f);
-                Ok(None)
-            }
-        }
-    }
-
-    /// Send one request and wait for its response frame.
-    pub fn request(&mut self, verb: u8, payload: &[u8]) -> Result<frame::Frame> {
-        self.send(verb, payload)?;
-        self.recv_response()
-    }
-
-    /// `QUERY` helper: OK payload JSON or the server's error.
-    pub fn query(&mut self, proql: &str) -> Result<String> {
-        expect_ok_frame(self.request(verb::QUERY, proql.as_bytes())?)
-    }
-
-    /// `STATS` helper.
-    pub fn stats(&mut self) -> Result<String> {
-        expect_ok_frame(self.request(verb::STATS, b"")?)
-    }
-
-    /// `TRACE` helper: the `limit` most recent span trees as JSON.
-    pub fn trace(&mut self, limit: usize) -> Result<String> {
-        expect_ok_frame(self.request(verb::TRACE, limit.to_string().as_bytes())?)
-    }
-
-    /// `SUBSCRIBE` helper: returns the `OK` JSON payload.
-    pub fn subscribe(&mut self, proql: &str) -> Result<String> {
-        expect_ok_frame(self.request(verb::SUBSCRIBE, proql.as_bytes())?)
-    }
-
-    /// `HELLO` handshake: advertise this build's protocol version and
-    /// return the server's. A server that cannot serve our version
-    /// answers with a clean error (the connection survives).
-    pub fn hello(&mut self) -> Result<String> {
-        expect_ok_frame(self.request(verb::HELLO, frame::PROTOCOL_VERSION.to_string().as_bytes())?)
-    }
-
-    /// `REPL_SUBSCRIBE` helper: join the replication stream from
-    /// `from_version` (set `force_snapshot` for the digest-mismatch
-    /// recovery path). Catch-up and live frames arrive out-of-band via
-    /// [`BinClient::next_repl`]. Returns the `OK` JSON payload.
-    pub fn repl_subscribe(&mut self, from_version: u64, force_snapshot: bool) -> Result<String> {
-        let payload = if force_snapshot {
-            format!("{from_version} SNAPSHOT")
-        } else {
-            from_version.to_string()
-        };
-        expect_ok_frame(self.request(verb::REPL_SUBSCRIBE, payload.as_bytes())?)
-    }
-
-    /// Pipeline `queries` in one batched write, then collect every OK
-    /// payload in request order (errors and sheds become `Err`).
-    pub fn pipeline_queries(&mut self, queries: &[&str]) -> Result<Vec<String>> {
-        let reqs: Vec<(u8, &[u8])> = queries
-            .iter()
-            .map(|q| (verb::QUERY, q.as_bytes()))
-            .collect();
-        let ids = self.send_batch(&reqs)?;
-        let mut out = Vec::with_capacity(ids.len());
-        for id in ids {
-            let f = self.recv_response()?;
-            if f.id != id {
-                return Err(Error::Other(format!(
-                    "response id {} for request {id}: pipelined order violated",
-                    f.id
-                )));
-            }
-            out.push(expect_ok_frame(f)?);
-        }
-        Ok(out)
-    }
-
-    /// Ask the server to close the connection once responses drain.
-    pub fn quit(&mut self) -> Result<()> {
-        self.send(verb::QUIT, b"")?;
-        Ok(())
-    }
-}
-
-fn expect_ok_frame(f: frame::Frame) -> Result<String> {
-    let text = f.text().unwrap_or("<non-utf8 payload>").to_string();
-    match f.verb {
-        verb::OK => Ok(text),
-        verb::ERR => Err(Error::Other(text)),
-        verb::OVERLOADED => Err(Error::Other("overloaded".into())),
-        other => Err(Error::Other(format!("unexpected frame verb {other}"))),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::{BinClient, Client};
     use crate::proto::{json_str_field, json_u64_field};
     use proql::engine::EngineOptions;
     use proql_provgraph::system::example_2_1;
@@ -1627,7 +938,7 @@ mod tests {
             let mut c = Client::connect(handle.addr()).unwrap();
             c.query(Q).unwrap();
             // QUIT gets no response; the connection just closes.
-            let _ = c.writer.write_all(b"QUIT\n");
+            assert!(c.request("QUIT").is_err());
         }
         // The worker pool must be free again for the next connection.
         let mut c2 = Client::connect(handle.addr()).unwrap();
@@ -1670,29 +981,105 @@ mod tests {
         let unknown = c.request(77, b"").unwrap();
         assert_eq!(unknown.verb, verb::ERR);
 
+        // So does a payload that is not text (the worker checks, not the
+        // decoder), and the connection keeps serving.
+        let binary = c.request(verb::QUERY, &[0xff, 0xfe]).unwrap();
+        assert_eq!(binary.verb, verb::ERR);
+        assert_eq!(
+            binary.text(),
+            Some("parse: frame payload is not valid UTF-8")
+        );
+        assert_eq!(c.request(verb::PING, b"").unwrap().verb, verb::OK);
+
         c.quit().unwrap();
         handle.shutdown();
     }
 
+    /// Shutdown must not wait on clients: with one line connection and
+    /// one binary connection open and idle (each has spoken, so each
+    /// wire format is live in the loop), it closes both and returns
+    /// promptly.
     #[test]
-    fn blocking_baseline_serves_and_shuts_down_fast() {
+    fn shutdown_with_idle_clients_of_both_protocols_is_fast() {
+        let (_core, handle) = start(2);
+        let mut line = Client::connect(handle.addr()).unwrap();
+        let mut bin = BinClient::connect(handle.addr()).unwrap();
+        assert_eq!(json_u64_field(&line.query(Q).unwrap(), "bindings"), Some(4));
+        assert_eq!(bin.request(verb::PING, b"").unwrap().verb, verb::OK);
+        let t = Instant::now();
+        handle.shutdown();
+        assert!(
+            t.elapsed() < std::time::Duration::from_secs(2),
+            "shutdown with idle clients took {:?}",
+            t.elapsed()
+        );
+        // Both clients observe the close instead of hanging.
+        assert!(line.request("PING").is_err());
+        assert!(bin.request(verb::PING, b"").is_err());
+    }
+
+    /// A loop-side connection of the given wire format over a real
+    /// socket pair, plus the loop context to dispatch on. The context's
+    /// worker channel has **no receiver**: every hand-off fails, as it
+    /// would with the pool gone mid-shutdown.
+    fn orphaned_loop(wire: Wire) -> (Ctx, Conn, TcpStream) {
         let core = Arc::new(ServiceCore::new(
             example_2_1().unwrap(),
             EngineOptions::default(),
         ));
-        let handle = serve_blocking(Arc::clone(&core), "127.0.0.1:0", 2).unwrap();
-        let mut c = Client::connect(handle.addr()).unwrap();
-        let json = c.query(Q).unwrap();
-        assert_eq!(json_u64_field(&json, "bindings"), Some(4));
-        // Shutdown with the connection still open must not hang: the
-        // registry closes the socket (no read-timeout polling anymore).
-        let t = std::time::Instant::now();
-        handle.shutdown();
-        assert!(
-            t.elapsed() < std::time::Duration::from_secs(2),
-            "blocking shutdown took {:?}",
-            t.elapsed()
+        let (waker, _wake_rx) = Waker::pair().unwrap();
+        let waker = Arc::new(waker);
+        let metrics = Arc::new(TransportMetrics::new());
+        let (work_tx, work_rx) = channel::<Job>();
+        drop(work_rx);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let shared = ConnShared::new(Arc::clone(&waker), Arc::clone(&metrics));
+        shared.wire.set(wire).unwrap();
+        let conn = Conn {
+            stream,
+            shared: Arc::new(shared),
+            rbuf: Vec::new(),
+            next_seq: 0,
+            closing: false,
+            dead: false,
+        };
+        let ctx = Ctx {
+            core,
+            cfg: ServerConfig::default(),
+            metrics,
+            work_tx,
+            waker,
+        };
+        (ctx, conn, peer)
+    }
+
+    /// Regression: with the worker pool gone, a binary connection's
+    /// sequence slot used to be filled with the line protocol's bytes —
+    /// unframed text on a framed stream. Every in-place answer goes
+    /// through the connection's reply encoder now.
+    #[test]
+    fn worker_pool_loss_is_answered_in_the_connections_own_wire_format() {
+        let (ctx, mut conn, _peer) = orphaned_loop(Wire::Binary);
+        let req = Request::from_frame(
+            frame::decode(&frame::encode(verb::QUERY, 7, Q.as_bytes()))
+                .unwrap()
+                .unwrap()
+                .0,
         );
-        drop(c);
+        dispatch_request(&ctx, &mut conn, req);
+        let queued = lock(&conn.shared.out).queue.pop_front().unwrap();
+        let (reply, used) = frame::decode(&queued).unwrap().expect("a whole frame");
+        assert_eq!(used, queued.len(), "nothing but the frame");
+        assert_eq!((reply.verb, reply.id), (verb::ERR, 7));
+        assert_eq!(reply.text(), Some("internal: worker pool unavailable"));
+        assert_eq!(conn.shared.in_flight.load(Ordering::Acquire), 0);
+
+        let (ctx, mut conn, _peer) = orphaned_loop(Wire::Line);
+        dispatch_request(&ctx, &mut conn, Request::from_line(&format!("QUERY {Q}")));
+        let queued = lock(&conn.shared.out).queue.pop_front().unwrap();
+        assert_eq!(queued, b"ERR internal: worker pool unavailable\n");
+        assert_eq!(conn.shared.in_flight.load(Ordering::Acquire), 0);
     }
 }

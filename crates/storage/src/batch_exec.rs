@@ -30,6 +30,7 @@ use crate::expr::{BinOp, Expr};
 use crate::plan::{AggFunc, Aggregate, BuildSide, JoinType, Plan};
 use crate::zone::ZonePred;
 use proql_common::par::{morsel_ranges, par_map, MORSEL_ROWS};
+use proql_common::sync::lock;
 use proql_common::{trace, Error, Parallelism, Result, Value};
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -128,13 +129,13 @@ impl PlanProfile {
 
     /// Reserve the next pre-order slot.
     fn reserve(&self) -> usize {
-        let mut s = self.slots.lock().unwrap_or_else(|e| e.into_inner());
+        let mut s = lock(&self.slots);
         s.push(OpStat::default());
         s.len() - 1
     }
 
     fn record(&self, idx: usize, stat: OpStat) {
-        let mut s = self.slots.lock().unwrap_or_else(|e| e.into_inner());
+        let mut s = lock(&self.slots);
         if let Some(slot) = s.get_mut(idx) {
             *slot = stat;
         }

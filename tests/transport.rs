@@ -394,3 +394,186 @@ fn in_window_future_frame_versions_err_cleanly_without_dropping() {
 
     handle.shutdown();
 }
+
+/// The handshake and replication verbs reach the one dispatcher from a
+/// line connection too: `HELLO` answers the same version JSON a binary
+/// client gets, and `REPL_SUBSCRIBE` — whose stream is binary frames a
+/// line connection cannot carry — is refused with a clean `ERR`. (Both
+/// used to answer `unknown verb`.)
+#[test]
+fn line_mode_hello_and_repl_subscribe_reach_the_dispatcher() {
+    let (core, handle) = start(1);
+    let mut line = Client::connect(handle.addr()).unwrap();
+    let mut bin = BinClient::connect(handle.addr()).unwrap();
+
+    let hello = line
+        .request(&format!("HELLO {}", frame::PROTOCOL_VERSION))
+        .unwrap();
+    assert_eq!(hello, format!("OK {}", bin.hello().unwrap()));
+    assert!(line.request("hello 5").unwrap().contains("unsupported"));
+
+    let refused = line.request("REPL_SUBSCRIBE 0").unwrap();
+    assert_eq!(
+        refused,
+        "ERR error: unsupported: REPL_SUBSCRIBE requires the binary framing"
+    );
+    assert_eq!(core.repl_subscriber_count(), 0);
+    // The connection survives the refusal.
+    assert!(line.request("PING").unwrap().starts_with("OK "));
+
+    // The usage message names every verb a line may start with.
+    let unknown = line.request("FROB x").unwrap();
+    for word in [
+        "QUERY",
+        "DELETE",
+        "INSERT",
+        "STATS",
+        "INVALIDATE",
+        "PING",
+        "SUBSCRIBE",
+        "TRACE",
+        "HELLO",
+        "REPL_SUBSCRIBE",
+    ] {
+        assert!(unknown.contains(word), "{word} missing from: {unknown}");
+    }
+    drop(line);
+    drop(bin);
+    handle.shutdown();
+}
+
+/// How a parity row's two replies are compared.
+#[derive(Clone, Copy)]
+enum Same {
+    /// Payload bytes equal.
+    Bytes,
+    /// Payloads equal once every number is masked: `STATS` carries
+    /// latency percentiles, which are measurements.
+    Shape,
+    /// Same reply kind and error kind only: an unknown verb is named by
+    /// a word on one wire and a byte on the other.
+    ErrorKind,
+    /// Both payloads open with this text: `TRACE` dumps the process-wide
+    /// span ring, whose ids and timings are nobody's to predict.
+    Opens(&'static str),
+}
+
+fn mask_numbers(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    let mut in_number = false;
+    for c in s.chars() {
+        if c.is_ascii_digit() || (in_number && c == '.') {
+            if !in_number {
+                out.push('#');
+            }
+            in_number = true;
+        } else {
+            in_number = false;
+            out.push(c);
+        }
+    }
+    out
+}
+
+/// Protocol parity: the two wire formats are two spellings of one
+/// protocol. The same request sequence against identically built cores
+/// must produce the same reply kind and the same payload bytes whether
+/// it travels as lines or as frames — for every verb, for decoder- and
+/// dispatcher-level errors, and for the PUSH a touching write fires.
+/// (`REPL_SUBSCRIBE` is the one verb with no line spelling to compare:
+/// `line_mode_hello_and_repl_subscribe_reach_the_dispatcher` holds its
+/// refusal.)
+#[test]
+fn line_and_binary_replies_are_byte_identical() {
+    let qy = "FOR [Y $x] INCLUDE PATH [$x] <-+ [] RETURN $x";
+    let serve_fresh = || {
+        let core = Arc::new(ServiceCore::new(
+            subscription_system(12),
+            EngineOptions::default(),
+        ));
+        serve(core, "127.0.0.1:0", 1).unwrap()
+    };
+    let (line_server, bin_server) = (serve_fresh(), serve_fresh());
+    let mut line = Client::connect(line_server.addr()).unwrap();
+    let mut bin = BinClient::connect(bin_server.addr()).unwrap();
+
+    let explain = format!("EXPLAIN {qy}");
+    let table: Vec<(&str, u8, &str, Same)> = vec![
+        ("PING", verb::PING, "", Same::Bytes),
+        ("HELLO", verb::HELLO, "1", Same::Bytes),
+        ("HELLO", verb::HELLO, "5", Same::Bytes),
+        ("HELLO", verb::HELLO, "banana", Same::Bytes),
+        ("QUERY", verb::QUERY, qy, Same::Bytes),
+        ("QUERY", verb::QUERY, qy, Same::Bytes), // the cache hit
+        ("QUERY", verb::QUERY, &explain, Same::Bytes),
+        ("QUERY", verb::QUERY, "FOR [Y $x RETURN $x", Same::Bytes),
+        ("QUERY", verb::QUERY, "", Same::Bytes),
+        ("SUBSCRIBE", verb::SUBSCRIBE, qy, Same::Bytes),
+        (
+            "SUBSCRIBE",
+            verb::SUBSCRIBE,
+            "FOR [Y $x RETURN $x",
+            Same::Bytes,
+        ),
+        ("INSERT", verb::INSERT, "X 100,1000", Same::Bytes),
+        ("INSERT", verb::INSERT, "X 100,1000", Same::Bytes), // the no-op
+        ("INSERT", verb::INSERT, "X", Same::Bytes),
+        ("DELETE", verb::DELETE, "X 3", Same::Bytes),
+        ("DELETE", verb::DELETE, "X 999", Same::Bytes),
+        ("DELETE", verb::DELETE, "Nope 1", Same::Bytes),
+        ("STATS", verb::STATS, "", Same::Shape),
+        ("STATS", verb::STATS, "TEXT", Same::Shape),
+        ("TRACE", verb::TRACE, "", Same::Opens("{\"traces\": [")),
+        ("TRACE", verb::TRACE, "4", Same::Opens("{\"traces\": [")),
+        ("TRACE", verb::TRACE, "four", Same::Bytes),
+        ("INVALIDATE", verb::INVALIDATE, "", Same::Bytes),
+        ("FROB", 77, "x", Same::ErrorKind),
+    ];
+    for (word, byte, text, same) in table {
+        let row = format!("{word} {text:?}");
+        let reply = line.request(format!("{word} {text}").trim_end()).unwrap();
+        let (line_kind, line_payload) = reply.split_once(' ').unwrap();
+        let f = bin.request(byte, text.as_bytes()).unwrap();
+        let bin_payload = f.text().unwrap();
+        match f.verb {
+            verb::OK => assert_eq!(line_kind, "OK", "{row}: {reply}"),
+            verb::ERR => assert_eq!(line_kind, "ERR", "{row}: {reply}"),
+            other => panic!("{row}: unexpected reply verb {other}"),
+        }
+        match same {
+            Same::Bytes => assert_eq!(line_payload, bin_payload, "{row}"),
+            Same::Shape => assert_eq!(
+                mask_numbers(line_payload),
+                mask_numbers(bin_payload),
+                "{row}"
+            ),
+            Same::Opens(prefix) => {
+                assert!(line_payload.starts_with(prefix), "{row}: {reply}");
+                assert!(bin_payload.starts_with(prefix), "{row}: {bin_payload}");
+            }
+            Same::ErrorKind => {
+                assert_eq!(f.verb, verb::ERR, "{row}");
+                assert_eq!(
+                    line_payload.split_once(": ").unwrap().0,
+                    bin_payload.split_once(": ").unwrap().0,
+                    "{row}"
+                );
+            }
+        }
+    }
+
+    // Two rows published a write the subscription's read set intersects
+    // (the INSERT and the DELETE that succeeded; the no-op and the
+    // failures publish nothing): one PUSH each, byte for byte the same
+    // on both wires.
+    for _ in 0..2 {
+        let line_push = line.next_push().unwrap();
+        let bin_push = bin.next_push().unwrap();
+        assert_eq!(bin_push.verb, verb::PUSH);
+        assert_eq!(line_push, bin_push.text().unwrap());
+    }
+    drop(line);
+    drop(bin);
+    line_server.shutdown();
+    bin_server.shutdown();
+}

@@ -17,12 +17,11 @@
 
 use proql_common::{Error, Parallelism, Result, TupleId, Value};
 use proql_provgraph::{ProvGraph, TupleNode};
-use proql_semiring::eval::leaf_label;
-use proql_semiring::{Annotation, MapFn, SecurityLevel, SemiringKind};
+use proql_semiring::eval::{leaf_label, level_order};
+use proql_semiring::{Annotation, Evaluation, MapFn, Region, SecurityLevel, SemiringKind};
 use proql_storage::batch::{Column, RecordBatch};
 use proql_storage::batch_exec::batch_aggregate_opts;
 use proql_storage::{AggFunc, Aggregate};
-use std::collections::HashMap;
 
 /// Scalar encoding of one semiring into batch columns.
 struct Encoding {
@@ -91,49 +90,51 @@ fn encoding_for(kind: SemiringKind) -> Option<Encoding> {
     }
 }
 
-/// Evaluate annotations for every tuple node of `graph`, computing each
+/// Evaluate annotations for every tuple of `region`, computing each
 /// level's semiring sums via the batch grouped-aggregation operator.
 ///
-/// Returns `Ok(None)` when this strategy does not apply (cyclic graph, or
+/// Returns `Ok(None)` when this strategy does not apply (cyclic region, or
 /// a semiring without a scalar aggregate encoding); callers fall back to
-/// [`proql_semiring::evaluate`]. When it applies, results are identical to
-/// the direct walk — asserted by property tests. `par` is forwarded to the
-/// grouped-aggregation operator, whose morsel-parallel path is itself
-/// bit-identical to its serial path.
-pub fn evaluate_via_aggregation(
+/// [`proql_semiring::evaluate_region`]. When it applies, results are
+/// identical to the direct walk — asserted by property tests. `par` is
+/// forwarded to the grouped-aggregation operator, whose morsel-parallel
+/// path is itself bit-identical to its serial path.
+pub fn evaluate_via_aggregation<'r>(
     graph: &ProvGraph,
+    region: &'r Region,
     kind: SemiringKind,
     leaf: &dyn Fn(&TupleNode, &str) -> Annotation,
     map_fn: &dyn Fn(&str) -> MapFn,
     par: Parallelism,
-) -> Result<Option<HashMap<TupleId, Annotation>>> {
+) -> Result<Option<Evaluation<'r>>> {
     let Some(enc) = encoding_for(kind) else {
         return Ok(None);
     };
-    let Some(order) = graph.topo_order() else {
+    if region.is_cyclic() {
         return Ok(None);
-    };
+    }
 
-    let by_level = proql_semiring::eval::level_order(graph, &order);
+    let by_level = level_order(graph, region);
 
     let checked_leaf = |tn: &TupleNode| -> Result<Annotation> {
         let v = leaf(tn, &leaf_label(tn));
         kind.check_value(&v)?;
         Ok(v)
     };
+    let slot = |t: TupleId| region.slot(t).expect("region tuple");
 
-    let mut vals: Vec<Option<Annotation>> = vec![None; graph.tuple_id_bound()];
+    let mut vals: Vec<Option<Annotation>> = vec![None; region.len()];
     for tuples in &by_level {
-        // One (target, derivation value) row per alternative derivation of
-        // this level's tuples; the grouped aggregation computes every ⊕ of
-        // the level in one operator call.
+        // One (target slot, derivation value) row per alternative
+        // derivation of this level's tuples; the grouped aggregation
+        // computes every ⊕ of the level in one operator call.
         let mut targets: Vec<i64> = Vec::new();
         let mut deriv_vals: Vec<Value> = Vec::new();
         for &t in tuples {
             let derivs = graph.derivations_of(t);
             if derivs.is_empty() {
                 // Dangling leaf of the projected subgraph.
-                vals[t.index()] = Some(checked_leaf(graph.tuple(t))?);
+                vals[slot(t)] = Some(checked_leaf(graph.tuple(t))?);
                 continue;
             }
             for &d in derivs {
@@ -146,9 +147,11 @@ pub fn evaluate_via_aggregation(
                     checked_leaf(graph.tuple(*target))?
                 } else {
                     let mut acc = kind.one();
-                    for s in &node.sources {
-                        let sv = vals[s.index()].clone().unwrap_or_else(|| kind.zero());
-                        acc = kind.times(&acc, &sv)?;
+                    for &s in &node.sources {
+                        acc = match region.slot(s).and_then(|i| vals[i].as_ref()) {
+                            Some(sv) => kind.times(&acc, sv)?,
+                            None => kind.times(&acc, &kind.zero())?,
+                        };
                     }
                     acc
                 };
@@ -163,7 +166,7 @@ pub fn evaluate_via_aggregation(
                         "annotation {mapped:?} has no scalar encoding in {kind}"
                     ))
                 })?;
-                targets.push(t.index() as i64);
+                targets.push(slot(t) as i64);
                 deriv_vals.push(encoded);
             }
         }
@@ -187,19 +190,14 @@ pub fn evaluate_via_aggregation(
             let t = summed.columns[0]
                 .value(row)
                 .as_int()
-                .expect("group key is the tuple id") as usize;
+                .expect("group key is the tuple's slot") as usize;
             let v = summed.columns[1].value(row);
             let ann = (enc.decode)(&v)
                 .ok_or_else(|| Error::Semiring(format!("cannot decode aggregate {v} in {kind}")))?;
             vals[t] = Some(ann);
         }
     }
-    Ok(Some(
-        vals.into_iter()
-            .enumerate()
-            .filter_map(|(i, v)| v.map(|v| (TupleId(i as u32), v)))
-            .collect(),
-    ))
+    Ok(Some(Evaluation::from_values(region, vals)))
 }
 
 #[cfg(test)]
@@ -227,10 +225,13 @@ mod tests {
         leaf: impl Fn(&TupleNode, &str) -> Annotation + Clone + Send + Sync + 'static,
         map_fn: impl Fn(&str) -> MapFn + Clone + Send + Sync + 'static,
     ) {
+        let region = Region::all(g);
         for par in [Parallelism::Serial, Parallelism::Threads(4)] {
-            let via_agg = evaluate_via_aggregation(g, kind, &leaf.clone(), &map_fn.clone(), par)
-                .unwrap()
-                .expect("aggregation path applies");
+            let via_agg =
+                evaluate_via_aggregation(g, &region, kind, &leaf.clone(), &map_fn.clone(), par)
+                    .unwrap()
+                    .expect("aggregation path applies")
+                    .into_map();
             let assign = Assignment::default_for(kind)
                 .with_leaf(leaf.clone())
                 .with_map_fn(map_fn.clone());
@@ -301,12 +302,40 @@ mod tests {
     }
 
     #[test]
+    fn aggregation_over_a_backward_region_matches_the_walk() {
+        let g = acyclic_graph();
+        let ocn2 = g.find_tuple("O", &proql_common::tup!["cn2"]).unwrap();
+        let region = Region::backward_from(&g, [ocn2]);
+        assert!(region.tuples().len() < g.tuple_count());
+        for kind in [SemiringKind::Counting, SemiringKind::Weight] {
+            let leaf = move |_: &TupleNode, label: &str| kind.default_leaf(label);
+            let map_fn = |_: &str| MapFn::Identity;
+            let assign = Assignment::default_for(kind);
+            let walked =
+                proql_semiring::evaluate_region(&g, &region, &assign, Parallelism::Serial).unwrap();
+            let via_agg =
+                evaluate_via_aggregation(&g, &region, kind, &leaf, &map_fn, Parallelism::Serial)
+                    .unwrap()
+                    .expect("aggregation path applies");
+            for &t in region.tuples() {
+                assert_eq!(via_agg.get(t), walked.get(t), "{kind}");
+            }
+            assert_eq!(
+                via_agg.get(ocn2),
+                evaluate(&g, &assign).unwrap().get(&ocn2).cloned()
+            );
+        }
+    }
+
+    #[test]
     fn cyclic_graphs_are_declined() {
         let g = ProvGraph::from_system(&example_2_1().unwrap()).unwrap();
         assert!(g.is_cyclic());
         let leaf = |_: &TupleNode, l: &str| SemiringKind::Derivability.default_leaf(l);
+        let region = Region::all(&g);
         let out = evaluate_via_aggregation(
             &g,
+            &region,
             SemiringKind::Derivability,
             &leaf,
             &|_| MapFn::Identity,
@@ -320,8 +349,10 @@ mod tests {
     fn set_semirings_are_declined() {
         let g = acyclic_graph();
         let leaf = |_: &TupleNode, l: &str| SemiringKind::Lineage.default_leaf(l);
+        let region = Region::all(&g);
         let out = evaluate_via_aggregation(
             &g,
+            &region,
             SemiringKind::Lineage,
             &leaf,
             &|_| MapFn::Identity,

@@ -3,10 +3,13 @@
 
 use crate::ast::{Condition, Evaluate, SetValue};
 use crate::exec::ProjectionResult;
-use proql_common::{Error, Parallelism, Result, Tuple, Value};
-use proql_provgraph::{ProvenanceSystem, TupleNode};
-use proql_semiring::{evaluate_with, Annotation, Assignment, MapFn, SecurityLevel, SemiringKind};
-use std::collections::{BTreeMap, HashMap};
+use proql_common::{Error, Parallelism, Result, Tuple, TupleId, Value};
+use proql_provgraph::{ProvGraph, ProvenanceSystem, TupleNode};
+use proql_semiring::eval::leaf_label;
+use proql_semiring::{
+    evaluate_region, Annotation, Assignment, MapFn, Region, SecurityLevel, SemiringKind,
+};
+use std::collections::{HashMap, HashSet};
 
 /// One annotated distinguished node.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,84 +58,137 @@ pub fn run_annotation(
 
 /// [`run_annotation`] with a [`Parallelism`] knob, forwarded to the
 /// grouped-aggregation ⊕ path and to the level-parallel graph walk.
+///
+/// A graph-strategy projection is evaluated over the graph it was read
+/// from, on the region its distinguished nodes reach backward; an unfold
+/// projection decodes its derivation rows into a graph of their own
+/// (no other graph exists for them) and evaluates all of it.
 pub fn run_annotation_opts(
     sys: &ProvenanceSystem,
     projection: &ProjectionResult,
     spec: &Evaluate,
     par: Parallelism,
 ) -> Result<AnnotatedResult> {
-    let graph = projection.to_graph(sys)?;
     let kind = spec.semiring;
+    let decoded;
+    let graph: &ProvGraph = match &projection.graph {
+        Some(handle) => &handle.0,
+        None => {
+            decoded = projection.to_graph(sys)?;
+            &decoded
+        }
+    };
 
-    // Leaf probabilities are collected as a side effect of leaf CASE
-    // evaluation, so compute them eagerly for all leaves.
+    // The distinguished nodes, once per (variable, node), in binding order.
+    let mut seen = HashSet::new();
+    let mut nodes: Vec<(&String, &String, &Tuple, Option<TupleId>)> = Vec::new();
+    for binding in &projection.bindings {
+        for (var, (relation, key)) in binding {
+            if seen.insert((var, relation, key)) {
+                nodes.push((var, relation, key, graph.find_tuple(relation, key)));
+            }
+        }
+    }
+    let region = if projection.graph.is_some() {
+        // A node without derivations is in the projected subgraph only
+        // when a derivation there reads it, so it seeds nothing.
+        let roots = nodes
+            .iter()
+            .filter_map(|n| n.3)
+            .filter(|&t| !graph.derivations_of(t).is_empty());
+        Region::backward_from(graph, roots)
+    } else {
+        Region::all(graph)
+    };
+
+    // A leaf CASE ladder runs eagerly over every node of the projected
+    // subgraph: leaf probabilities are collected as its side effect, and
+    // its errors surface even for leaves no distinguished node reads.
+    // Without one, every leaf gets its default value when the walk asks.
     let mut leaf_probs: HashMap<String, f64> = HashMap::new();
     let mut leaf_values: HashMap<String, Annotation> = HashMap::new();
-    for t in graph.tuple_ids() {
-        let node = graph.tuple(t);
-        let label = proql_semiring::eval::leaf_label(node);
-        let (value, prob) = leaf_value_for(sys, spec, kind, node, &label)?;
-        if let Some(p) = prob {
-            leaf_probs.insert(label.clone(), p);
+    if spec.leaf_assign.is_some() {
+        for t in subgraph_tuples(graph, projection) {
+            let node = graph.tuple(t);
+            let label = leaf_label(node);
+            let (value, prob) = leaf_value_for(sys, spec, kind, node, &label)?;
+            if let Some(p) = prob {
+                leaf_probs.insert(label.clone(), p);
+            }
+            leaf_values.insert(label, value);
         }
-        leaf_values.insert(label, value);
     }
-
-    let map_fns: HashMap<String, MapFn> = sys
-        .specs()
-        .iter()
-        .map(|s| map_fn_for(spec, kind, &s.mapping).map(|f| (s.mapping.clone(), f)))
-        .collect::<Result<_>>()?;
-
     let leaf = |_node: &TupleNode, label: &str| {
         leaf_values
             .get(label)
             .cloned()
             .unwrap_or_else(|| kind.default_leaf(label))
     };
-    let map_fn = |m: &str| map_fns.get(m).cloned().unwrap_or(MapFn::Identity);
 
-    // Scalar semirings on acyclic projections evaluate their ⊕-sums through
+    let mut assignment = Assignment::default_for(kind).with_leaf(leaf);
+    if spec.map_assign.is_some() {
+        let map_fns: HashMap<String, MapFn> = sys
+            .specs()
+            .iter()
+            .map(|s| map_fn_for(spec, kind, &s.mapping).map(|f| (s.mapping.clone(), f)))
+            .collect::<Result<_>>()?;
+        assignment =
+            assignment.with_map_fn(move |m| map_fns.get(m).cloned().unwrap_or(MapFn::Identity));
+    }
+
+    // Scalar semirings on acyclic regions evaluate their ⊕-sums through
     // the batch grouped-aggregation operator (the paper's GROUP BY step);
-    // set-valued semirings and cyclic graphs use the direct graph walk.
-    let values = match crate::agg_eval::evaluate_via_aggregation(&graph, kind, &leaf, &map_fn, par)?
-    {
+    // set-valued semirings and cyclic regions use the direct graph walk.
+    let values = match crate::agg_eval::evaluate_via_aggregation(
+        graph,
+        &region,
+        kind,
+        &*assignment.leaf,
+        &*assignment.map_fn,
+        par,
+    )? {
         Some(v) => v,
-        None => {
-            let assignment = Assignment::default_for(kind)
-                .with_leaf(leaf)
-                .with_map_fn(map_fn);
-            evaluate_with(&graph, &assignment, par)?
-        }
+        None => evaluate_region(graph, &region, &assignment, par)?,
     };
 
-    let mut rows = Vec::new();
-    let mut seen: BTreeMap<(String, String, Tuple), ()> = BTreeMap::new();
-    for binding in &projection.bindings {
-        for (var, (relation, key)) in binding {
-            if seen
-                .insert((var.clone(), relation.clone(), key.clone()), ())
-                .is_some()
-            {
-                continue;
-            }
-            let annotation = graph
-                .find_tuple(relation, key)
-                .and_then(|t| values.get(&t).cloned())
-                .unwrap_or_else(|| kind.zero());
-            rows.push(AnnotatedRow {
-                var: var.clone(),
-                relation: relation.clone(),
-                key: key.clone(),
-                annotation,
-            });
-        }
-    }
+    let rows = nodes
+        .into_iter()
+        .map(|(var, relation, key, t)| AnnotatedRow {
+            var: var.clone(),
+            relation: relation.clone(),
+            key: key.clone(),
+            annotation: t.and_then(|t| values.get(t)).unwrap_or_else(|| kind.zero()),
+        })
+        .collect();
     Ok(AnnotatedResult {
         semiring: kind,
         rows,
         leaf_probs,
     })
+}
+
+/// The tuple nodes of a projection's subgraph, in the order decoding its
+/// derivation rows creates them ([`ProjectionResult::to_graph`]).
+fn subgraph_tuples(graph: &ProvGraph, projection: &ProjectionResult) -> Vec<TupleId> {
+    if projection.graph.is_none() {
+        return graph.tuple_ids().collect();
+    }
+    let mut seen = HashSet::new();
+    let mut out = Vec::new();
+    for (mapping, rows) in &projection.derivations {
+        for row in rows {
+            let Some(d) = graph.find_derivation(mapping, row) else {
+                continue;
+            };
+            let node = graph.derivation(d);
+            for &t in node.sources.iter().chain(&node.targets) {
+                if seen.insert(t) {
+                    out.push(t);
+                }
+            }
+        }
+    }
+    out
 }
 
 /// Evaluate the leaf CASE ladder for one node. Returns the annotation and,
@@ -408,6 +464,40 @@ mod tests {
         let lineage = cn2.as_lineage().unwrap();
         assert!(lineage.contains("A(2)"));
         assert!(lineage.contains("C(2,cn2)"));
+    }
+
+    #[test]
+    fn graph_strategy_node_without_derivations_reads_as_zero() {
+        // R has no local table: R(1), written straight into the database,
+        // is a graph node only as the source of S(1)'s derivation. Its own
+        // projected subgraph is empty, so it annotates as zero — the value
+        // decoding that (empty) subgraph gives — not as a leaf.
+        use crate::engine::{Engine, Strategy};
+        use proql_common::{Schema, ValueType};
+        let mut sys = ProvenanceSystem::new();
+        sys.add_relation(Schema::build("R", &[("k", ValueType::Int)], &[0]).unwrap())
+            .unwrap();
+        sys.add_relation_with_local(Schema::build("S", &[("k", ValueType::Int)], &[0]).unwrap())
+            .unwrap();
+        sys.add_mapping_text("ms: S(k) :- R(k)").unwrap();
+        sys.db.insert("R", tup![1]).unwrap();
+        sys.run_exchange().unwrap();
+        let mut e = Engine::new(sys);
+        e.options.strategy = Strategy::Graph;
+        assert!(e.graph().unwrap().find_tuple("R", &tup![1]).is_some());
+        for (kind, zero) in [
+            ("LINEAGE", Annotation::Lineage(None)),
+            ("DERIVABILITY", Annotation::Bool(false)),
+        ] {
+            let out = e
+                .query(&format!(
+                    "EVALUATE {kind} OF {{ FOR [R $x] INCLUDE PATH [$x] <-+ [] RETURN $x }}"
+                ))
+                .unwrap();
+            assert!(out.projection.derivations.is_empty());
+            let ann = out.annotated.unwrap();
+            assert_eq!(ann.annotation_of("R", &tup![1]), Some(&zero), "{kind}");
+        }
     }
 
     #[test]

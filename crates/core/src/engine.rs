@@ -404,7 +404,7 @@ impl Engine {
             });
         }
         let mut sp = trace::span("execute");
-        let projection = match (&p.unfold, p.strategy) {
+        let mut projection = match (&p.unfold, p.strategy) {
             (Some(u), _) => {
                 let t1 = Instant::now();
                 let proj = run_projection_prepared(
@@ -439,6 +439,9 @@ impl Engine {
             )?),
             None => None,
         };
+        // A cached output must not pin the graph: the next write's patch
+        // would then copy the whole graph instead of patching it in place.
+        projection.graph = None;
         Ok(QueryOutput {
             projection,
             annotated,
@@ -751,6 +754,32 @@ mod tests {
         assert_eq!(g1.digest(), rebuilt.digest());
         // The still-held old Arc was copy-on-write protected.
         assert!(g0.find_tuple("O", &tup!["sn8"]).is_none());
+    }
+
+    #[test]
+    fn graph_strategy_output_does_not_pin_the_graph() {
+        let mut e = engine(Strategy::Graph);
+        let g = e.graph().unwrap();
+        let held = Arc::strong_count(&g);
+        let out = e
+            .query("EVALUATE LINEAGE OF { FOR [O $x] INCLUDE PATH [$x] <-+ [] RETURN $x }")
+            .unwrap();
+        assert_eq!(out.annotated.as_ref().map(|a| a.rows.len()), Some(4));
+        assert!(out.projection.graph.is_none());
+        assert_eq!(Arc::strong_count(&g), held);
+        let at = Arc::as_ptr(&g);
+        drop(g);
+        // With the answer still alive, the next write patches the cached
+        // graph in place: no rebuild, and no copy-on-write clone.
+        let builds = e.graph_build_count();
+        e.sys.insert_local("A", tup![8, "sn8", 2]).unwrap();
+        e.sys.run_exchange().unwrap();
+        let g1 = e.graph().unwrap();
+        assert_eq!(e.graph_build_count(), builds);
+        assert_eq!(e.graph_patch_count(), 1);
+        assert_eq!(Arc::as_ptr(&g1), at, "the patch copied the graph");
+        assert!(g1.find_tuple("O", &tup!["sn8"]).is_some());
+        drop(out);
     }
 
     #[test]

@@ -23,6 +23,7 @@ use proql_storage::{
     optimize::optimize_with_config, Database, ExecMode, Expr, OpStat, OptimizerConfig,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::sync::Arc;
 
 /// The result of a graph-projection query: the output subgraph (encoded
 /// relationally, one row-set per provenance relation) plus the binding
@@ -36,6 +37,25 @@ pub struct ProjectionResult {
     pub bindings: BTreeSet<BTreeMap<String, (String, Tuple)>>,
     /// Execution metrics.
     pub metrics: ExecMetrics,
+    /// For graph-strategy answers, the provenance graph the derivations
+    /// were read from: annotation evaluates over it instead of decoding
+    /// the rows again. [`crate::engine::Engine::execute`] drops it before
+    /// returning, so a cached answer never pins the engine's graph.
+    pub(crate) graph: Option<GraphHandle>,
+}
+
+/// A shared handle on a provenance graph; `Debug` prints its size, not
+/// its contents.
+#[derive(Clone)]
+pub(crate) struct GraphHandle(pub(crate) Arc<ProvGraph>);
+
+impl std::fmt::Debug for GraphHandle {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("GraphHandle")
+            .field("tuples", &self.0.tuple_count())
+            .field("derivations", &self.0.derivation_count())
+            .finish()
+    }
 }
 
 /// Execution metrics reported by the benchmarks.
@@ -488,9 +508,10 @@ pub(crate) fn cond_to_expr(cond: &VarCond, var_cols: &HashMap<String, usize>) ->
 /// Bottom-up (graph-walk) strategy: supports queries whose FOR/INCLUDE
 /// paths are of the shape `[R $x]` or `[R $x] <-+ []`, which covers the
 /// annotation use cases Q5–Q10 — including **cyclic** provenance graphs.
+/// The result keeps a handle on `full` for annotation.
 pub fn run_projection_graph(
     sys: &ProvenanceSystem,
-    full: &ProvGraph,
+    full: &Arc<ProvGraph>,
     query: &Query,
 ) -> Result<ProjectionResult> {
     let proj = &query.projection;
@@ -560,6 +581,7 @@ pub fn run_projection_graph(
         }
     }
     out.metrics.rules_executed = 0;
+    out.graph = Some(GraphHandle(Arc::clone(full)));
     Ok(out)
 }
 
@@ -704,7 +726,7 @@ mod tests {
     fn projection_graph_matches_unfolded_projection() {
         let sys = example_2_1().unwrap();
         let q = parse_query("FOR [O $x] INCLUDE PATH [$x] <-+ [] RETURN $x").unwrap();
-        let full = ProvGraph::from_system(&sys).unwrap();
+        let full = Arc::new(ProvGraph::from_system(&sys).unwrap());
         let via_graph = run_projection_graph(&sys, &full, &q).unwrap();
         let t = translate(&sys, &q, None, &TranslateOptions::default()).unwrap();
         let via_rules = run_projection(&sys, &t).unwrap();
@@ -722,11 +744,26 @@ mod tests {
     }
 
     #[test]
+    fn graph_strategy_keeps_a_handle_that_debug_does_not_print() {
+        let sys = example_2_1().unwrap();
+        let q = parse_query("FOR [O $x] INCLUDE PATH [$x] <-+ [] RETURN $x").unwrap();
+        let full = Arc::new(ProvGraph::from_system(&sys).unwrap());
+        let r = run_projection_graph(&sys, &full, &q).unwrap();
+        assert!(r.graph.as_ref().is_some_and(|h| Arc::ptr_eq(&h.0, &full)));
+        assert_eq!(Arc::strong_count(&full), 2);
+        let printed = format!("{r:?}");
+        assert!(printed.contains("GraphHandle { tuples: "), "{printed}");
+        assert!(!printed.contains("TupleNode"), "{printed}");
+        drop(r);
+        assert_eq!(Arc::strong_count(&full), 1);
+    }
+
+    #[test]
     fn graph_strategy_respects_where() {
         let sys = example_2_1().unwrap();
         let q =
             parse_query("FOR [O $x] INCLUDE PATH [$x] <-+ [] WHERE $x.h >= 6 RETURN $x").unwrap();
-        let full = ProvGraph::from_system(&sys).unwrap();
+        let full = Arc::new(ProvGraph::from_system(&sys).unwrap());
         let r = run_projection_graph(&sys, &full, &q).unwrap();
         assert_eq!(r.bindings.len(), 2);
     }
@@ -734,7 +771,7 @@ mod tests {
     #[test]
     fn graph_strategy_rejects_complex_patterns() {
         let sys = example_2_1().unwrap();
-        let full = ProvGraph::from_system(&sys).unwrap();
+        let full = Arc::new(ProvGraph::from_system(&sys).unwrap());
         let q = parse_query("FOR [O $x] <m5 [C $y] RETURN $x").unwrap();
         assert!(run_projection_graph(&sys, &full, &q).is_err());
     }

@@ -117,6 +117,40 @@ impl CsrAdj {
     }
 }
 
+/// Node lookup keyed by name (relation or mapping) first, then by tuple,
+/// so a lookup borrows both halves of its key and allocates nothing.
+#[derive(Debug, Clone)]
+struct NodeIndex<Id>(HashMap<String, HashMap<Tuple, Id>>);
+
+impl<Id> Default for NodeIndex<Id> {
+    fn default() -> Self {
+        NodeIndex(HashMap::new())
+    }
+}
+
+impl<Id: Copy> NodeIndex<Id> {
+    fn get(&self, name: &str, key: &Tuple) -> Option<Id> {
+        self.0.get(name)?.get(key).copied()
+    }
+
+    fn insert(&mut self, name: &str, key: Tuple, id: Id) {
+        match self.0.get_mut(name) {
+            Some(by_key) => {
+                by_key.insert(key, id);
+            }
+            None => {
+                self.0.insert(name.to_string(), HashMap::from([(key, id)]));
+            }
+        }
+    }
+
+    fn remove(&mut self, name: &str, key: &Tuple) {
+        if let Some(by_key) = self.0.get_mut(name) {
+            by_key.remove(key);
+        }
+    }
+}
+
 /// A tuple node.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TupleNode {
@@ -159,11 +193,11 @@ pub struct ProvGraph {
     tuples: Vec<TupleNode>,
     tuple_live: Vec<bool>,
     live_tuples: usize,
-    tuple_index: HashMap<(String, Tuple), TupleId>,
+    tuple_index: NodeIndex<TupleId>,
     derivations: Vec<DerivationNode>,
     deriv_live: Vec<bool>,
     live_derivs: usize,
-    deriv_index: HashMap<(String, Tuple), DerivationId>,
+    deriv_index: NodeIndex<DerivationId>,
     /// Incoming adjacency: tuple → derivations deriving it.
     derived: CsrAdj,
     /// Outgoing adjacency: tuple → derivations consuming it.
@@ -200,15 +234,14 @@ impl ProvGraph {
 
     /// Intern a tuple node.
     pub fn add_tuple(&mut self, relation: &str, key: Tuple, values: Option<Tuple>) -> TupleId {
-        if let Some(&id) = self.tuple_index.get(&(relation.to_string(), key.clone())) {
+        if let Some(id) = self.tuple_index.get(relation, &key) {
             if values.is_some() && self.tuples[id.index()].values.is_none() {
                 self.tuples[id.index()].values = values;
             }
             return id;
         }
         let id = TupleId(self.tuples.len() as u32);
-        self.tuple_index
-            .insert((relation.to_string(), key.clone()), id);
+        self.tuple_index.insert(relation, key.clone(), id);
         self.tuples.push(TupleNode {
             relation: relation.to_string(),
             key,
@@ -228,12 +261,11 @@ impl ProvGraph {
         targets: Vec<TupleId>,
         is_base: bool,
     ) -> DerivationId {
-        let dkey = (mapping.to_string(), prov_row.clone());
-        if let Some(&id) = self.deriv_index.get(&dkey) {
+        if let Some(id) = self.deriv_index.get(mapping, &prov_row) {
             return id;
         }
         let id = DerivationId(self.derivations.len() as u32);
-        self.deriv_index.insert(dkey, id);
+        self.deriv_index.insert(mapping, prov_row.clone(), id);
         for &s in &sources {
             self.consumed.add_edge(s.0, id);
         }
@@ -264,16 +296,12 @@ impl ProvGraph {
 
     /// Find a live tuple node by relation and key.
     pub fn find_tuple(&self, relation: &str, key: &Tuple) -> Option<TupleId> {
-        self.tuple_index
-            .get(&(relation.to_string(), key.clone()))
-            .copied()
+        self.tuple_index.get(relation, key)
     }
 
     /// Find a live derivation node by mapping and provenance row.
     pub fn find_derivation(&self, mapping: &str, prov_row: &Tuple) -> Option<DerivationId> {
-        self.deriv_index
-            .get(&(mapping.to_string(), prov_row.clone()))
-            .copied()
+        self.deriv_index.get(mapping, prov_row)
     }
 
     /// Derivations deriving a tuple (its alternatives — union). Served
@@ -443,8 +471,7 @@ impl ProvGraph {
         let Some(id) = self.find_derivation(mapping, prov_row) else {
             return;
         };
-        self.deriv_index
-            .remove(&(mapping.to_string(), prov_row.clone()));
+        self.deriv_index.remove(mapping, prov_row);
         self.deriv_live[id.index()] = false;
         self.live_derivs -= 1;
         let dead: HashSet<DerivationId> = [id].into_iter().collect();
@@ -463,8 +490,7 @@ impl ProvGraph {
                 self.tuple_live[i] = false;
                 self.live_tuples -= 1;
                 let node = &self.tuples[i];
-                self.tuple_index
-                    .remove(&(node.relation.clone(), node.key.clone()));
+                self.tuple_index.remove(&node.relation, &node.key);
             }
         }
     }

@@ -18,10 +18,12 @@
 //! plus the most general **provenance polynomials** N\[X\] of Green et al.,
 //! used here as the reference semiring for property tests.
 //!
-//! [`eval`] evaluates a [`ProvGraph`] bottom-up in any of these semirings;
-//! cyclic graphs (recursive mappings) are handled by Kleene fixpoint
-//! iteration for the idempotent + absorptive semirings — the first five
-//! rows of Table 1, exactly as the paper states.
+//! [`eval`] evaluates a [`ProvGraph`] — whole, or the [`Region`] an
+//! answer reads — bottom-up in any of these semirings; cyclic regions
+//! (recursive mappings) are handled by Kleene fixpoint iteration for the
+//! idempotent + absorptive semirings — the first five rows of Table 1,
+//! exactly as the paper states. The set-valued semirings fold compact
+//! `u32` token tags and decode to [`Annotation`]s only when read.
 //!
 //! [`ProvGraph`]: proql_provgraph::ProvGraph
 
@@ -30,9 +32,13 @@ pub mod eval;
 pub mod polynomial;
 pub mod probability;
 pub mod semiring;
+mod tag;
 
 pub use annotation::{Annotation, SecurityLevel};
-pub use eval::{evaluate, evaluate_acyclic, evaluate_dirty, evaluate_with, Assignment};
+pub use eval::{
+    evaluate, evaluate_acyclic, evaluate_dirty, evaluate_region, evaluate_with, Assignment,
+    Evaluation, Region,
+};
 pub use polynomial::{Monomial, Polynomial};
 pub use probability::{event_probability, event_probability_mc};
 pub use semiring::{MapFn, SemiringKind};

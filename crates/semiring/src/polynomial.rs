@@ -3,8 +3,14 @@
 //! encode. Every other semiring in Table 1 is a homomorphic image of this
 //! one; the property tests exploit that.
 
+use proql_common::{Error, Result};
 use std::collections::BTreeMap;
 use std::fmt;
+
+/// The error a product raises when an exponent would pass `u32::MAX`.
+pub(crate) fn exponent_overflow() -> Error {
+    Error::Overflow("polynomial exponent overflow".into())
+}
 
 /// A monomial: a multiset of variables (variable → exponent).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
@@ -23,13 +29,15 @@ impl Monomial {
         Monomial(m)
     }
 
-    /// Product of two monomials (exponents add).
-    pub fn mul(&self, other: &Monomial) -> Monomial {
+    /// Product of two monomials (exponents add). An exponent past
+    /// `u32::MAX` is [`Error::Overflow`].
+    pub fn mul(&self, other: &Monomial) -> Result<Monomial> {
         let mut out = self.0.clone();
         for (v, e) in &other.0 {
-            *out.entry(v.clone()).or_insert(0) += e;
+            let slot = out.entry(v.clone()).or_insert(0);
+            *slot = slot.checked_add(*e).ok_or_else(exponent_overflow)?;
         }
-        Monomial(out)
+        Ok(Monomial(out))
     }
 
     /// Total degree.
@@ -106,17 +114,31 @@ impl Polynomial {
         Polynomial { terms: out }
     }
 
-    /// Product.
-    pub fn mul(&self, other: &Polynomial) -> Polynomial {
+    /// Product. Coefficients saturate; an exponent past `u32::MAX` is
+    /// [`Error::Overflow`].
+    pub fn mul(&self, other: &Polynomial) -> Result<Polynomial> {
         let mut out: BTreeMap<Monomial, u64> = BTreeMap::new();
         for (m1, c1) in &self.terms {
             for (m2, c2) in &other.terms {
-                let m = m1.mul(m2);
+                let m = m1.mul(m2)?;
                 let e = out.entry(m).or_insert(0);
                 *e = e.saturating_add(c1.saturating_mul(*c2));
             }
         }
-        Polynomial { terms: out }
+        Ok(Polynomial { terms: out })
+    }
+
+    /// Build from `(monomial, coefficient)` terms with nonzero, distinct
+    /// monomials (the compact tag decoder's output).
+    pub(crate) fn from_terms(terms: impl IntoIterator<Item = (Monomial, u64)>) -> Polynomial {
+        Polynomial {
+            terms: terms.into_iter().collect(),
+        }
+    }
+
+    /// The terms, by value.
+    pub(crate) fn into_terms(self) -> BTreeMap<Monomial, u64> {
+        self.terms
     }
 
     /// The terms (monomial → coefficient).
@@ -211,26 +233,44 @@ mod tests {
         Polynomial::var("y")
     }
 
+    fn mul(a: &Polynomial, b: &Polynomial) -> Polynomial {
+        a.mul(b).unwrap()
+    }
+
     #[test]
     fn ring_identities() {
         let p = x().add(&y());
         assert_eq!(p.add(&Polynomial::zero()), p);
-        assert_eq!(p.mul(&Polynomial::one()), p);
-        assert!(p.mul(&Polynomial::zero()).is_zero());
+        assert_eq!(mul(&p, &Polynomial::one()), p);
+        assert!(mul(&p, &Polynomial::zero()).is_zero());
     }
 
     #[test]
     fn distributivity() {
-        let lhs = x().mul(&y().add(&Polynomial::one()));
-        let rhs = x().mul(&y()).add(&x());
+        let lhs = mul(&x(), &y().add(&Polynomial::one()));
+        let rhs = mul(&x(), &y()).add(&x());
         assert_eq!(lhs, rhs);
+    }
+
+    #[test]
+    fn exponent_overflow_is_an_error() {
+        let mut big = BTreeMap::new();
+        big.insert("x".to_string(), u32::MAX);
+        let m = Monomial(big);
+        assert!(matches!(
+            m.mul(&Monomial::var("x")),
+            Err(Error::Overflow(_))
+        ));
+        assert!(m.mul(&Monomial::var("y")).is_ok());
+        let p = Polynomial::from_terms([(m, 1)]);
+        assert!(matches!(p.mul(&x()), Err(Error::Overflow(_))));
     }
 
     #[test]
     fn display_formats() {
         // (x + y)^2 = x^2 + 2xy + y^2
         let p = x().add(&y());
-        let sq = p.mul(&p);
+        let sq = mul(&p, &p);
         // BTreeMap term order: {x:1,y:1} sorts before {x:2}.
         assert_eq!(sq.to_string(), "2·x·y + x^2 + y^2");
         assert_eq!(Polynomial::zero().to_string(), "0");
@@ -240,13 +280,13 @@ mod tests {
     #[test]
     fn counting_homomorphism() {
         // 2xy + x at x=3, y=2 → 2*3*2 + 3 = 15
-        let p = Polynomial::constant(2).mul(&x()).mul(&y()).add(&x());
+        let p = mul(&mul(&Polynomial::constant(2), &x()), &y()).add(&x());
         assert_eq!(p.eval_counting(&|v| if v == "x" { 3 } else { 2 }), 15);
     }
 
     #[test]
     fn bool_homomorphism() {
-        let p = x().mul(&y()).add(&x());
+        let p = mul(&x(), &y()).add(&x());
         // x true suffices via the second monomial.
         assert!(p.eval_bool(&|v| v == "x"));
         assert!(!p.eval_bool(&|v| v == "y"));
@@ -257,7 +297,7 @@ mod tests {
     #[test]
     fn tropical_homomorphism() {
         // min over monomials of summed weights: xy + x with w(x)=2, w(y)=5
-        let p = x().mul(&y()).add(&x());
+        let p = mul(&x(), &y()).add(&x());
         let w = |v: &str| if v == "x" { 2.0 } else { 5.0 };
         assert_eq!(p.eval_tropical(&w), 2.0);
         assert_eq!(Polynomial::zero().eval_tropical(&w), f64::INFINITY);
@@ -265,7 +305,7 @@ mod tests {
 
     #[test]
     fn variables_collects_lineage() {
-        let p = x().mul(&y()).add(&x());
+        let p = mul(&x(), &y()).add(&x());
         let vars = p.variables();
         assert_eq!(vars.len(), 2);
         assert!(vars.contains("x") && vars.contains("y"));
@@ -275,7 +315,8 @@ mod tests {
     fn monomial_degree_and_mul() {
         let m = Monomial::var("x")
             .mul(&Monomial::var("x"))
-            .mul(&Monomial::var("y"));
+            .and_then(|m| m.mul(&Monomial::var("y")))
+            .unwrap();
         assert_eq!(m.degree(), 3);
         assert_eq!(m.to_string(), "x^2·y");
     }

@@ -172,7 +172,7 @@ impl SemiringKind {
                 x.checked_mul(*y)
                     .ok_or_else(|| Error::Overflow("derivation count overflow".into()))?,
             ),
-            (SemiringKind::Polynomial, Poly(x), Poly(y)) => Poly(x.mul(y)),
+            (SemiringKind::Polynomial, Poly(x), Poly(y)) => Poly(x.mul(y)?),
             _ => return Err(type_error(self, a, b, "⊗")),
         })
     }
@@ -374,6 +374,17 @@ mod tests {
         let big = Annotation::Count(u64::MAX);
         assert!(k.plus(&big, &Annotation::Count(1)).is_err());
         assert!(k.times(&big, &Annotation::Count(2)).is_err());
+    }
+
+    #[test]
+    fn polynomial_exponent_overflow_is_an_error() {
+        let k = SemiringKind::Polynomial;
+        let mut p = k.default_leaf("x");
+        for _ in 0..31 {
+            p = k.times(&p, &p).unwrap();
+        }
+        assert_eq!(p.to_string(), "x^2147483648");
+        assert!(matches!(k.times(&p, &p), Err(Error::Overflow(_))));
     }
 
     #[test]

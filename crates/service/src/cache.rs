@@ -1,8 +1,8 @@
 //! The dependency-tracked result cache and the prepared-plan cache.
 //!
-//! Every cached [`QueryOutput`] carries its **read set** — the relations
-//! the engine reported in [`QueryOutput::touched`] — and the version it
-//! was computed at. Instead of invalidating entries eagerly, the cache
+//! Every cached [`QueryOutput`] is kept with the [`PreparedQuery`] it was
+//! computed from, whose [`PreparedQuery::touched`] is the answer's **read
+//! set** (stored once per entry), and the version it was computed at. Instead of invalidating entries eagerly, the cache
 //! keeps a per-relation **last-write epoch**: writers record the version
 //! of each write's write set, and an entry is fresh exactly when no
 //! relation in its read set has been written after the entry was built.
@@ -72,11 +72,11 @@ impl CacheCounters {
 
 #[derive(Debug)]
 struct CacheEntry {
-    deps: BTreeSet<String>,
     built_version: u64,
     result: Arc<QueryOutput>,
     /// The prepared query the result was computed from — what the
-    /// maintainer re-runs in delta form when a write touches `deps`.
+    /// maintainer re-runs in delta form when a write touches its read
+    /// set, [`PreparedQuery::touched`], which is also the entry's read set.
     prepared: Arc<PreparedQuery>,
     /// Annotation carry-over from the last maintenance round (the
     /// projected provenance graph plus its semiring values). `None`
@@ -128,7 +128,8 @@ impl ResultCache {
 
     fn is_fresh(last_write: &HashMap<String, u64>, entry: &CacheEntry) -> bool {
         entry
-            .deps
+            .prepared
+            .touched
             .iter()
             .all(|d| last_write.get(d).is_none_or(|&w| w <= entry.built_version))
     }
@@ -156,21 +157,20 @@ impl ResultCache {
         Some(Arc::clone(&e.result))
     }
 
-    /// Store a result computed at `built_version` with read set `deps`.
-    /// Rejected (and counted) when a write newer than `built_version`
-    /// already touched one of the dependencies — the result is stale on
-    /// arrival and caching it would serve wrong answers.
+    /// Store a result computed at `built_version` from `prepared`, whose
+    /// read set the entry depends on. Rejected (and counted) when a write
+    /// newer than `built_version` already touched one of the dependencies
+    /// — the result is stale on arrival and caching it would serve wrong
+    /// answers.
     pub fn insert(
         &mut self,
         key: String,
-        deps: BTreeSet<String>,
         built_version: u64,
         result: Arc<QueryOutput>,
         prepared: Arc<PreparedQuery>,
     ) {
         self.tick += 1;
         let entry = CacheEntry {
-            deps,
             built_version,
             result,
             prepared,
@@ -212,10 +212,8 @@ impl ResultCache {
         self.entries
             .iter_mut()
             .filter(|(_, e)| {
-                e.deps.iter().any(|d| write_set.contains(d))
-                    && e.deps
-                        .iter()
-                        .all(|d| last_write.get(d).is_none_or(|&w| w <= e.built_version))
+                e.prepared.touched.iter().any(|d| write_set.contains(d))
+                    && Self::is_fresh(last_write, e)
             })
             .map(|(key, e)| MaintenanceCandidate {
                 key: key.clone(),
@@ -452,10 +450,6 @@ mod tests {
         })
     }
 
-    fn deps(names: &[&str]) -> BTreeSet<String> {
-        names.iter().map(|s| s.to_string()).collect()
-    }
-
     fn prepared() -> Arc<PreparedQuery> {
         use proql::engine::Engine;
         use proql_provgraph::system::example_2_1;
@@ -466,11 +460,18 @@ mod tests {
         )
     }
 
+    /// A prepared query whose read set is `names`.
+    fn reading(names: &[&str]) -> Arc<PreparedQuery> {
+        let mut p = (*prepared()).clone();
+        p.touched = names.iter().map(|s| s.to_string()).collect();
+        Arc::new(p)
+    }
+
     #[test]
     fn hit_after_insert_miss_before() {
         let mut c = ResultCache::new(8);
         assert!(c.lookup("q1").is_none());
-        c.insert("q1".into(), deps(&["A"]), 1, output(), prepared());
+        c.insert("q1".into(), 1, output(), reading(&["A"]));
         assert!(c.lookup("q1").is_some());
         let counters = c.counters();
         assert_eq!(counters.hits, 1);
@@ -480,8 +481,8 @@ mod tests {
     #[test]
     fn write_to_dependency_evicts_unrelated_write_does_not() {
         let mut c = ResultCache::new(8);
-        c.insert("qa".into(), deps(&["A", "P_m1"]), 1, output(), prepared());
-        c.insert("qb".into(), deps(&["B"]), 1, output(), prepared());
+        c.insert("qa".into(), 1, output(), reading(&["A", "P_m1"]));
+        c.insert("qb".into(), 1, output(), reading(&["B"]));
         c.record_write(["B"], 2);
         // qa untouched by the write to B.
         assert!(c.lookup("qa").is_some());
@@ -495,7 +496,7 @@ mod tests {
         let mut c = ResultCache::new(8);
         c.record_write(["A"], 3);
         // Built at version 5, after the write: still fresh.
-        c.insert("q".into(), deps(&["A"]), 5, output(), prepared());
+        c.insert("q".into(), 5, output(), reading(&["A"]));
         assert!(c.lookup("q").is_some());
     }
 
@@ -505,7 +506,7 @@ mod tests {
         c.record_write(["A"], 7);
         // A reader computed this against version 5, then the write at 7
         // landed before the insert: must not be cached.
-        c.insert("q".into(), deps(&["A"]), 5, output(), prepared());
+        c.insert("q".into(), 5, output(), reading(&["A"]));
         assert!(c.lookup("q").is_none());
         assert_eq!(c.counters().rejected_inserts, 1);
         assert_eq!(c.counters().insertions, 0);
@@ -514,10 +515,10 @@ mod tests {
     #[test]
     fn capacity_evicts_least_recently_used() {
         let mut c = ResultCache::new(2);
-        c.insert("q1".into(), deps(&["A"]), 1, output(), prepared());
-        c.insert("q2".into(), deps(&["A"]), 1, output(), prepared());
+        c.insert("q1".into(), 1, output(), reading(&["A"]));
+        c.insert("q2".into(), 1, output(), reading(&["A"]));
         assert!(c.lookup("q1").is_some()); // q2 is now the LRU entry
-        c.insert("q3".into(), deps(&["A"]), 1, output(), prepared());
+        c.insert("q3".into(), 1, output(), reading(&["A"]));
         assert_eq!(c.len(), 2);
         assert!(c.lookup("q1").is_some());
         assert!(c.lookup("q2").is_none());
@@ -526,10 +527,35 @@ mod tests {
     }
 
     #[test]
+    fn maintenance_candidates_follow_the_prepared_read_set() {
+        let mut c = ResultCache::new(8);
+        c.insert("qa".into(), 1, output(), reading(&["A", "P_m1"]));
+        c.insert("qb".into(), 1, output(), reading(&["B"]));
+        c.insert("qc".into(), 1, output(), reading(&["A"]));
+        c.record_write(["A"], 2);
+        let write_set = ["P_m1".to_string()].into_iter().collect();
+        // qc is already stale (written at 2 after its build at 1); qb does
+        // not read P_m1.
+        let keys: Vec<String> = c
+            .take_maintenance_candidates(&write_set)
+            .into_iter()
+            .map(|m| m.key)
+            .collect();
+        assert!(keys.is_empty(), "{keys:?}");
+        c.insert("qd".into(), 3, output(), reading(&["A", "P_m1"]));
+        let keys: Vec<String> = c
+            .take_maintenance_candidates(&write_set)
+            .into_iter()
+            .map(|m| m.key)
+            .collect();
+        assert_eq!(keys, ["qd"]);
+    }
+
+    #[test]
     fn clear_drops_everything() {
         let mut c = ResultCache::new(8);
-        c.insert("q1".into(), deps(&["A"]), 1, output(), prepared());
-        c.insert("q2".into(), deps(&["B"]), 1, output(), prepared());
+        c.insert("q1".into(), 1, output(), reading(&["A"]));
+        c.insert("q2".into(), 1, output(), reading(&["B"]));
         assert_eq!(c.clear(), 2);
         assert!(c.is_empty());
     }
@@ -537,7 +563,7 @@ mod tests {
     #[test]
     fn hit_rate_reported() {
         let mut c = ResultCache::new(8);
-        c.insert("q".into(), deps(&["A"]), 1, output(), prepared());
+        c.insert("q".into(), 1, output(), reading(&["A"]));
         assert!(c.lookup("q").is_some());
         assert!(c.lookup("q").is_some());
         assert!(c.lookup("other").is_none());

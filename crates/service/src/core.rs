@@ -361,7 +361,6 @@ impl ServiceCore {
         if !analyze {
             lock(&self.cache).insert(
                 key,
-                output.touched.clone(),
                 snap.version,
                 Arc::clone(&output),
                 Arc::clone(&prepared),

@@ -91,6 +91,97 @@ fn unfold_and_graph_strategies_agree_on_acyclic_cdss() {
     assert_eq!(ra.projection.derivations, rb.projection.derivations);
 }
 
+/// Annotation under `Strategy::Graph` — the region of the engine's own
+/// graph the answer reads, token tags for the set-valued semirings —
+/// digest-equals the unfold strategy, which decodes its derivation rows
+/// and evaluates them: for every semiring, with and without `ASSIGNING`
+/// ladders, down to row order, leaf probabilities and leaf `CASE` errors.
+#[test]
+fn graph_and_unfold_annotations_agree_for_every_semiring() {
+    use proql_service::proto::result_digest;
+
+    let sys = build_system(
+        Topology::Branched,
+        &CdssConfig::new(7, vec![3, 4, 5, 6], 12),
+    )
+    .unwrap();
+    let engine = |strategy| {
+        let mut e = Engine::new(sys.clone());
+        e.options.strategy = strategy;
+        e
+    };
+    let (unfold, graph) = (engine(Strategy::Unfold), engine(Strategy::Graph));
+    let body = "FOR [R0a $x] INCLUDE PATH [$x] <-+ [] WHERE $x.k >= 2 AND $x.k < 9 RETURN $x";
+    let trust = "ASSIGNING EACH leaf_node $y {
+                   CASE $y in R3a AND $y.a0 >= 500000000 : SET false
+                   DEFAULT : SET true
+                 } ASSIGNING EACH mapping $p($z) { CASE $p = m2 : SET false DEFAULT : SET $z }";
+    let ladders = [
+        ("DERIVABILITY", trust),
+        ("TRUST", trust),
+        (
+            "CONFIDENTIALITY",
+            "ASSIGNING EACH leaf_node $y { CASE $y in R4b : SET secret DEFAULT : SET public }
+             ASSIGNING EACH mapping $p($z) { CASE $p = m1 : SET confidential DEFAULT : SET $z }",
+        ),
+        (
+            "WEIGHT",
+            "ASSIGNING EACH leaf_node $y { CASE $y in R5a : SET 10 DEFAULT : SET 1 }
+             ASSIGNING EACH mapping $p($z) { CASE $p = m2 : SET $z + 3 DEFAULT : SET $z }",
+        ),
+        (
+            "COUNT",
+            "ASSIGNING EACH leaf_node $y { CASE $y in R6a : SET 2 DEFAULT : SET 1 }
+             ASSIGNING EACH mapping $p($z) { CASE $p = m1 : SET $z * 2 DEFAULT : SET $z }",
+        ),
+        (
+            "LINEAGE",
+            "ASSIGNING EACH leaf_node $y { CASE $y in R3b : SET null }
+             ASSIGNING EACH mapping $p($z) { CASE $p = m6 : SET false DEFAULT : SET $z }",
+        ),
+        (
+            "PROBABILITY",
+            "ASSIGNING EACH leaf_node $y { CASE $y in R3a : SET 0.9 DEFAULT : SET 0.5 }
+             ASSIGNING EACH mapping $p($z) { CASE $p = m6 : SET false DEFAULT : SET $z }",
+        ),
+        (
+            "POLYNOMIAL",
+            "ASSIGNING EACH leaf_node $y { CASE $y in R5b : SET null }
+             ASSIGNING EACH mapping $p($z) { CASE $p = m4 : SET false DEFAULT : SET $z }",
+        ),
+    ];
+    let mut answered = 0;
+    for (kind, ladder) in ladders {
+        for text in [
+            format!("EVALUATE {kind} OF {{ {body} }}"),
+            format!("EVALUATE {kind} OF {{ {body} }} {ladder}"),
+        ] {
+            match (unfold.query(&text), graph.query(&text)) {
+                (Ok(a), Ok(b)) => {
+                    assert_eq!(result_digest(&a), result_digest(&b), "{text}");
+                    let (a, b) = (a.annotated.unwrap(), b.annotated.unwrap());
+                    assert_eq!(a.rows.len(), 7, "{text}");
+                    assert_eq!(a.rows, b.rows, "{text}");
+                    assert_eq!(a.leaf_probs, b.leaf_probs, "{text}");
+                    if text.contains("SET 0.9") {
+                        assert!(!a.leaf_probs.is_empty());
+                    }
+                    answered += 1;
+                }
+                (a, b) => panic!("{text}: unfold {:?} vs graph {:?}", a.err(), b.err()),
+            }
+        }
+    }
+    assert_eq!(answered, 16);
+    // A ladder that fails on some leaf fails identically.
+    let bad = format!(
+        "EVALUATE WEIGHT OF {{ {body} }} ASSIGNING EACH leaf_node $y {{
+           CASE $y in R6b : SET true DEFAULT : SET 1 }}"
+    );
+    let (a, b) = (unfold.query(&bad), graph.query(&bad));
+    assert_eq!(a.unwrap_err().to_string(), b.unwrap_err().to_string());
+}
+
 /// The selection of the paper's target query reaches every scan — through
 /// the inner joins (mirrored over the shared key) and through the `P_L_*`
 /// views — and moving it changes nothing a client can observe: the

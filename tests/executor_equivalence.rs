@@ -13,7 +13,7 @@ use proql_cdss::topology::{build_system, target_query, CdssConfig, Topology};
 use proql_common::rng::SplitMix64;
 use proql_common::{tup, Parallelism};
 use proql_provgraph::{ProvGraph, TupleNode};
-use proql_semiring::{evaluate, Annotation, Assignment, MapFn, SemiringKind};
+use proql_semiring::{evaluate, Annotation, Assignment, MapFn, Region, SemiringKind};
 use proql_storage::batch::{Column, RecordBatch};
 use proql_storage::batch_exec::batch_aggregate;
 use proql_storage::{AggFunc, Aggregate, ExecMode};
@@ -194,10 +194,12 @@ fn aggregation_path_matches_graph_walk_on_random_dags() {
                     .with_map_fn(map_fn),
             )
             .unwrap();
+            let region = Region::all(&g);
             for par in PAR_SWEEP {
-                let via_agg = evaluate_via_aggregation(&g, kind, &leaf, &map_fn, par)
+                let via_agg = evaluate_via_aggregation(&g, &region, kind, &leaf, &map_fn, par)
                     .unwrap()
-                    .expect("acyclic scalar semiring");
+                    .expect("acyclic scalar semiring")
+                    .into_map();
                 assert_eq!(via_agg.len(), direct.len());
                 for (t, v) in &direct {
                     assert_eq!(via_agg.get(t), Some(v), "case {case}: {kind} ({par:?})");

@@ -57,7 +57,7 @@ pub fn run_annotation(
 }
 
 /// [`run_annotation`] with a [`Parallelism`] knob, forwarded to the
-/// grouped-aggregation ⊕ path and to the level-parallel graph walk.
+/// level-parallel graph walk.
 ///
 /// A graph-strategy projection is evaluated over the graph it was read
 /// from, on the region its distinguished nodes reach backward; an unfold
@@ -69,37 +69,42 @@ pub fn run_annotation_opts(
     spec: &Evaluate,
     par: Parallelism,
 ) -> Result<AnnotatedResult> {
-    let kind = spec.semiring;
-    let decoded;
-    let graph: &ProvGraph = match &projection.graph {
-        Some(handle) => &handle.0,
-        None => {
-            decoded = projection.to_graph(sys)?;
-            &decoded
+    match &projection.graph {
+        Some(handle) => {
+            let graph = &handle.0;
+            // A node without derivations is in the projected subgraph only
+            // when a derivation there reads it, so it seeds nothing.
+            let roots = projection
+                .bindings
+                .iter()
+                .flat_map(|binding| binding.values())
+                .filter_map(|(relation, key)| graph.find_tuple(relation, key))
+                .filter(|&t| !graph.derivations_of(t).is_empty());
+            let region = Region::backward_from(graph, roots);
+            annotate_on(sys, graph, &region, projection, spec, par)
         }
-    };
-
-    // The distinguished nodes, once per (variable, node), in binding order.
-    let mut seen = HashSet::new();
-    let mut nodes: Vec<(&String, &String, &Tuple, Option<TupleId>)> = Vec::new();
-    for binding in &projection.bindings {
-        for (var, (relation, key)) in binding {
-            if seen.insert((var, relation, key)) {
-                nodes.push((var, relation, key, graph.find_tuple(relation, key)));
-            }
+        None => {
+            let graph = projection.to_graph(sys)?;
+            annotate_on(sys, &graph, &Region::all(&graph), projection, spec, par)
         }
     }
-    let region = if projection.graph.is_some() {
-        // A node without derivations is in the projected subgraph only
-        // when a derivation there reads it, so it seeds nothing.
-        let roots = nodes
-            .iter()
-            .filter_map(|n| n.3)
-            .filter(|&t| !graph.derivations_of(t).is_empty());
-        Region::backward_from(graph, roots)
-    } else {
-        Region::all(graph)
-    };
+}
+
+/// The one annotation evaluator: fold `spec`'s semiring over `region` of
+/// `graph` and read off the projection's distinguished nodes. `graph`
+/// holds the projection's subgraph — the engine's whole graph for
+/// graph-strategy answers, or a graph of exactly the projection's
+/// derivation rows (decoded, or carried across maintenance rounds).
+/// Distinguished nodes outside the region annotate as zero.
+pub(crate) fn annotate_on(
+    sys: &ProvenanceSystem,
+    graph: &ProvGraph,
+    region: &Region,
+    projection: &ProjectionResult,
+    spec: &Evaluate,
+    par: Parallelism,
+) -> Result<AnnotatedResult> {
+    let kind = spec.semiring;
 
     // A leaf CASE ladder runs eagerly over every node of the projected
     // subgraph: leaf probabilities are collected as its side effect, and
@@ -135,31 +140,27 @@ pub fn run_annotation_opts(
         assignment =
             assignment.with_map_fn(move |m| map_fns.get(m).cloned().unwrap_or(MapFn::Identity));
     }
+    let values = evaluate_region(graph, region, &assignment, par)?;
 
-    // Scalar semirings on acyclic regions evaluate their ⊕-sums through
-    // the batch grouped-aggregation operator (the paper's GROUP BY step);
-    // set-valued semirings and cyclic regions use the direct graph walk.
-    let values = match crate::agg_eval::evaluate_via_aggregation(
-        graph,
-        &region,
-        kind,
-        &*assignment.leaf,
-        &*assignment.map_fn,
-        par,
-    )? {
-        Some(v) => v,
-        None => evaluate_region(graph, &region, &assignment, par)?,
-    };
-
-    let rows = nodes
-        .into_iter()
-        .map(|(var, relation, key, t)| AnnotatedRow {
-            var: var.clone(),
-            relation: relation.clone(),
-            key: key.clone(),
-            annotation: t.and_then(|t| values.get(t)).unwrap_or_else(|| kind.zero()),
-        })
-        .collect();
+    // The distinguished nodes, once per (variable, node), in binding order.
+    let mut seen = HashSet::new();
+    let mut rows = Vec::new();
+    for binding in &projection.bindings {
+        for (var, (relation, key)) in binding {
+            if seen.insert((var, relation, key)) {
+                let annotation = graph
+                    .find_tuple(relation, key)
+                    .and_then(|t| values.get(t))
+                    .unwrap_or_else(|| kind.zero());
+                rows.push(AnnotatedRow {
+                    var: var.clone(),
+                    relation: relation.clone(),
+                    key: key.clone(),
+                    annotation,
+                });
+            }
+        }
+    }
     Ok(AnnotatedResult {
         semiring: kind,
         rows,
@@ -167,8 +168,10 @@ pub fn run_annotation_opts(
     })
 }
 
-/// The tuple nodes of a projection's subgraph, in the order decoding its
-/// derivation rows creates them ([`ProjectionResult::to_graph`]).
+/// The tuple nodes of a projection's subgraph: all of `graph` when it
+/// holds exactly the projection's derivation rows (unfold answers),
+/// else those rows' endpoints in the engine's graph, in the order decoding
+/// the rows would create them ([`ProjectionResult::to_graph`]).
 fn subgraph_tuples(graph: &ProvGraph, projection: &ProjectionResult) -> Vec<TupleId> {
     if projection.graph.is_none() {
         return graph.tuple_ids().collect();
@@ -193,7 +196,7 @@ fn subgraph_tuples(graph: &ProvGraph, projection: &ProjectionResult) -> Vec<Tupl
 
 /// Evaluate the leaf CASE ladder for one node. Returns the annotation and,
 /// for numeric SETs under the probability semiring, the leaf probability.
-pub(crate) fn leaf_value_for(
+fn leaf_value_for(
     sys: &ProvenanceSystem,
     spec: &Evaluate,
     kind: SemiringKind,
@@ -231,7 +234,7 @@ fn set_to_leaf(
             let f = v.as_float().expect("numeric");
             match kind {
                 SemiringKind::Weight => Ok((Annotation::Weight(f), None)),
-                SemiringKind::Counting => Ok((Annotation::Count(f as u64), None)),
+                SemiringKind::Counting => Ok((count_of(f)?, None)),
                 // Probability: the leaf keeps its event variable; the
                 // number is the base event's probability.
                 SemiringKind::Probability => Ok((kind.default_leaf(label), Some(f))),
@@ -254,6 +257,18 @@ fn set_to_leaf(
         SetValue::Input | SetValue::InputPlus(_) | SetValue::InputTimes(_) => Err(Error::Query(
             "leaf SET values cannot reference the input variable".into(),
         )),
+    }
+}
+
+/// A COUNT `SET` constant. The counting semiring is ℕ: a negative or
+/// fractional number is an error, not a silent truncation.
+fn count_of(n: f64) -> Result<Annotation> {
+    if n >= 0.0 && n.fract() == 0.0 && n < u64::MAX as f64 {
+        Ok(Annotation::Count(n as u64))
+    } else {
+        Err(Error::Query(format!(
+            "COUNT SET value {n} is not a natural number"
+        )))
     }
 }
 
@@ -329,7 +344,7 @@ fn check_var(var: &str, leaf_var: &str) -> Result<()> {
 
 /// Build the mapping function for one mapping from the `ASSIGNING EACH
 /// mapping` ladder.
-pub(crate) fn map_fn_for(spec: &Evaluate, kind: SemiringKind, mapping: &str) -> Result<MapFn> {
+fn map_fn_for(spec: &Evaluate, kind: SemiringKind, mapping: &str) -> Result<MapFn> {
     let Some(assign) = &spec.map_assign else {
         return Ok(MapFn::Identity);
     };
@@ -396,7 +411,7 @@ fn set_to_map_fn(kind: SemiringKind, set: &SetValue, _zvar: &str) -> Result<MapF
             ))),
         },
         SetValue::InputTimes(k) => match kind {
-            SemiringKind::Counting => Ok(MapFn::TimesConst(Annotation::Count(*k as u64))),
+            SemiringKind::Counting => Ok(MapFn::TimesConst(count_of(*k)?)),
             _ => Err(Error::Query(format!(
                 "`SET $z * k` is only meaningful in the COUNT semiring, not {kind}"
             ))),
@@ -405,7 +420,7 @@ fn set_to_map_fn(kind: SemiringKind, set: &SetValue, _zvar: &str) -> Result<MapF
             let f = v.as_float().expect("numeric");
             match kind {
                 SemiringKind::Weight => Ok(MapFn::TimesConst(Annotation::Weight(f))),
-                SemiringKind::Counting => Ok(MapFn::TimesConst(Annotation::Count(f as u64))),
+                SemiringKind::Counting => Ok(MapFn::TimesConst(count_of(f)?)),
                 _ => Err(Error::Query(format!(
                     "numeric mapping SET is invalid in the {kind} semiring"
                 ))),
@@ -633,5 +648,47 @@ mod tests {
         let t = translate(&sys, &query, None, &TranslateOptions::default()).unwrap();
         let proj = crate::exec::run_projection(&sys, &t).unwrap();
         assert!(run_annotation(&sys, &proj, query.evaluate.as_ref().unwrap()).is_err());
+    }
+
+    fn try_annotate(q: &str) -> Result<AnnotatedResult> {
+        let sys = example_2_1().unwrap();
+        let query = parse_query(q)?;
+        let t = translate(&sys, &query, None, &TranslateOptions::default())?;
+        let proj = crate::exec::run_projection(&sys, &t)?;
+        run_annotation(&sys, &proj, query.evaluate.as_ref().unwrap())
+    }
+
+    #[test]
+    fn count_set_values_must_be_natural_numbers() {
+        // Regression: COUNT SET values were cast with `as u64`, so 2.5
+        // read as 2, -3 as 0, and `$z * -2` zeroed every derivation.
+        let leaf = |v: &str| {
+            try_annotate(&format!(
+                "EVALUATE COUNT OF {{ FOR [O $x] <-+ [A $y] INCLUDE PATH [$x] <-+ [$y] RETURN $x }} \
+                 ASSIGNING EACH leaf_node $y {{ DEFAULT : SET {v} }}"
+            ))
+        };
+        let mapping = |v: &str| {
+            try_annotate(&format!(
+                "EVALUATE COUNT OF {{ FOR [O $x] <-+ [A $y] INCLUDE PATH [$x] <-+ [$y] RETURN $x }} \
+                 ASSIGNING EACH mapping $p($z) {{ DEFAULT : SET {v} }}"
+            ))
+        };
+        for bad in [
+            leaf("2.5"),
+            leaf("-3"),
+            mapping("$z * -2"),
+            mapping("$z * 1.5"),
+        ] {
+            match bad {
+                Err(Error::Query(msg)) => assert!(msg.contains("natural number"), "{msg}"),
+                other => panic!("expected a query error, got {other:?}"),
+            }
+        }
+        // O(sn2) has the single derivation m4 from A(2).
+        let osn2 = |r: AnnotatedResult| r.annotation_of("O", &tup!["sn2"]).cloned();
+        assert_eq!(osn2(leaf("3").unwrap()), Some(Annotation::Count(3)));
+        assert_eq!(osn2(leaf("2.0").unwrap()), Some(Annotation::Count(2)));
+        assert_eq!(osn2(mapping("$z * 2").unwrap()), Some(Annotation::Count(2)));
     }
 }

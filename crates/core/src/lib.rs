@@ -37,7 +37,6 @@
 //! and optionally evaluated in a semiring ([`annotate`]). [`engine`] ties
 //! it together behind [`Engine`].
 
-pub mod agg_eval;
 pub mod annotate;
 pub mod ast;
 pub mod engine;

@@ -9,29 +9,31 @@
 //! snapshot produce over-deletion candidates, which a re-derivation
 //! check against the new state then rescues or confirms. For annotation
 //! (`EVALUATE`) queries in scalar semirings, a per-entry
-//! [`MaintainState`] carries the projected provenance graph and its
-//! annotation values, patched per delta and re-evaluated only on the
-//! dirty cone via [`proql_semiring::eval::evaluate_dirty`].
+//! [`MaintainState`] carries the decoded graph of the projection; each
+//! round patches it with the projection diff and evaluates it through the
+//! same evaluator a fresh unfold answer uses, so the maintained
+//! annotation equals the fresh one by construction.
 //!
 //! Maintenance is never a correctness risk: any shape the maintainer
 //! cannot localize — graph-strategy answers, set-valued semirings,
-//! broken delta chains, oversized deltas, cyclic annotation graphs —
-//! reports [`MaintainResult::Fallback`] and the caller evicts, exactly
-//! as the pre-maintenance write path did. By construction (and by test)
-//! a maintained output is digest-equal to a from-scratch recomputation
-//! at the new version.
+//! broken delta chains, oversized deltas — reports
+//! [`MaintainResult::Fallback`] and the caller evicts, exactly as the
+//! pre-maintenance write path did. An annotation a fresh computation
+//! cannot produce either (counting on a cyclic graph) is an error,
+//! which callers treat as evict too. By construction (and by test) a
+//! maintained output is digest-equal to a from-scratch recomputation at
+//! the new version.
 
-use crate::annotate::{leaf_value_for, map_fn_for, AnnotatedResult, AnnotatedRow};
+use crate::annotate::annotate_on;
 use crate::engine::{Engine, PreparedQuery, QueryOutput, Strategy};
 use crate::exec::{cond_to_expr, run_rule, PreparedRule, ProjectionResult};
 use crate::translate::QueryRule;
-use proql_common::{Parallelism, Result, Tuple, TupleId};
+use proql_common::{Parallelism, Result, Tuple};
 use proql_datalog::compile::{compile_body_with, CompileOptions};
 use proql_provgraph::{DeltaOp, ProvGraph, ProvenanceSystem};
-use proql_semiring::eval::{evaluate_dirty, leaf_label};
-use proql_semiring::{evaluate_with, Annotation, Assignment, MapFn, SemiringKind};
+use proql_semiring::{Region, SemiringKind};
 use proql_storage::{optimize::optimize_with, Expr};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 
 /// Scratch-table prefix for delta-seeded rule runs (created only on
 /// copy-on-write database clones, never on a published snapshot).
@@ -45,18 +47,14 @@ const MAX_DELTA_ROWS: usize = 4096;
 /// candidates become one OR-of-conjuncts filter per rule).
 const MAX_CANDIDATES: usize = 1024;
 
-/// Per-entry carry-over of annotation maintenance: the projected
-/// provenance graph and its semiring values at the entry's version.
-///
-/// The graph is patched in place (derivation rows added/removed, tuple
-/// values refreshed) and is **never compacted** — compaction renumbers
-/// tuple ids, which would orphan the prior-value map that seeds the
-/// dirty re-evaluation.
+/// Per-entry carry-over of annotation maintenance: the decoded graph of
+/// the entry's projection at its version — what
+/// [`ProjectionResult::to_graph`] would give — patched in place each
+/// round (derivation rows added and removed, tuple values refreshed) and
+/// compacted when tombstones pile up.
 #[derive(Debug)]
 pub struct MaintainState {
     graph: ProvGraph,
-    values: HashMap<TupleId, Annotation>,
-    leaf_values: HashMap<String, Annotation>,
 }
 
 /// What [`maintain_output`] decided.
@@ -241,22 +239,35 @@ fn maintain_output_inner(
         }
     }
 
-    // Annotation maintenance: patch the carried graph per the projection
-    // diff, refresh touched tuple values, re-evaluate the dirty cone.
+    // Annotation maintenance: bring the carried graph to the patched
+    // projection (or decode it on the entry's first round), then evaluate
+    // it exactly as a fresh unfold answer is evaluated.
     let (annotated, state) = match &prepared.query.evaluate {
         Some(spec) => {
-            match maintain_annotation(
-                old,
-                new,
-                spec,
-                previous,
+            let graph = match prior_state {
+                Some(state) => {
+                    let mut graph = state.graph;
+                    patch_graph(
+                        &mut graph,
+                        &new.sys,
+                        &previous.projection,
+                        &projection,
+                        &net.set_values,
+                    )?;
+                    graph
+                }
+                None => projection.to_graph(&new.sys)?,
+            };
+            let region = Region::all(&graph);
+            let annotated = annotate_on(
+                &new.sys,
+                &graph,
+                &region,
                 &projection,
-                &net.set_values,
-                prior_state,
-            )? {
-                Some((ann, st)) => (Some(ann), Some(st)),
-                None => return Ok(MaintainResult::Fallback("cyclic annotation graph")),
-            }
+                spec,
+                Parallelism::Serial,
+            )?;
+            (Some(annotated), Some(Box::new(MaintainState { graph })))
         }
         None => (None, None),
     };
@@ -471,187 +482,40 @@ fn recheck_candidates(
     Ok(out)
 }
 
-/// Patch the annotation side: bootstrap or reuse the [`MaintainState`],
-/// apply the projection diff to its graph, refresh changed tuple values,
-/// and re-evaluate only the dirty cone. Returns `None` when the graph is
-/// cyclic (the dirty pass requires a topological order).
-#[allow(clippy::too_many_arguments)]
-fn maintain_annotation(
-    old: &Engine,
-    new: &Engine,
-    spec: &crate::ast::Evaluate,
-    previous: &QueryOutput,
-    projection: &ProjectionResult,
+/// Patch `graph` — the decoded subgraph of `before` — into the decoded
+/// subgraph of `after`: add the new derivation rows, remove the dropped
+/// ones, refresh the stored values of changed tuples, then compact. Tuple
+/// values resolve against `sys`, the state `after` was computed at.
+fn patch_graph(
+    graph: &mut ProvGraph,
+    sys: &ProvenanceSystem,
+    before: &ProjectionResult,
+    after: &ProjectionResult,
     set_values: &BTreeSet<(String, Tuple)>,
-    prior_state: Option<Box<MaintainState>>,
-) -> Result<Option<(AnnotatedResult, Box<MaintainState>)>> {
-    let kind = spec.semiring;
-    let mut state = match prior_state {
-        Some(s) => s,
-        None => Box::new(bootstrap_state(old, spec, kind, previous)?),
-    };
-
-    // Graph patch, additions first: per-mapping set difference between
-    // the previous and the patched projection.
-    let mut dirty: HashSet<TupleId> = HashSet::new();
+) -> Result<()> {
     let empty = BTreeSet::new();
-    for (mapping, rows) in &projection.derivations {
-        let before = previous
-            .projection
-            .derivations
-            .get(mapping)
-            .unwrap_or(&empty);
-        let Some(pspec) = new.sys.spec_for(mapping) else {
+    for (mapping, rows) in &after.derivations {
+        let Some(spec) = sys.spec_for(mapping) else {
             continue;
         };
-        let is_base = new
-            .sys
+        let is_base = sys
             .rule_for(mapping)
             .and_then(|r| r.body.first())
-            .map(|a| new.sys.is_local_relation(&a.relation))
-            .unwrap_or(false);
-        for row in rows.difference(before) {
-            let id = state
-                .graph
-                .add_derivation_from_row(&new.sys, pspec, row, is_base)?;
-            let node = state.graph.derivation(id);
-            let endpoints: Vec<TupleId> =
-                node.sources.iter().chain(&node.targets).copied().collect();
-            dirty.extend(node.targets.iter().copied());
-            for t in endpoints {
-                let tn = state.graph.tuple(t);
-                let label = leaf_label(tn);
-                let (value, _) = leaf_value_for(&new.sys, spec, kind, tn, &label)?;
-                state.leaf_values.insert(label, value);
-            }
+            .is_some_and(|a| sys.is_local_relation(&a.relation));
+        for row in rows.difference(before.derivations.get(mapping).unwrap_or(&empty)) {
+            graph.add_derivation_from_row(sys, spec, row, is_base)?;
         }
     }
-    for (mapping, before) in &previous.projection.derivations {
-        let after = projection.derivations.get(mapping).unwrap_or(&empty);
-        for row in before.difference(after) {
-            if let Some(id) = state.graph.find_derivation(mapping, row) {
-                dirty.extend(state.graph.derivation(id).targets.iter().copied());
-            }
-            state.graph.remove_derivation_row(mapping, row);
+    for (mapping, rows) in &before.derivations {
+        for row in rows.difference(after.derivations.get(mapping).unwrap_or(&empty)) {
+            graph.remove_derivation_row(mapping, row);
         }
     }
     for (relation, key) in set_values {
-        if let Some(id) = state.graph.refresh_values(&new.sys, relation, key) {
-            let tn = state.graph.tuple(id);
-            let label = leaf_label(tn);
-            let (value, _) = leaf_value_for(&new.sys, spec, kind, tn, &label)?;
-            state.leaf_values.insert(label, value);
-            dirty.insert(id);
-        }
+        graph.refresh_values(sys, relation, key);
     }
-
-    let values = {
-        let leaf = |_node: &proql_provgraph::TupleNode, label: &str| {
-            state
-                .leaf_values
-                .get(label)
-                .cloned()
-                .unwrap_or_else(|| kind.default_leaf(label))
-        };
-        let map_fns: HashMap<String, MapFn> = new
-            .sys
-            .specs()
-            .iter()
-            .map(|s| map_fn_for(spec, kind, &s.mapping).map(|f| (s.mapping.clone(), f)))
-            .collect::<Result<_>>()?;
-        let map_fn = |m: &str| map_fns.get(m).cloned().unwrap_or(MapFn::Identity);
-        let assignment = Assignment::default_for(kind)
-            .with_leaf(leaf)
-            .with_map_fn(map_fn);
-        match evaluate_dirty(&state.graph, &assignment, &state.values, &dirty) {
-            Ok(v) => v,
-            Err(_) => return Ok(None),
-        }
-    };
-    state.values = values;
-
-    // Rebuild the annotated rows in the exact order a fresh evaluation
-    // iterates (binding order, first-seen dedup), so maintained results
-    // are indistinguishable row-for-row, not just digest-equal.
-    let mut rows = Vec::new();
-    let mut seen: BTreeMap<(String, String, Tuple), ()> = BTreeMap::new();
-    for binding in &projection.bindings {
-        for (var, (relation, key)) in binding {
-            if seen
-                .insert((var.clone(), relation.clone(), key.clone()), ())
-                .is_some()
-            {
-                continue;
-            }
-            let annotation = state
-                .graph
-                .find_tuple(relation, key)
-                .and_then(|t| state.values.get(&t).cloned())
-                .unwrap_or_else(|| kind.zero());
-            rows.push(AnnotatedRow {
-                var: var.clone(),
-                relation: relation.clone(),
-                key: key.clone(),
-                annotation,
-            });
-        }
-    }
-    let leaf_probs = previous
-        .annotated
-        .as_ref()
-        .map(|a| a.leaf_probs.clone())
-        .unwrap_or_default();
-    Ok(Some((
-        AnnotatedResult {
-            semiring: kind,
-            rows,
-            leaf_probs,
-        },
-        state,
-    )))
-}
-
-/// First maintenance of an entry: decode the previous projection into a
-/// graph against the OLD snapshot and fully evaluate it — the baseline
-/// the dirty passes patch from then on.
-fn bootstrap_state(
-    old: &Engine,
-    spec: &crate::ast::Evaluate,
-    kind: SemiringKind,
-    previous: &QueryOutput,
-) -> Result<MaintainState> {
-    let graph = previous.projection.to_graph(&old.sys)?;
-    let mut leaf_values: HashMap<String, Annotation> = HashMap::new();
-    for t in graph.tuple_ids() {
-        let node = graph.tuple(t);
-        let label = leaf_label(node);
-        let (value, _) = leaf_value_for(&old.sys, spec, kind, node, &label)?;
-        leaf_values.insert(label, value);
-    }
-    let map_fns: HashMap<String, MapFn> = old
-        .sys
-        .specs()
-        .iter()
-        .map(|s| map_fn_for(spec, kind, &s.mapping).map(|f| (s.mapping.clone(), f)))
-        .collect::<Result<_>>()?;
-    let values = {
-        let leaf = |_node: &proql_provgraph::TupleNode, label: &str| {
-            leaf_values
-                .get(label)
-                .cloned()
-                .unwrap_or_else(|| kind.default_leaf(label))
-        };
-        let map_fn = |m: &str| map_fns.get(m).cloned().unwrap_or(MapFn::Identity);
-        let assignment = Assignment::default_for(kind)
-            .with_leaf(leaf)
-            .with_map_fn(map_fn);
-        evaluate_with(&graph, &assignment, Parallelism::Serial)?
-    };
-    Ok(MaintainState {
-        graph,
-        values,
-        leaf_values,
-    })
+    graph.maybe_compact();
+    Ok(())
 }
 
 #[cfg(test)]
@@ -814,6 +678,47 @@ mod tests {
         assert_eq!(
             out2.annotated.as_ref().unwrap().rows,
             fresh2.annotated.as_ref().unwrap().rows
+        );
+    }
+
+    #[test]
+    fn carried_graph_stays_compact_across_many_rounds() {
+        // Regression: the carried graph was never compacted, so every
+        // insert/delete pair left tombstones behind for good.
+        let mut engine = Engine::new(acyclic_system());
+        let prepared = engine.prepare(WEIGHT_Q).unwrap();
+        let mut output = engine.execute(&prepared).unwrap();
+        let mut state = None;
+        for round in 0..200i64 {
+            let mut sys = engine.sys.clone();
+            let k = 100 + round / 2;
+            if round % 2 == 0 {
+                sys.insert_local("X", tup![k, k]).unwrap();
+                sys.run_exchange().unwrap();
+            } else {
+                proql_cdss::update::delete_local(&mut sys, "X", &tup![k]).unwrap();
+            }
+            let next = Engine::with_options(sys, engine.options.clone());
+            let MaintainResult::Maintained {
+                output: patched,
+                state: next_state,
+                ..
+            } = maintain_output(&engine, &next, &prepared, &output, state).unwrap()
+            else {
+                panic!("round {round} fell back");
+            };
+            let graph = &next_state.as_ref().unwrap().graph;
+            let (bound, live) = (graph.tuple_id_bound(), graph.tuple_count());
+            assert!(
+                3 * bound <= 4 * live + 48,
+                "round {round}: {bound} tuple ids for {live} live tuples"
+            );
+            (engine, output, state) = (next, *patched, next_state);
+        }
+        let fresh = engine.execute(&prepared).unwrap();
+        assert_eq!(
+            output.annotated.unwrap().rows,
+            fresh.annotated.unwrap().rows
         );
     }
 

@@ -249,14 +249,6 @@ enum Values {
 }
 
 impl<'r> Evaluation<'r> {
-    /// Wrap plain values computed elsewhere, indexed by [`Region::slot`].
-    pub fn from_values(region: &'r Region, values: Vec<Option<Annotation>>) -> Evaluation<'r> {
-        Evaluation {
-            region,
-            values: Values::Plain(values),
-        }
-    }
-
     /// The value of `t` (decoded from its tag for the set-valued
     /// semirings); `None` outside the region.
     pub fn get(&self, t: TupleId) -> Option<Annotation> {
@@ -307,18 +299,6 @@ pub fn evaluate_with(
     Ok(evaluate_region(graph, &region, assign, par)?.into_map())
 }
 
-/// Evaluate assuming the graph is acyclic; errors if it is not.
-pub fn evaluate_acyclic(
-    graph: &ProvGraph,
-    assign: &Assignment<'_>,
-) -> Result<HashMap<TupleId, Annotation>> {
-    let region = Region::all(graph);
-    if region.is_cyclic() {
-        return Err(Error::Semiring("provenance graph is cyclic".into()));
-    }
-    Ok(evaluate_region(graph, &region, assign, Parallelism::Serial)?.into_map())
-}
-
 /// Evaluate the tuples of `region`. Every tuple a region tuple reads is in
 /// the region, so its values equal a whole-graph evaluation's (and, for a
 /// backward region, an evaluation of the decoded subgraph the region's
@@ -354,73 +334,6 @@ pub fn evaluate_region<'r>(
         Values::Plain(walk(graph, &PlainFold { graph, assign }, region, par)?)
     };
     Ok(Evaluation { region, values })
-}
-
-/// Incremental re-evaluation of an **acyclic** graph after a localized
-/// change — the annotation half of incremental view maintenance.
-///
-/// `prior` is a complete evaluation of the graph *before* the change (as
-/// returned by [`evaluate`]); `dirty` is the set of tuple ids whose
-/// evaluation inputs changed: tuples that gained or lost a derivation,
-/// tuples whose stored values (and hence leaf assignment) changed, and
-/// every tuple newly added to the graph. Only the dirty tuples and the
-/// consumers transitively downstream of an actually-changed value are
-/// recomputed; a recomputed value equal to its prior one cuts propagation
-/// there, so the cost is proportional to the affected region, not the
-/// graph. Tuples outside that region keep their prior values verbatim.
-///
-/// Tuple ids must be stable between `prior` and `graph` (no compaction in
-/// between). Cyclic graphs are rejected — fixpoint iteration has no sound
-/// notion of a local boundary — and callers fall back to [`evaluate`].
-/// So are the set-valued semirings, whose values carry no per-tuple
-/// identity across evaluations (their tokens are per evaluation).
-pub fn evaluate_dirty(
-    graph: &ProvGraph,
-    assign: &Assignment<'_>,
-    prior: &HashMap<TupleId, Annotation>,
-    dirty: &HashSet<TupleId>,
-) -> Result<HashMap<TupleId, Annotation>> {
-    if is_tagged(assign.kind) {
-        return Err(Error::Semiring(format!(
-            "dirty re-evaluation supports the scalar semirings, not {}",
-            assign.kind
-        )));
-    }
-    let region = Region::all(graph);
-    if region.is_cyclic() {
-        return Err(Error::Semiring(
-            "dirty re-evaluation requires an acyclic provenance graph".into(),
-        ));
-    }
-    let fold = PlainFold { graph, assign };
-    let mut vals: Vec<Option<Annotation>> = vec![None; region.len()];
-    for t in graph.tuple_ids() {
-        vals[t.index()] = prior.get(&t).cloned();
-    }
-    let mut needs: Vec<bool> = vec![false; region.len()];
-    for t in dirty {
-        if t.index() < needs.len() {
-            needs[t.index()] = true;
-        }
-    }
-    for &t in region.tuples() {
-        // A live tuple with no prior value must be new: recompute it even
-        // when the caller forgot to mark it dirty.
-        if !needs[t.index()] && vals[t.index()].is_some() {
-            continue;
-        }
-        let v = tuple_value(graph, &fold, &region, t, &vals)?;
-        if vals[t.index()].as_ref() == Some(&v) {
-            continue; // unchanged: downstream consumers keep their values
-        }
-        vals[t.index()] = Some(v);
-        for &d in graph.consumers_of(t) {
-            for target in &graph.derivation(d).targets {
-                needs[target.index()] = true;
-            }
-        }
-    }
-    Ok(Evaluation::from_values(&region, vals).into_map())
 }
 
 /// One semiring's values as the walk folds them.
@@ -694,9 +607,8 @@ const PAR_LEVEL_MIN: usize = 64;
 /// level is one past the deepest source feeding any of its derivations
 /// (base derivations contribute level 0), so tuples of one level depend
 /// only on strictly lower levels. Within a level, tuples keep the region's
-/// (topological) order. Shared by the level-parallel walk here and the
-/// grouped-aggregation ⊕ evaluator in `proql`.
-pub fn level_order(graph: &ProvGraph, region: &Region) -> Vec<Vec<TupleId>> {
+/// (topological) order.
+fn level_order(graph: &ProvGraph, region: &Region) -> Vec<Vec<TupleId>> {
     let mut level: Vec<u32> = vec![0; region.len()];
     let mut max_level = 0u32;
     for &t in region.tuples() {
@@ -1001,14 +913,6 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_acyclic_rejects_cycles() {
-        let g = example_graph();
-        assert!(
-            evaluate_acyclic(&g, &Assignment::default_for(SemiringKind::Derivability)).is_err()
-        );
-    }
-
-    #[test]
     fn level_parallel_evaluation_matches_serial_walk() {
         // A wide acyclic DAG (> PAR_LEVEL_MIN tuples per level) so the
         // parallel path actually fans out.
@@ -1068,77 +972,6 @@ mod tests {
                 "expected overflow under {par:?}, got {err}"
             );
         }
-    }
-
-    #[test]
-    fn dirty_reevaluation_matches_full_evaluation() {
-        // A diamond DAG: base a, b; mid m = a·b; top t = m. Weight
-        // semiring so value changes propagate observably.
-        let mut g = ProvGraph::new();
-        let a = g.add_tuple("A", tup![1], None);
-        g.add_derivation("base_a", tup![1], vec![], vec![a], true);
-        let b = g.add_tuple("B", tup![1], None);
-        g.add_derivation("base_b", tup![1], vec![], vec![b], true);
-        let m = g.add_tuple("M", tup![1], None);
-        g.add_derivation("mm", tup![1], vec![a, b], vec![m], false);
-        let t = g.add_tuple("T", tup![1], None);
-        g.add_derivation("mt", tup![1], vec![m], vec![t], false);
-
-        let weights = std::sync::Mutex::new(HashMap::from([("A".to_string(), 1.0f64)]));
-        let leaf = |node: &TupleNode, _: &str| {
-            Annotation::Weight(
-                *weights
-                    .lock()
-                    .unwrap()
-                    .get(node.relation.as_str())
-                    .unwrap_or(&2.0),
-            )
-        };
-        let assign = Assignment::default_for(SemiringKind::Weight).with_leaf(leaf);
-        let prior = evaluate(&g, &assign).unwrap();
-        assert_eq!(prior[&t], Annotation::Weight(3.0)); // 1 + 2
-
-        // Change A's leaf weight: only `a` is dirty at the boundary.
-        weights.lock().unwrap().insert("A".into(), 5.0);
-        let dirty: HashSet<TupleId> = [a].into_iter().collect();
-        let patched = evaluate_dirty(&g, &assign, &prior, &dirty).unwrap();
-        let full = evaluate(&g, &assign).unwrap();
-        assert_eq!(patched, full);
-        assert_eq!(patched[&t], Annotation::Weight(7.0));
-    }
-
-    #[test]
-    fn dirty_reevaluation_handles_graph_growth() {
-        let mut g = ProvGraph::new();
-        let a = g.add_tuple("A", tup![1], None);
-        g.add_derivation("base_a", tup![1], vec![], vec![a], true);
-        let m = g.add_tuple("M", tup![1], None);
-        g.add_derivation("mm", tup![1], vec![a], vec![m], false);
-        let assign = Assignment::default_for(SemiringKind::Counting);
-        let prior = evaluate(&g, &assign).unwrap();
-
-        // Grow the graph: a second derivation of M from a new base tuple.
-        let b = g.add_tuple("B", tup![1], None);
-        g.add_derivation("base_b", tup![1], vec![], vec![b], true);
-        g.add_derivation("mm2", tup![1], vec![b], vec![m], false);
-        let dirty: HashSet<TupleId> = [b, m].into_iter().collect();
-        let patched = evaluate_dirty(&g, &assign, &prior, &dirty).unwrap();
-        assert_eq!(patched, evaluate(&g, &assign).unwrap());
-        assert_eq!(patched[&m], Annotation::Count(2));
-
-        // Shrink it again: removing the new support dirties only M.
-        g.remove_derivation_row("mm2", &tup![1]);
-        let prior = patched;
-        let dirty: HashSet<TupleId> = [m].into_iter().collect();
-        let patched = evaluate_dirty(&g, &assign, &prior, &dirty).unwrap();
-        assert_eq!(patched[&m], Annotation::Count(1));
-    }
-
-    #[test]
-    fn dirty_reevaluation_rejects_cycles() {
-        let g = example_graph();
-        let assign = Assignment::default_for(SemiringKind::Derivability);
-        assert!(evaluate_dirty(&g, &assign, &HashMap::new(), &HashSet::new()).is_err());
     }
 
     #[test]
@@ -1376,12 +1209,5 @@ mod tests {
             vals.get(TupleId(31)).unwrap().to_string(),
             "L(0)^2147483648"
         );
-    }
-
-    #[test]
-    fn dirty_reevaluation_rejects_set_valued_semirings() {
-        let g = example_graph();
-        let assign = Assignment::default_for(SemiringKind::Lineage);
-        assert!(evaluate_dirty(&g, &assign, &HashMap::new(), &HashSet::new()).is_err());
     }
 }

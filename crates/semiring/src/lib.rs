@@ -35,10 +35,7 @@ pub mod semiring;
 mod tag;
 
 pub use annotation::{Annotation, SecurityLevel};
-pub use eval::{
-    evaluate, evaluate_acyclic, evaluate_dirty, evaluate_region, evaluate_with, Assignment,
-    Evaluation, Region,
-};
+pub use eval::{evaluate, evaluate_region, evaluate_with, Assignment, Evaluation, Region};
 pub use polynomial::{Monomial, Polynomial};
 pub use probability::{event_probability, event_probability_mc};
 pub use semiring::{MapFn, SemiringKind};

@@ -291,6 +291,9 @@ pub(crate) fn parse_line(line: &str) -> Result<(u8, &str), Error> {
     Ok((verb_of_word(word)?, rest))
 }
 
+/// The `PING` reply's payload.
+pub(crate) const PONG: &str = "{\"pong\": true}";
+
 /// Execute one request — a verb byte plus its argument text — against a
 /// service, returning the reply's JSON payload. This is the only
 /// dispatcher: the TCP server's workers call it for both wire formats
@@ -314,7 +317,7 @@ pub(crate) fn execute(
         )),
         verb::STATS => Ok(core.stats().to_json()),
         verb::INVALIDATE => Ok(format!("{{\"cleared\": {}}}", core.invalidate())),
-        verb::PING => Ok("{\"pong\": true}".to_string()),
+        verb::PING => Ok(PONG.to_string()),
         verb::TRACE => trace_cmd(text),
         verb::HELLO => hello_cmd(text),
         verb::SUBSCRIBE | verb::REPL_SUBSCRIBE => {

@@ -36,7 +36,7 @@ use crate::fanout::{ReplFrameKind, SubscriptionEvent};
 use crate::frame::{self, verb};
 use crate::metrics::TransportMetrics;
 use crate::net::{poll, PollFd, WakeReceiver, Waker, POLLHUP, POLLIN, POLLOUT};
-use crate::proto::{error_payload, execute, parse_line, push_json, subscribe_json, Wire};
+use crate::proto::{error_payload, execute, parse_line, push_json, subscribe_json, Wire, PONG};
 use proql_common::sync::lock;
 use proql_common::{trace, Error, Result};
 use std::collections::{BTreeMap, VecDeque};
@@ -636,17 +636,26 @@ fn process_lines(ctx: &Ctx, c: &mut Conn) {
 
 /// Admission control, then hand-off: a request past the in-flight or
 /// outbound-bytes limit is answered `OVERLOADED` through its seq slot
-/// (so shed notices keep wire order too) without executing.
+/// (so shed notices keep wire order too) without executing. A `PING`
+/// needs no worker: it is answered in its slot here, so it never takes
+/// an in-flight slot from a query (only the outbound limit sheds it).
 fn dispatch_request(ctx: &Ctx, c: &mut Conn, req: Request) {
     ctx.metrics.frames_in.fetch_add(1, Ordering::Relaxed);
     let seq = c.next_seq;
     c.next_seq += 1;
     let (wire, id) = (c.shared.wire(), req.id);
+    let ping = req.verb == verb::PING;
     let in_flight = c.shared.in_flight.load(Ordering::Acquire);
     let out_bytes = lock(&c.shared.out).bytes;
-    if in_flight >= ctx.cfg.max_inflight || out_bytes >= ctx.cfg.out_high_water {
+    if (!ping && in_flight >= ctx.cfg.max_inflight) || out_bytes >= ctx.cfg.out_high_water {
         ctx.metrics.shed_count.fetch_add(1, Ordering::Relaxed);
         lock(&c.shared.out).complete(seq, wire.encode(verb::OVERLOADED, id, b""));
+        ctx.metrics.frames_out.fetch_add(1, Ordering::Relaxed);
+        return;
+    }
+    if ping {
+        let reply = wire.reply(id, req.text.map(|_| PONG.to_string()));
+        lock(&c.shared.out).complete(seq, reply);
         ctx.metrics.frames_out.fetch_add(1, Ordering::Relaxed);
         return;
     }
@@ -1081,5 +1090,39 @@ mod tests {
         let queued = lock(&conn.shared.out).queue.pop_front().unwrap();
         assert_eq!(queued, b"ERR internal: worker pool unavailable\n");
         assert_eq!(conn.shared.in_flight.load(Ordering::Acquire), 0);
+    }
+
+    /// Regression: a `PING` used to take an in-flight slot and a worker,
+    /// so a client's liveness probes could push its own queries past the
+    /// admission limit. At the limit, a `PING` is still answered — in its
+    /// sequence slot, without a slot of its own — and the next query is
+    /// still shed.
+    #[test]
+    fn ping_at_the_admission_limit_is_answered_in_order_and_takes_no_slot() {
+        let (ctx, mut conn, _peer) = orphaned_loop(Wire::Binary);
+        let full = ctx.cfg.max_inflight;
+        conn.shared.in_flight.store(full, Ordering::Release);
+        let frame_req = |v, id, payload: &[u8]| {
+            Request::from_frame(
+                frame::decode(&frame::encode(v, id, payload))
+                    .unwrap()
+                    .unwrap()
+                    .0,
+            )
+        };
+        dispatch_request(&ctx, &mut conn, frame_req(verb::PING, 1, b""));
+        dispatch_request(&ctx, &mut conn, frame_req(verb::QUERY, 2, Q.as_bytes()));
+        let mut out = lock(&conn.shared.out);
+        let replies: Vec<frame::Frame> = out
+            .queue
+            .drain(..)
+            .map(|bytes| frame::decode(&bytes).unwrap().unwrap().0)
+            .collect();
+        drop(out);
+        assert_eq!(replies.len(), 2);
+        assert_eq!((replies[0].verb, replies[0].id), (verb::OK, 1));
+        assert_eq!(replies[0].text(), Some(PONG));
+        assert_eq!((replies[1].verb, replies[1].id), (verb::OVERLOADED, 2));
+        assert_eq!(conn.shared.in_flight.load(Ordering::Acquire), full);
     }
 }

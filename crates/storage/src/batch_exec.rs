@@ -1260,38 +1260,14 @@ fn batch_distinct(batch: &RecordBatch, rows: &[u32]) -> Vec<u32> {
     keep
 }
 
-/// Hash-grouped aggregation. Groups preserve first-seen order (matching the
-/// row executor); aggregates run with typed fast paths over dense columns.
-///
-/// Public because the annotation layer evaluates semiring ⊕-sums directly
-/// through this operator (paper §4.2.4's `GROUP BY` step) without building
-/// a plan tree around it.
-pub fn batch_aggregate(
-    batch: &RecordBatch,
-    group_by: &[usize],
-    aggs: &[Aggregate],
-    having: Option<&Expr>,
-) -> Result<RecordBatch> {
-    batch_aggregate_opts(batch, group_by, aggs, having, Parallelism::Serial)
-}
-
-/// [`batch_aggregate`] with morsel-driven parallel grouping: each morsel
-/// builds a partial group table, partials merge in morsel index order (so
-/// group ids, representative rows, and member order — hence `f64` SUM
-/// accumulation order — are identical to the serial pass), then aggregate
-/// folding parallelizes over chunks of groups.
-pub fn batch_aggregate_opts(
-    batch: &RecordBatch,
-    group_by: &[usize],
-    aggs: &[Aggregate],
-    having: Option<&Expr>,
-    par: Parallelism,
-) -> Result<RecordBatch> {
-    batch_aggregate_sel(batch, None, group_by, aggs, having, par)
-}
-
-/// [`batch_aggregate_opts`] over a selection: only the rows in `sel`
-/// (ascending underlying indices; `None` = all rows) participate.
+/// Hash-grouped aggregation over a selection: only the rows in `sel`
+/// (ascending underlying indices; `None` = all rows) participate. Groups
+/// preserve first-seen order (matching the row executor); aggregates run
+/// with typed fast paths over dense columns. Under parallelism each
+/// morsel builds a partial group table and partials merge in morsel index
+/// order (so group ids, representative rows, and member order — hence
+/// `f64` SUM accumulation order — are identical to the serial pass), then
+/// aggregate folding parallelizes over chunks of groups.
 fn batch_aggregate_sel(
     batch: &RecordBatch,
     sel: Option<&[u32]>,

@@ -47,8 +47,8 @@ pub mod zone;
 
 pub use batch::{Column, RecordBatch};
 pub use batch_exec::{
-    batch_aggregate, batch_aggregate_opts, execute_batch, execute_batch_opts,
-    execute_batch_profiled, execute_with, execute_with_opts, ExecMode, OpStat,
+    execute_batch, execute_batch_opts, execute_batch_profiled, execute_with, execute_with_opts,
+    ExecMode, OpStat,
 };
 pub use database::Database;
 pub use dict::Dictionary;

@@ -202,11 +202,22 @@ fn maintained_outputs_survive_chain_breaks_via_fallback() {
     use proql::{maintain_output, MaintainResult, MaintainState};
 
     // Only the acyclic X/Y/Z family: force the unfold strategy so the
-    // outputs are maintainable at all.
-    const MAINT_QUERIES: [&str; 2] = [
+    // outputs are maintainable at all. Every scalar semiring, with leaf
+    // CASEs on a stored attribute (so refreshed tuple values matter) and a
+    // scaling mapping function.
+    const MAINT_QUERIES: [&str; 6] = [
         "FOR [Z $x] INCLUDE PATH [$x] <-+ [] RETURN $x",
         "EVALUATE WEIGHT OF { FOR [Z $x] INCLUDE PATH [$x] <-+ [] RETURN $x } \
          ASSIGNING EACH leaf_node $y { DEFAULT : SET 1 }",
+        "EVALUATE DERIVABILITY OF { FOR [Z $x] INCLUDE PATH [$x] <-+ [] RETURN $x }",
+        "EVALUATE TRUST OF { FOR [Z $x] INCLUDE PATH [$x] <-+ [] RETURN $x } \
+         ASSIGNING EACH leaf_node $y { CASE $y in X AND $y.w >= 1500 : SET false \
+         DEFAULT : SET true }",
+        "EVALUATE CONFIDENTIALITY OF { FOR [Z $x] INCLUDE PATH [$x] <-+ [] RETURN $x } \
+         ASSIGNING EACH leaf_node $y { CASE $y in Y AND $y.w >= 1500 : SET secret \
+         DEFAULT : SET public }",
+        "EVALUATE COUNT OF { FOR [Z $x] INCLUDE PATH [$x] <-+ [] RETURN $x } \
+         ASSIGNING EACH mapping $p($z) { CASE $p = mz : SET $z * 2 DEFAULT : SET $z }",
     ];
     let opts = EngineOptions {
         strategy: Strategy::Unfold,
@@ -224,6 +235,7 @@ fn maintained_outputs_survive_chain_breaks_via_fallback() {
 
     let mut rng = SplitMix64::seed_from_u64(0xBADC0DE);
     let mut live: Vec<i64> = vec![0, 1, 2, 3];
+    let mut dead: Vec<i64> = Vec::new();
     let mut next_key = 200i64;
     let mut schema_seq = 0usize;
     let (mut maintained_steps, mut fallback_steps) = (0u32, 0u32);
@@ -239,12 +251,20 @@ fn maintained_outputs_survive_chain_breaks_via_fallback() {
                 let at = rng.gen_range_usize(0, live.len());
                 let k = live.swap_remove(at);
                 delete_local(&mut sys, "X", &tup![k]).expect("delete");
+                dead.push(k);
             }
-            // Maintainable: insert + incremental exchange.
+            // Maintainable: insert + incremental exchange — sometimes of a
+            // deleted key with a different attribute value.
             0..=5 => {
-                let k = next_key;
-                next_key += 1;
-                sys.insert_local("X", tup![k, k * 7]).expect("insert");
+                let (k, w) = match dead.pop() {
+                    Some(k) if op == 3 => (k, 1500 + step as i64),
+                    other => {
+                        dead.extend(other);
+                        next_key += 1;
+                        (next_key - 1, (next_key - 1) * 7)
+                    }
+                };
+                sys.insert_local("X", tup![k, w]).expect("insert");
                 sys.run_exchange().expect("exchange");
                 live.push(k);
             }
@@ -314,6 +334,73 @@ fn maintained_outputs_survive_chain_breaks_via_fallback() {
         "the replay must exercise both paths (maintained={maintained_steps}, \
          fallbacks={fallback_steps})"
     );
+}
+
+/// The cyclic U → V ↔ W family under a forced unfold strategy: its
+/// projections decode to cyclic graphs. An idempotent semiring (TRUST)
+/// reaches its fixpoint on the carried graph and is maintained; COUNT,
+/// which diverges on cycles, errors exactly as a fresh compute does.
+#[test]
+fn cyclic_annotations_are_maintained_or_error_like_a_fresh_compute() {
+    use proql::engine::{EngineOptions, Strategy};
+    use proql::{maintain_output, MaintainResult};
+
+    const TRUST_Q: &str = "EVALUATE TRUST OF { FOR [V $x] INCLUDE PATH [$x] <-+ [] RETURN $x } \
+         ASSIGNING EACH leaf_node $y { CASE $y in U AND $y.w >= 710 : SET false \
+         DEFAULT : SET true }";
+    const COUNT_Q: &str = "EVALUATE COUNT OF { FOR [V $x] INCLUDE PATH [$x] <-+ [] RETURN $x }";
+    let opts = EngineOptions {
+        strategy: Strategy::Unfold,
+        ..EngineOptions::default()
+    };
+    // Prepare while U has local rows (unfolding only reads local
+    // contributions that exist), then delete them all: every V projection
+    // is empty, so COUNT has a cached answer to maintain at all.
+    let base = Engine::with_options(build_system(), opts.clone());
+    let trust = base.prepare(TRUST_Q).expect("prepare");
+    let count = base.prepare(COUNT_Q).expect("prepare");
+    let mut sys = base.sys.clone();
+    for k in 0..4i64 {
+        delete_local(&mut sys, "U", &tup![k]).expect("delete");
+    }
+    let mut engine = Engine::with_options(sys, opts.clone());
+    let mut trust_out = engine.execute(&trust).expect("execute");
+    let count_out = engine.execute(&count).expect("an empty projection counts");
+    let mut state = None;
+
+    for (step, k) in [100i64, 101, 102].into_iter().enumerate() {
+        let mut sys = engine.sys.clone();
+        sys.insert_local("U", tup![k, k * 7]).expect("insert");
+        sys.run_exchange().expect("exchange");
+        if step == 2 {
+            delete_local(&mut sys, "U", &tup![100]).expect("delete");
+        }
+        let new = Engine::with_options(sys, opts.clone());
+        let fresh = Engine::with_options(new.sys.clone(), opts.clone());
+        match maintain_output(&engine, &new, &trust, &trust_out, state.take()) {
+            Ok(MaintainResult::Maintained {
+                output,
+                state: next,
+                ..
+            }) => {
+                let want = fresh.execute(&trust).expect("fresh TRUST");
+                assert_eq!(result_digest(&output), result_digest(&want), "step {step}");
+                assert!(output
+                    .annotated
+                    .as_ref()
+                    .is_some_and(|a| !a.rows.is_empty()));
+                (trust_out, state) = (*output, next);
+            }
+            other => panic!("step {step}: TRUST must be maintained, got {other:?}"),
+        }
+        if step == 0 {
+            let maintained = maintain_output(&engine, &new, &count, &count_out, None)
+                .expect_err("COUNT diverges on the cycle");
+            let fresh_err = fresh.execute(&count).expect_err("so does a fresh compute");
+            assert_eq!(maintained.to_string(), fresh_err.to_string());
+        }
+        engine = new;
+    }
 }
 
 #[test]

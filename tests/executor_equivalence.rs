@@ -1,22 +1,18 @@
 //! Executor-equivalence properties: the columnar batch pipeline, the row
 //! hash-join executor, and the nested-loop ablation baseline must produce
 //! identical query results on randomized provenance instances — and the
-//! grouped-aggregation annotation path must agree with the direct semiring
-//! graph walk (including under input permutations, i.e. the ⊕ laws hold
-//! through the aggregation operator).
+//! grouped-aggregation operator must compute semiring ⊕-sums (under input
+//! permutations too, i.e. the ⊕ laws hold through it).
 
-use proql::agg_eval::evaluate_via_aggregation;
 use proql::engine::{Engine, EngineOptions, Strategy};
 use proql::translate::{translate, TranslateOptions};
 use proql::{parse_query, run_projection_opts, run_projection_with};
 use proql_cdss::topology::{build_system, target_query, CdssConfig, Topology};
 use proql_common::rng::SplitMix64;
-use proql_common::{tup, Parallelism};
-use proql_provgraph::{ProvGraph, TupleNode};
-use proql_semiring::{evaluate, Annotation, Assignment, MapFn, Region, SemiringKind};
-use proql_storage::batch::{Column, RecordBatch};
-use proql_storage::batch_exec::batch_aggregate;
-use proql_storage::{AggFunc, Aggregate, ExecMode};
+use proql_common::{Parallelism, Tuple, Value};
+use proql_semiring::{Annotation, SemiringKind};
+use proql_storage::plan::anon_schema;
+use proql_storage::{execute_batch, AggFunc, Aggregate, Database, ExecMode, Plan};
 
 /// The parallelism settings every sweep covers: serial, under-subscribed,
 /// over-subscribed, and hardware-sized.
@@ -129,89 +125,9 @@ fn engine_modes_agree_on_annotated_query() {
     }
 }
 
-/// Random acyclic DAG whose shape exercises shared subtrees and multiple
-/// alternative derivations.
-fn random_dag(rng: &mut SplitMix64) -> ProvGraph {
-    let mut g = ProvGraph::new();
-    let mut prev: Vec<proql_common::TupleId> = (0..3)
-        .map(|i| {
-            let t = g.add_tuple("L0", tup![i as i64], None);
-            g.add_derivation("base", tup![i as i64], vec![], vec![t], true);
-            t
-        })
-        .collect();
-    let mut key = 100i64;
-    for layer in 1..rng.gen_range_usize(2, 5) {
-        let mut nodes = Vec::new();
-        for _ in 0..rng.gen_range_usize(2, 6) {
-            let t = g.add_tuple(&format!("L{layer}"), tup![key], None);
-            key += 1;
-            for d in 0..rng.gen_range_usize(1, 3) {
-                let nsrc = rng.gen_range_usize(1, prev.len() + 1);
-                let start = rng.gen_range_usize(0, prev.len());
-                let sources: Vec<_> = (0..nsrc).map(|s| prev[(start + s) % prev.len()]).collect();
-                g.add_derivation(
-                    &format!("m{layer}"),
-                    tup![key, d as i64],
-                    sources,
-                    vec![t],
-                    false,
-                );
-            }
-            nodes.push(t);
-        }
-        prev = nodes;
-    }
-    g
-}
-
-/// The grouped-aggregation annotation path equals the direct graph walk on
-/// random DAGs for every scalar-encodable semiring.
-#[test]
-fn aggregation_path_matches_graph_walk_on_random_dags() {
-    let mut rng = SplitMix64::seed_from_u64(0xA66);
-    for case in 0..12 {
-        let g = random_dag(&mut rng);
-        let weight_seed = rng.gen_range_i64(1, 9) as f64;
-        for kind in [
-            SemiringKind::Derivability,
-            SemiringKind::Trust,
-            SemiringKind::Weight,
-            SemiringKind::Confidentiality,
-            SemiringKind::Counting,
-        ] {
-            let leaf = move |node: &TupleNode, label: &str| match kind {
-                SemiringKind::Weight => {
-                    Annotation::Weight(weight_seed + node.key.get(0).as_int().unwrap_or(0) as f64)
-                }
-                _ => kind.default_leaf(label),
-            };
-            let map_fn = |_: &str| MapFn::Identity;
-            let direct = evaluate(
-                &g,
-                &Assignment::default_for(kind)
-                    .with_leaf(leaf)
-                    .with_map_fn(map_fn),
-            )
-            .unwrap();
-            let region = Region::all(&g);
-            for par in PAR_SWEEP {
-                let via_agg = evaluate_via_aggregation(&g, &region, kind, &leaf, &map_fn, par)
-                    .unwrap()
-                    .expect("acyclic scalar semiring")
-                    .into_map();
-                assert_eq!(via_agg.len(), direct.len());
-                for (t, v) in &direct {
-                    assert_eq!(via_agg.get(t), Some(v), "case {case}: {kind} ({par:?})");
-                }
-            }
-        }
-    }
-}
-
-/// ⊕-laws through the aggregation operator: grouped semiring sums are
-/// invariant under permutations of the input rows (associativity +
-/// commutativity) and match a pairwise left fold.
+/// ⊕-laws through the aggregation operator: an `Aggregate` plan's grouped
+/// semiring sums are invariant under permutations of the input rows
+/// (associativity + commutativity) and match a pairwise left fold.
 #[test]
 fn aggregation_operator_respects_semiring_sum_laws() {
     let mut rng = SplitMix64::seed_from_u64(0x5E417);
@@ -225,19 +141,19 @@ fn aggregation_operator_respects_semiring_sum_laws() {
         for case in 0..8 {
             let n = rng.gen_range_usize(1, 30);
             let groups: Vec<i64> = (0..n).map(|_| rng.gen_range_i64(0, 4)).collect();
-            let (vals, anns): (Vec<proql_common::Value>, Vec<Annotation>) = (0..n)
+            let (vals, anns): (Vec<Value>, Vec<Annotation>) = (0..n)
                 .map(|_| match kind {
                     SemiringKind::Counting => {
                         let v = rng.gen_range_i64(0, 9);
-                        (proql_common::Value::Int(v), Annotation::Count(v as u64))
+                        (Value::Int(v), Annotation::Count(v as u64))
                     }
                     SemiringKind::Weight => {
                         let v = rng.gen_range_i64(0, 9) as f64;
-                        (proql_common::Value::Float(v), Annotation::Weight(v))
+                        (Value::Float(v), Annotation::Weight(v))
                     }
                     _ => {
                         let v = rng.gen_range_usize(0, 2) == 1;
-                        (proql_common::Value::Bool(v), Annotation::Bool(v))
+                        (Value::Bool(v), Annotation::Bool(v))
                     }
                 })
                 .unzip();
@@ -249,18 +165,20 @@ fn aggregation_operator_respects_semiring_sum_laws() {
             }
             // Aggregate the rows, then a random permutation of the rows.
             let run = |perm: &[usize]| {
-                let batch = RecordBatch::new(
-                    vec!["g".into(), "v".into()],
-                    vec![
-                        Column::Int(perm.iter().map(|&i| groups[i]).collect()),
-                        Column::from_value_vec(perm.iter().map(|&i| vals[i].clone()).collect()),
-                    ],
-                    perm.len(),
-                );
-                let out =
-                    batch_aggregate(&batch, &[0], &[Aggregate::new(agg(1), "s")], None).unwrap();
-                let mut m: std::collections::BTreeMap<i64, proql_common::Value> =
-                    Default::default();
+                let plan = Plan::Aggregate {
+                    input: Box::new(Plan::Values {
+                        schema: anon_schema("v", &["g".into(), "v".into()]),
+                        rows: perm
+                            .iter()
+                            .map(|&i| Tuple::new(vec![Value::Int(groups[i]), vals[i].clone()]))
+                            .collect(),
+                    }),
+                    group_by: vec![0],
+                    aggs: vec![Aggregate::new(agg(1), "s")],
+                    having: None,
+                };
+                let out = execute_batch(&Database::new(), &plan).unwrap();
+                let mut m: std::collections::BTreeMap<i64, Value> = Default::default();
                 for row in 0..out.len() {
                     m.insert(
                         out.columns[0].value(row).as_int().unwrap(),
@@ -284,9 +202,9 @@ fn aggregation_operator_respects_semiring_sum_laws() {
             for (g, ann) in &reference {
                 let got = &plain[g];
                 let want = match ann {
-                    Annotation::Count(c) => proql_common::Value::Int(*c as i64),
-                    Annotation::Weight(w) => proql_common::Value::Float(*w),
-                    Annotation::Bool(b) => proql_common::Value::Bool(*b),
+                    Annotation::Count(c) => Value::Int(*c as i64),
+                    Annotation::Weight(w) => Value::Float(*w),
+                    Annotation::Bool(b) => Value::Bool(*b),
                     other => panic!("unexpected annotation {other:?}"),
                 };
                 assert_eq!(got, &want, "case {case}: {kind} group {g}");

@@ -11,7 +11,7 @@ use proql_common::{Attribute, Error, Result, Schema, Value, ValueType};
 use proql_datalog::ast::{Atom, Term};
 use proql_provgraph::encode::{ProvSpec, RecipeTerm};
 use proql_provgraph::ProvenanceSystem;
-use proql_storage::{execute, Expr, IndexKind, Plan};
+use proql_storage::{execute_batch, Expr, IndexKind, Plan};
 use std::collections::HashMap;
 
 /// A materialized ASR plus the metadata rewriting needs.
@@ -192,7 +192,7 @@ fn materialize(sys: &mut ProvenanceSystem, def: AsrDefinition) -> Result<BuiltAs
         inputs: branch_plans,
         distinct: true,
     };
-    let rel = execute(&sys.db, &union)?;
+    let rows = execute_batch(&sys.db, &union)?.to_rows();
 
     // Create and fill the table: all columns, all-key (rows are identities).
     let schema = Schema::new(
@@ -205,7 +205,7 @@ fn materialize(sys: &mut ProvenanceSystem, def: AsrDefinition) -> Result<BuiltAs
     )?;
     sys.db.create_table(schema)?;
     let table = sys.db.table_mut(&def.name)?;
-    let rows = table.insert_all(rel.rows)?;
+    let rows = table.insert_all(rows)?;
     // Index the first mapping's columns: lookups by the downstream key are
     // the common access path.
     let (s0, l0) = spans[0];

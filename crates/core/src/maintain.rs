@@ -2,9 +2,9 @@
 //! forward across a `(snapshot, delta)` write instead of recomputing it.
 //!
 //! The maintainer runs each unfolded rule of the prepared query in
-//! **semi-naive delta form**: for additions, one run per (rule, atom)
-//! pair with that atom's scan redirected to a scratch table holding only
-//! the delta's added rows (full new state everywhere else); for
+//! **semi-naive delta form** — the exchange's own [`delta_variants`]: for
+//! additions, one run per (rule, atom) pair with that atom reading only
+//! the delta's added rows inline (full new state everywhere else); for
 //! removals, the DRed discipline — the same delta runs against the *old*
 //! snapshot produce over-deletion candidates, which a re-derivation
 //! check against the new state then rescues or confirms. For annotation
@@ -29,15 +29,11 @@ use crate::engine::{Engine, PreparedQuery, QueryOutput, Strategy};
 use crate::exec::{cond_to_expr, run_rule, PreparedRule, ProjectionResult};
 use crate::translate::QueryRule;
 use proql_common::{Parallelism, Result, Tuple};
-use proql_datalog::compile::{compile_body_with, CompileOptions};
+use proql_datalog::compile::delta_variants;
 use proql_provgraph::{DeltaOp, ProvGraph, ProvenanceSystem};
 use proql_semiring::{Region, SemiringKind};
 use proql_storage::{optimize::optimize_with, Expr};
 use std::collections::{BTreeSet, HashMap};
-
-/// Scratch-table prefix for delta-seeded rule runs (created only on
-/// copy-on-write database clones, never on a published snapshot).
-const SCRATCH_PREFIX: &str = "__maint__";
 
 /// Localization cap: a delta touching more stored rows than this falls
 /// back to eviction — patching would not beat recomputation.
@@ -335,8 +331,8 @@ fn collect_net_changes<'a>(
     net
 }
 
-/// Run every (rule, atom) delta variant: atom `j`'s scan redirected to a
-/// scratch table holding `delta[atom.relation]`, all other atoms reading
+/// Run every (rule, atom) delta variant ([`delta_variants`]): atom `j`
+/// reading `delta[atom.relation]` inline, all other atoms reading
 /// `engine`'s snapshot in full. Merges all partial results.
 fn run_delta_rules(
     engine: &Engine,
@@ -344,36 +340,20 @@ fn run_delta_rules(
     return_vars: &[String],
     delta: &HashMap<String, Vec<Tuple>>,
 ) -> Result<ProjectionResult> {
+    let db = &engine.sys.db;
     let mut out = ProjectionResult::default();
-    if delta.is_empty() {
-        return Ok(out);
-    }
-    for (r, rule) in rules.iter().enumerate() {
-        for (j, atom) in rule.atoms.iter().enumerate() {
-            let Some(rows) = delta.get(&atom.relation) else {
-                continue;
-            };
-            // Copy-on-write clone: the scratch table lives only in this
-            // run's catalog, the snapshot's tables are shared untouched.
-            let mut db = engine.sys.db.clone();
-            let scratch = format!("{SCRATCH_PREFIX}{r}_{j}");
-            db.create_table(db.schema_of(&atom.relation)?.renamed(&scratch))?;
-            for row in rows {
-                db.insert(&scratch, row.clone())?;
-            }
-            let mut opts = CompileOptions::default();
-            opts.relation_overrides.insert(j, scratch);
-            let bp = compile_body_with(&db, &rule.atoms, &opts)?;
+    for rule in rules {
+        for bp in delta_variants(db, &rule.atoms, delta)? {
             let mut plan = bp.plan;
             if let Some(cond) = &rule.condition {
                 plan = plan.filter(cond_to_expr(cond, &bp.var_cols)?);
             }
             let prepared = PreparedRule {
-                plan: optimize_with(&db, plan),
+                plan: optimize_with(db, plan),
                 var_cols: bp.var_cols,
             };
             run_rule(
-                &db,
+                db,
                 rule,
                 &prepared,
                 return_vars,

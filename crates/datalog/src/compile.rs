@@ -7,7 +7,7 @@
 //! unfolded rule (§4.2.4).
 
 use crate::ast::{Atom, Term};
-use proql_common::{Error, Result};
+use proql_common::{Error, Result, Tuple};
 use proql_storage::{Database, Expr, Plan};
 use std::collections::HashMap;
 
@@ -36,22 +36,40 @@ impl BodyPlan {
     }
 }
 
-/// Options controlling compilation.
-#[derive(Debug, Clone, Default)]
-pub struct CompileOptions {
-    /// Per-atom relation-name overrides (atom index → table to scan).
-    /// Used by semi-naive evaluation to point one atom at a delta table.
-    pub relation_overrides: HashMap<usize, String>,
-}
-
 /// Compile `body` against the catalog `db` (schemas are needed to know each
 /// atom's arity). Atoms' relations must exist as tables or views.
 pub fn compile_body(db: &Database, body: &[Atom]) -> Result<BodyPlan> {
-    compile_body_with(db, body, &CompileOptions::default())
+    compile_atoms(db, body, None)
 }
 
-/// [`compile_body`] with options.
-pub fn compile_body_with(db: &Database, body: &[Atom], opts: &CompileOptions) -> Result<BodyPlan> {
+/// Every semi-naive variant of `body` for `delta` (rows keyed by
+/// relation): for each atom `j` whose relation has delta rows, `body`
+/// compiled with atom `j` reading those rows inline as a [`Plan::Values`]
+/// leaf and every other atom reading `db`. Atoms whose relation has no
+/// delta rows yield no variant. This is the one place a delta join is
+/// built: the exchange's fixpoint loop and the cache maintainer both run
+/// its output.
+pub fn delta_variants(
+    db: &Database,
+    body: &[Atom],
+    delta: &HashMap<String, Vec<Tuple>>,
+) -> Result<Vec<BodyPlan>> {
+    let mut variants = Vec::new();
+    for (j, atom) in body.iter().enumerate() {
+        if let Some(rows) = delta.get(&atom.relation).filter(|rows| !rows.is_empty()) {
+            variants.push(compile_atoms(db, body, Some((j, rows)))?);
+        }
+    }
+    Ok(variants)
+}
+
+/// Compile `body`, with atom `j` of `delta = Some((j, rows))` reading
+/// `rows` instead of its relation.
+fn compile_atoms(
+    db: &Database,
+    body: &[Atom],
+    delta: Option<(usize, &[Tuple])>,
+) -> Result<BodyPlan> {
     if body.is_empty() {
         return Err(Error::Datalog("cannot compile empty body".into()));
     }
@@ -69,12 +87,13 @@ pub fn compile_body_with(db: &Database, body: &[Atom], opts: &CompileOptions) ->
                 schema.arity()
             )));
         }
-        let scan_name = opts
-            .relation_overrides
-            .get(&atom_idx)
-            .cloned()
-            .unwrap_or_else(|| atom.relation.clone());
-        let mut atom_plan = Plan::scan(scan_name);
+        let mut atom_plan = match delta {
+            Some((j, rows)) if j == atom_idx => Plan::Values {
+                schema: schema.clone(),
+                rows: rows.to_vec(),
+            },
+            _ => Plan::scan(atom.relation.clone()),
+        };
 
         // Local constraints: constants and repeated variables inside this atom.
         let mut local_vars: HashMap<&str, usize> = HashMap::new();
@@ -141,7 +160,7 @@ mod tests {
     use super::*;
     use crate::parse::parse_rule;
     use proql_common::{tup, Schema, ValueType};
-    use proql_storage::execute;
+    use proql_storage::{execute, execute_batch};
 
     fn db() -> Database {
         let mut db = Database::new();
@@ -249,29 +268,86 @@ mod tests {
     }
 
     #[test]
-    fn relation_override_redirects_scan() {
+    fn delta_rows_are_read_inline() {
+        let db = db();
+        let r = parse_rule("H(i) :- A(i, s, l)").unwrap();
+        let delta = HashMap::from([("A".to_string(), vec![tup![9, "x", 1]])]);
+        let variants = delta_variants(&db, &r.body, &delta).unwrap();
+        assert_eq!(variants.len(), 1);
+        let rows = execute_batch(&db, &variants[0].plan).unwrap().to_rows();
+        assert_eq!(rows, vec![tup![9, "x", 1]]);
+        // The catalog is untouched: no scratch relation was created.
+        assert_eq!(db.table_names().count(), 2);
+    }
+
+    fn leaves(plan: &Plan) -> Vec<&str> {
+        match plan {
+            Plan::Scan { table } => vec![table.as_str()],
+            Plan::Values { .. } => vec!["<delta>"],
+            Plan::Filter { input, .. } => leaves(input),
+            Plan::Join { left, right, .. } => [leaves(left), leaves(right)].concat(),
+            other => panic!("unexpected plan node {other:?}"),
+        }
+    }
+
+    #[test]
+    fn self_join_yields_one_variant_per_delta_atom() {
         let mut db = db();
         db.create_table(
             Schema::build(
-                "A_delta",
-                &[
-                    ("id", ValueType::Int),
-                    ("sn", ValueType::Str),
-                    ("len", ValueType::Int),
-                ],
-                &[0],
+                "E",
+                &[("src", ValueType::Int), ("dst", ValueType::Int)],
+                &[0, 1],
             )
             .unwrap(),
         )
         .unwrap();
-        db.insert("A_delta", tup![9, "x", 1]).unwrap();
-        let r = parse_rule("H(i) :- A(i, s, l)").unwrap();
-        let mut opts = CompileOptions::default();
-        opts.relation_overrides.insert(0, "A_delta".into());
-        let bp = compile_body_with(&db, &r.body, &opts).unwrap();
-        let rel = execute(&db, &bp.plan).unwrap();
-        assert_eq!(rel.len(), 1);
-        assert_eq!(rel.rows[0].get(0), &proql_common::Value::Int(9));
+        db.insert("E", tup![1, 2]).unwrap();
+        db.insert("E", tup![3, 4]).unwrap();
+        let r = parse_rule("H(x, z) :- E(x, y), E(y, z)").unwrap();
+        let delta = HashMap::from([("E".to_string(), vec![tup![2, 3]])]);
+        let variants = delta_variants(&db, &r.body, &delta).unwrap();
+        assert_eq!(variants.len(), 2);
+        assert_eq!(leaves(&variants[0].plan), vec!["<delta>", "E"]);
+        assert_eq!(leaves(&variants[1].plan), vec!["E", "<delta>"]);
+        // Delta at atom 0 joins E(2,3) with E(3,4); delta at atom 1 joins
+        // E(1,2) with E(2,3).
+        let ends: Vec<Vec<Tuple>> = variants
+            .iter()
+            .map(|bp| {
+                let (x, z) = (bp.col("x").unwrap(), bp.col("z").unwrap());
+                execute_batch(&db, &bp.plan)
+                    .unwrap()
+                    .to_rows()
+                    .iter()
+                    .map(|row| Tuple::new(vec![row.get(x).clone(), row.get(z).clone()]))
+                    .collect()
+            })
+            .collect();
+        assert_eq!(ends, vec![vec![tup![2, 4]], vec![tup![1, 3]]]);
+    }
+
+    #[test]
+    fn absent_or_empty_delta_yields_no_variant() {
+        let db = db();
+        let r = parse_rule("H(i, n) :- A(i, s, _), N(i, n, false)").unwrap();
+        let none = HashMap::from([("Unread".to_string(), vec![tup![1]])]);
+        assert!(delta_variants(&db, &r.body, &none).unwrap().is_empty());
+        let empty = HashMap::from([("A".to_string(), Vec::new())]);
+        assert!(delta_variants(&db, &r.body, &empty).unwrap().is_empty());
+        // Only the atom with rows gets a variant, and it keeps the other
+        // atom's constant filter.
+        let delta = HashMap::from([
+            ("A".to_string(), Vec::new()),
+            (
+                "N".to_string(),
+                vec![tup![1, "cn9", false], tup![2, "cn8", false]],
+            ),
+        ]);
+        let variants = delta_variants(&db, &r.body, &delta).unwrap();
+        assert_eq!(variants.len(), 1);
+        assert_eq!(leaves(&variants[0].plan), vec!["A", "<delta>"]);
+        assert_eq!(execute_batch(&db, &variants[0].plan).unwrap().len(), 2);
     }
 
     #[test]

@@ -6,17 +6,18 @@
 //! bindings; `proql-provgraph` uses it to populate the provenance relations
 //! (one row per derivation, §4.1).
 //!
-//! The engine uses delta-driven evaluation: each round joins one body atom
-//! against the tuples newly derived in the previous round and the remaining
-//! atoms against the full relations. This can enumerate a firing more than
-//! once (set semantics make that harmless), so **hooks must be idempotent**
-//! — the provenance hook is, because provenance relations are keyed by
-//! their full column set.
+//! The engine uses delta-driven evaluation: each round runs every rule's
+//! [`delta_variants`] on the batch executor — one body atom reading the
+//! tuples newly derived in the previous round inline, the remaining atoms
+//! scanning the full relations — so no scratch relation is ever created.
+//! This can enumerate a firing more than once (set semantics make that
+//! harmless), so **hooks must be idempotent** — the provenance hook is,
+//! because provenance relations are keyed by their full column set.
 
 use crate::ast::{Program, Rule, Term};
-use crate::compile::{compile_body_with, CompileOptions};
+use crate::compile::delta_variants;
 use proql_common::{Error, Result, Tuple, Value};
-use proql_storage::{execute, Database};
+use proql_storage::{execute_batch, Database, Plan};
 use std::collections::HashMap;
 
 /// Variable bindings of one rule firing.
@@ -115,8 +116,6 @@ pub struct EvalStats {
 /// (standard data-exchange caveat); this converts divergence into an error.
 const MAX_ROUNDS: usize = 10_000;
 
-const DELTA_PREFIX: &str = "__delta__";
-
 /// Run `program` to fixpoint over `db`.
 ///
 /// Every relation named in a rule head must already exist as a base table;
@@ -146,8 +145,9 @@ pub fn run_program(
 /// seeded run can repair: a derived tuple whose only remaining support
 /// involved a removed row silently survives (derived-tuple
 /// under-counting — set semantics keep no support counts to decrement).
-/// Use [`run_program_seeded_delta`] to make that case an explicit error
-/// instead of a silent divergence.
+/// Retractions therefore go through CDSS deletion (`proql-cdss`), which
+/// garbage-collects underivable tuples through the provenance graph
+/// before re-asserting the fixpoint.
 pub fn run_program_seeded(
     db: &mut Database,
     program: &Program,
@@ -155,59 +155,6 @@ pub fn run_program_seeded(
     seeds: HashMap<String, Vec<Tuple>>,
 ) -> Result<EvalStats> {
     run_program_from(db, program, hook, Some(seeds))
-}
-
-/// The base-row changes accumulated since the last fixpoint: what a
-/// retraction-aware incremental run ([`run_program_seeded_delta`]) is
-/// seeded with.
-#[derive(Debug, Clone, Default)]
-pub struct SeedDelta {
-    /// Rows inserted since the fixpoint, keyed by relation.
-    pub added: HashMap<String, Vec<Tuple>>,
-    /// Rows removed since the fixpoint, keyed by relation.
-    pub removed: HashMap<String, Vec<Tuple>>,
-}
-
-impl SeedDelta {
-    /// A delta of additions only.
-    pub fn additions(added: HashMap<String, Vec<Tuple>>) -> SeedDelta {
-        SeedDelta {
-            added,
-            ..SeedDelta::default()
-        }
-    }
-}
-
-/// [`run_program_seeded`] with retractions handled **soundly**: removed
-/// rows in relations no rule body reads cannot retract any derived tuple,
-/// so the run proceeds seeded with the additions; removed rows that *do*
-/// feed a rule body would leave derived tuples under-counted (their
-/// support is gone but set semantics cannot see it), so the call fails
-/// with an explicit error and the caller must fall back to a full
-/// re-evaluation — deleting stale derived state first. The system-level
-/// deletion path (`proql-cdss`) avoids this entirely by garbage-collecting
-/// underivable tuples through the provenance graph before re-asserting the
-/// fixpoint.
-pub fn run_program_seeded_delta(
-    db: &mut Database,
-    program: &Program,
-    hook: &mut dyn FiringHook,
-    delta: SeedDelta,
-) -> Result<EvalStats> {
-    let retracts_body_input = program.rules.iter().flat_map(|r| &r.body).any(|a| {
-        delta
-            .removed
-            .get(&a.relation)
-            .is_some_and(|rows| !rows.is_empty())
-    });
-    if retracts_body_input {
-        return Err(Error::Datalog(
-            "retraction-seeded evaluation: removed rows feed rule bodies, so derived \
-             tuples may be under-counted — fall back to a full re-evaluation"
-                .into(),
-        ));
-    }
-    run_program_seeded(db, program, hook, delta.added)
 }
 
 fn run_program_from(
@@ -233,7 +180,7 @@ fn run_program_from(
         }
     }
 
-    // Relations appearing in bodies, with delta tables for each.
+    // Relations appearing in bodies.
     let mut body_rels: Vec<String> = Vec::new();
     for rule in &program.rules {
         for b in &rule.body {
@@ -241,11 +188,6 @@ fn run_program_from(
                 body_rels.push(b.relation.clone());
             }
         }
-    }
-    for rel in &body_rels {
-        let schema = db.schema_of(rel)?.clone();
-        let delta_schema = schema.renamed(&format!("{DELTA_PREFIX}{rel}"));
-        db.create_table(delta_schema)?;
     }
 
     // Bootstrap deltas: everything currently in each body relation, or —
@@ -262,34 +204,27 @@ fn run_program_from(
                 let rows = if db.has_table(rel) {
                     db.table(rel)?.scan()
                 } else {
-                    execute(db, &proql_storage::Plan::scan(rel.clone()))?.rows
+                    execute_batch(db, &Plan::scan(rel.clone()))?.to_rows()
                 };
                 delta.insert(rel.clone(), rows);
             }
         }
     }
-
-    let mut stats = EvalStats::default();
-    let result = run_loop(db, program, hook, &body_rels, &mut delta, &mut stats);
-
-    // Always drop scratch tables, even on error.
-    for rel in &body_rels {
-        let _ = db.drop_relation(&format!("{DELTA_PREFIX}{rel}"));
-    }
-    result.map(|()| stats)
+    run_loop(db, program, hook, delta)
 }
 
+/// Semi-naive rounds: each round runs every rule's [`delta_variants`] for
+/// the tuples the previous round derived, until a round derives nothing.
 fn run_loop(
     db: &mut Database,
     program: &Program,
     hook: &mut dyn FiringHook,
-    body_rels: &[String],
-    delta: &mut HashMap<String, Vec<Tuple>>,
-    stats: &mut EvalStats,
-) -> Result<()> {
+    mut delta: HashMap<String, Vec<Tuple>>,
+) -> Result<EvalStats> {
+    let mut stats = EvalStats::default();
     loop {
         if delta.values().all(Vec::is_empty) {
-            return Ok(());
+            return Ok(stats);
         }
         stats.rounds += 1;
         if stats.rounds > MAX_ROUNDS {
@@ -299,31 +234,11 @@ fn run_loop(
             )));
         }
 
-        // Load deltas into scratch tables.
-        for rel in body_rels {
-            let name = format!("{DELTA_PREFIX}{rel}");
-            let t = db.table_mut(&name)?;
-            t.truncate();
-            for row in delta.get(rel).into_iter().flatten() {
-                t.insert(row.clone())?;
-            }
-        }
-
         let mut next_delta: HashMap<String, Vec<Tuple>> = HashMap::new();
         for (rule_index, rule) in program.rules.iter().enumerate() {
-            for (j, atom) in rule.body.iter().enumerate() {
-                if delta.get(&atom.relation).is_none_or(Vec::is_empty) {
-                    continue;
-                }
-                let mut opts = CompileOptions::default();
-                opts.relation_overrides
-                    .insert(j, format!("{DELTA_PREFIX}{}", atom.relation));
-                let bp = compile_body_with(db, &rule.body, &opts)?;
-                let rel = execute(db, &bp.plan)?;
-                // Collect head insertions first (cannot mutate db while
-                // borrowing query results — rows are owned, so this is just
-                // a loop).
-                for row in &rel.rows {
+            for bp in delta_variants(db, &rule.body, &delta)? {
+                let rows = execute_batch(db, &bp.plan)?.to_rows();
+                for row in &rows {
                     let bindings = Bindings {
                         row,
                         var_cols: &bp.var_cols,
@@ -343,7 +258,7 @@ fn run_loop(
                 }
             }
         }
-        *delta = next_delta;
+        delta = next_delta;
     }
 }
 
@@ -484,11 +399,33 @@ mod tests {
     }
 
     #[test]
-    fn scratch_tables_are_cleaned_up() {
+    fn relations_named_like_scratch_tables_are_left_alone() {
         let mut db = edge_db();
-        let program = parse_program("Path(x, y) :- E(x, y)").unwrap();
+        db.create_table(
+            Schema::build(
+                "__delta__Path",
+                &[("src", ValueType::Int), ("dst", ValueType::Int)],
+                &[0, 1],
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        let relations = |db: &Database| -> Vec<String> {
+            db.table_names()
+                .chain(db.view_names())
+                .map(str::to_string)
+                .collect()
+        };
+        let before = relations(&db);
+        let program = parse_program(
+            "Path(x, y) :- E(x, y)
+             Path(x, z) :- Path(x, y), E(y, z)",
+        )
+        .unwrap();
         run_program(&mut db, &program, &mut NoopHook).unwrap();
-        assert!(db.table_names().all(|n| !n.starts_with(DELTA_PREFIX)));
+        assert_eq!(db.table("Path").unwrap().len(), 6);
+        assert_eq!(relations(&db), before);
+        assert!(db.table("__delta__Path").unwrap().is_empty());
     }
 
     #[test]
@@ -559,32 +496,13 @@ mod tests {
             "the stale derived tuple survives — this is the hazard"
         );
 
-        // The retraction-aware entry point refuses that silent divergence.
-        let delta = SeedDelta {
-            added: HashMap::new(),
-            removed: HashMap::from([("E".to_string(), vec![tup![2, 3]])]),
-        };
-        let err = run_program_seeded_delta(&mut db, &program, &mut NoopHook, delta);
-        assert!(err.is_err(), "body-feeding retractions must be rejected");
-
-        // Correct fallback: clear derived state and re-evaluate fully.
+        // The explicit fallback: clear derived state and re-evaluate fully.
         db.table_mut("Path").unwrap().truncate();
         run_program(&mut db, &program, &mut NoopHook).unwrap();
         let path = db.table("Path").unwrap();
         assert!(!path.contains(&tup![1, 3]));
         assert!(path.contains(&tup![1, 2]));
         assert!(path.contains(&tup![3, 4]));
-
-        // Retractions that feed no rule body are harmless: the run
-        // proceeds seeded with the additions.
-        db.insert("E", tup![4, 5]).unwrap();
-        let delta = SeedDelta {
-            added: HashMap::from([("E".to_string(), vec![tup![4, 5]])]),
-            removed: HashMap::from([("Unread".to_string(), vec![tup![0, 0]])]),
-        };
-        let stats = run_program_seeded_delta(&mut db, &program, &mut NoopHook, delta).unwrap();
-        assert!(stats.inserted > 0);
-        assert!(db.table("Path").unwrap().contains(&tup![4, 5]));
     }
 
     #[test]

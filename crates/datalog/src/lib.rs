@@ -7,9 +7,12 @@
 //! * [`parse`] — a text syntax matching the paper's notation
 //!   (`m1: C(i, n) :- A(i, s, _), N(i, n, false)`),
 //! * [`compile`] — rule bodies compiled to relational [`Plan`]s over the
-//!   storage engine,
-//! * [`eval`] — semi-naive bottom-up evaluation to fixpoint, with a
-//!   per-firing hook used by `proql-provgraph` to record provenance,
+//!   storage engine, and [`delta_variants`]: the semi-naive variants of a
+//!   body, each reading one atom's delta rows inline — the one delta join
+//!   both the exchange and `proql`'s cache maintainer run,
+//! * [`eval`] — semi-naive bottom-up evaluation to fixpoint on the batch
+//!   executor, with a per-firing hook used by `proql-provgraph` to record
+//!   provenance,
 //! * [`unfold`] — rule unfolding (substituting body atoms by the rules
 //!   deriving them; the core of ProQL's translation, §4.2.4) and unification,
 //! * [`homomorphism`] — body-to-body homomorphisms (`findHomomorphism` of
@@ -25,11 +28,8 @@ pub mod parse;
 pub mod unfold;
 
 pub use ast::{Atom, Program, Rule, Term};
-pub use compile::{compile_body, BodyPlan};
-pub use eval::{
-    run_program, run_program_seeded, run_program_seeded_delta, Bindings, EvalStats, FiringHook,
-    NoopHook, SeedDelta,
-};
+pub use compile::{compile_body, delta_variants, BodyPlan};
+pub use eval::{run_program, run_program_seeded, Bindings, EvalStats, FiringHook, NoopHook};
 pub use homomorphism::find_homomorphism;
 pub use parse::{parse_program, parse_rule};
 pub use unfold::{rename_apart, substitute_atom, substitute_rule, unify_atoms, Subst};

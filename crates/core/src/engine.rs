@@ -673,6 +673,25 @@ mod tests {
     }
 
     #[test]
+    fn in_relation_conditions_hold_under_every_strategy() {
+        // `$x in A` contradicts `[O $x]`: every strategy rejects it, as
+        // Unfold always did. `$x in O` restates the pattern.
+        let q = |cond: &str| format!("FOR [O $x] INCLUDE PATH [$x] <-+ [] {cond} RETURN $x");
+        for strategy in [Strategy::Unfold, Strategy::Graph, Strategy::Auto] {
+            let e = engine(strategy);
+            let err = e.query(&q("WHERE $x in A")).unwrap_err();
+            assert!(
+                err.to_string().contains("constrained to both O and A"),
+                "{strategy:?}: {err}"
+            );
+            let all = e.query(&q("")).unwrap();
+            let same = e.query(&q("WHERE $x in O")).unwrap();
+            assert_eq!(same.projection.bindings, all.projection.bindings);
+            assert_eq!(same.projection.derivations, all.projection.derivations);
+        }
+    }
+
+    #[test]
     fn unfold_strategy_reports_stats() {
         let e = engine(Strategy::Unfold);
         let out = e

@@ -546,7 +546,7 @@ pub fn run_projection_graph(
         start_var.ok_or_else(|| Error::Query("graph strategy needs a start variable".into()))?;
 
     // Attribute conditions on the start variable filter the roots.
-    let attr_conds = collect_attr_conds(proj.where_cond.as_ref(), &start_var)?;
+    let attr_conds = collect_attr_conds(proj.where_cond.as_ref(), &start_var, &start_rel)?;
 
     let mut out = ProjectionResult::default();
     let mut visited_t: BTreeSet<proql_common::TupleId> = BTreeSet::new();
@@ -585,16 +585,28 @@ pub fn run_projection_graph(
     Ok(out)
 }
 
-fn collect_attr_conds(cond: Option<&Condition>, var: &str) -> Result<Vec<(String, CmpOp, Value)>> {
+/// The attribute comparisons on `var`, whose roots all lie in `rel`. A
+/// `$var in R` test holds on every root when `R` is `rel`; any other `R`
+/// contradicts the `FOR` pattern, which Unfold rejects the same way.
+fn collect_attr_conds(
+    cond: Option<&Condition>,
+    var: &str,
+    rel: &str,
+) -> Result<Vec<(String, CmpOp, Value)>> {
     let mut out = Vec::new();
     let Some(cond) = cond else {
         return Ok(out);
     };
-    fn walk(c: &Condition, var: &str, out: &mut Vec<(String, CmpOp, Value)>) -> Result<()> {
+    fn walk(
+        c: &Condition,
+        var: &str,
+        rel: &str,
+        out: &mut Vec<(String, CmpOp, Value)>,
+    ) -> Result<()> {
         match c {
             Condition::And(parts) => {
                 for p in parts {
-                    walk(p, var, out)?;
+                    walk(p, var, rel, out)?;
                 }
                 Ok(())
             }
@@ -607,13 +619,21 @@ fn collect_attr_conds(cond: Option<&Condition>, var: &str) -> Result<Vec<(String
                 out.push((attr.clone(), *op, value.clone()));
                 Ok(())
             }
-            Condition::InRelation { .. } => Ok(()),
+            Condition::InRelation { var: v, relation } if v == var => {
+                if relation == rel {
+                    Ok(())
+                } else {
+                    Err(Error::Query(format!(
+                        "variable ${var} constrained to both {rel} and {relation}"
+                    )))
+                }
+            }
             other => Err(Error::Query(format!(
                 "graph strategy supports only conjunctive attribute conditions, got {other:?}"
             ))),
         }
     }
-    walk(cond, var, &mut out)?;
+    walk(cond, var, rel, &mut out)?;
     Ok(out)
 }
 

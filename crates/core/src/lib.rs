@@ -53,6 +53,9 @@ pub use exec::{
     prepare_rule, prepare_rule_with, prepare_rules, run_projection, run_projection_opts,
     run_projection_prepared, run_projection_with, PreparedRule, ProjectionResult,
 };
-pub use maintain::{maintain_output, MaintainResult, MaintainState};
+pub use maintain::{
+    maintain_output, maintain_outputs, EntryOutcome, FallbackReason, MaintainEntry,
+    MaintainOutcome, MaintainResult, MaintainState,
+};
 pub use parser::parse_query;
 pub use translate::{translate, BodyRewriter, QueryRule, TranslateStats, Translation};

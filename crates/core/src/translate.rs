@@ -997,7 +997,9 @@ fn lower_condition(sys: &ProvenanceSystem, cond: &Condition, partial: &Partial) 
     })
 }
 
-fn static_cmp(a: &Value, op: CmpOp, b: &Value) -> bool {
+/// `a op b` under the `Value` ordering plan filters use
+/// (`proql_storage::expr::eval_bin`).
+pub(crate) fn static_cmp(a: &Value, op: CmpOp, b: &Value) -> bool {
     match op {
         CmpOp::Eq => a == b,
         CmpOp::Ne => a != b,

@@ -43,12 +43,9 @@ pub fn compile_body(db: &Database, body: &[Atom]) -> Result<BodyPlan> {
 }
 
 /// Every semi-naive variant of `body` for `delta` (rows keyed by
-/// relation): for each atom `j` whose relation has delta rows, `body`
-/// compiled with atom `j` reading those rows inline as a [`Plan::Values`]
-/// leaf and every other atom reading `db`. Atoms whose relation has no
-/// delta rows yield no variant. This is the one place a delta join is
-/// built: the exchange's fixpoint loop and the cache maintainer both run
-/// its output.
+/// relation): for each atom `j` whose relation has delta rows, the
+/// [`delta_variant`] of atom `j` over those rows. Atoms whose relation
+/// has no delta rows yield no variant.
 pub fn delta_variants(
     db: &Database,
     body: &[Atom],
@@ -57,10 +54,19 @@ pub fn delta_variants(
     let mut variants = Vec::new();
     for (j, atom) in body.iter().enumerate() {
         if let Some(rows) = delta.get(&atom.relation).filter(|rows| !rows.is_empty()) {
-            variants.push(compile_atoms(db, body, Some((j, rows)))?);
+            variants.push(delta_variant(db, body, j, rows)?);
         }
     }
     Ok(variants)
+}
+
+/// One semi-naive variant: `body` compiled with atom `j` reading `rows`
+/// inline as a [`Plan::Values`] leaf and every other atom reading `db`.
+/// This is the one place a delta join is built: the exchange's fixpoint
+/// loop (through [`delta_variants`]) and the cache maintainer, which
+/// hands each atom only the rows that can match it, both run its output.
+pub fn delta_variant(db: &Database, body: &[Atom], j: usize, rows: &[Tuple]) -> Result<BodyPlan> {
+    compile_atoms(db, body, Some((j, rows)))
 }
 
 /// Compile `body`, with atom `j` of `delta = Some((j, rows))` reading

@@ -7,8 +7,8 @@
 //! * [`parse`] — a text syntax matching the paper's notation
 //!   (`m1: C(i, n) :- A(i, s, _), N(i, n, false)`),
 //! * [`compile`] — rule bodies compiled to relational [`Plan`]s over the
-//!   storage engine, and [`delta_variants`]: the semi-naive variants of a
-//!   body, each reading one atom's delta rows inline — the one delta join
+//!   storage engine, and [`delta_variant`]: the semi-naive variant of a
+//!   body with one atom reading delta rows inline — the one delta join
 //!   both the exchange and `proql`'s cache maintainer run,
 //! * [`eval`] — semi-naive bottom-up evaluation to fixpoint on the batch
 //!   executor, with a per-firing hook used by `proql-provgraph` to record
@@ -28,7 +28,7 @@ pub mod parse;
 pub mod unfold;
 
 pub use ast::{Atom, Program, Rule, Term};
-pub use compile::{compile_body, delta_variants, BodyPlan};
+pub use compile::{compile_body, delta_variant, delta_variants, BodyPlan};
 pub use eval::{run_program, run_program_seeded, Bindings, EvalStats, FiringHook, NoopHook};
 pub use homomorphism::find_homomorphism;
 pub use parse::{parse_program, parse_rule};

@@ -26,7 +26,7 @@
 //! change) forces a re-preparation.
 
 use proql::engine::{PreparedQuery, QueryOutput};
-use proql::MaintainState;
+use proql::{FallbackReason, MaintainState};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -47,18 +47,44 @@ pub struct CacheCounters {
     /// Inserts rejected because the result was already stale when it
     /// arrived (a write raced the query that computed it).
     pub rejected_inserts: u64,
-    /// Entries a write would have killed that were instead patched
-    /// forward by incremental maintenance (and stayed servable).
+    /// Entries a write would have killed that incremental maintenance
+    /// kept servable instead: patched forward, or found unchanged.
     pub maint_hits: u64,
+    /// The part of `maint_hits` the write could not reach: nothing was
+    /// patched and the entry kept its output.
+    pub maint_unchanged: u64,
+    /// Maintenance rounds — kept or evicted — that consumed delta runs
+    /// another entry with the same projection already paid for in the
+    /// same write.
+    pub maint_shared: u64,
     /// Maintenance attempts that could not localize the delta and fell
     /// back to eviction.
     pub maint_fallbacks: u64,
+    /// `maint_fallbacks` by reason, indexed like [`FallbackReason::ALL`].
+    pub maint_fallback_reasons: [u64; FallbackReason::ALL.len()],
+    /// The part of `maint_fallbacks` where maintenance returned an error.
+    pub maint_errors: u64,
     /// Projection and annotation rows patched across all maintained
     /// entries (the O(delta) work actually done).
     pub maint_rows_patched: u64,
 }
 
+// `maint_fallback_reasons` is indexed by discriminant: `ALL` must list
+// the reasons in declaration order.
+const _: () = {
+    let mut i = 0;
+    while i < FallbackReason::ALL.len() {
+        assert!(FallbackReason::ALL[i] as usize == i);
+        i += 1;
+    }
+};
+
 impl CacheCounters {
+    /// Fallbacks counted for `reason`.
+    pub fn fallbacks_for(&self, reason: FallbackReason) -> u64 {
+        self.maint_fallback_reasons[reason as usize]
+    }
+
     /// Hit rate over all lookups (0.0 when no lookups happened).
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
@@ -228,8 +254,9 @@ impl ResultCache {
     /// annotation carry-over, and re-stamp the entry's build version to
     /// the maintaining write's — so the write's own epoch (recorded via
     /// [`Self::record_write`] in the same critical section) no longer
-    /// outdates it. A no-op if the entry vanished meanwhile (a racing
-    /// reader's capacity eviction).
+    /// outdates it. `shared` says the round reused another entry's delta
+    /// runs. A no-op if the entry vanished meanwhile (a racing reader's
+    /// capacity eviction).
     pub fn apply_maintained(
         &mut self,
         key: &str,
@@ -237,23 +264,63 @@ impl ResultCache {
         state: Option<Box<MaintainState>>,
         version: u64,
         rows_patched: u64,
+        shared: bool,
     ) {
+        if self.restamp(key, state, version, shared) {
+            self.entries.get_mut(key).expect("just re-stamped").result = result;
+            self.counters.maint_rows_patched += rows_patched;
+        }
+    }
+
+    /// Keep an entry the write could not reach: its result stays, its
+    /// carry-over goes back, and it is re-stamped to `version` like a
+    /// maintained entry. Returns false if the entry vanished meanwhile.
+    pub fn apply_unchanged(
+        &mut self,
+        key: &str,
+        state: Option<Box<MaintainState>>,
+        version: u64,
+        shared: bool,
+    ) -> bool {
+        let kept = self.restamp(key, state, version, shared);
+        self.counters.maint_unchanged += u64::from(kept);
+        kept
+    }
+
+    fn restamp(
+        &mut self,
+        key: &str,
+        state: Option<Box<MaintainState>>,
+        version: u64,
+        shared: bool,
+    ) -> bool {
         let Some(e) = self.entries.get_mut(key) else {
-            return;
+            return false;
         };
-        e.result = result;
         e.state = state;
         e.built_version = version;
         self.counters.maint_hits += 1;
-        self.counters.maint_rows_patched += rows_patched;
+        self.counters.maint_shared += u64::from(shared);
+        true
     }
 
-    /// Count a maintenance fallback and evict the entry eagerly (the
-    /// write's epoch would kill it lazily anyway; eager removal lets
-    /// subscriptions observe the resync immediately).
-    pub fn maintenance_fallback(&mut self, key: &str) {
+    /// Count a maintenance fallback — `None` for an error — and evict the
+    /// entry eagerly (the write's epoch would kill it lazily anyway;
+    /// eager removal lets subscriptions observe the resync immediately).
+    /// `shared` says the round reused another entry's delta runs.
+    pub fn maintenance_fallback(
+        &mut self,
+        key: &str,
+        reason: Option<FallbackReason>,
+        shared: bool,
+    ) {
         if self.entries.remove(key).is_some() {
             self.counters.maint_fallbacks += 1;
+            self.counters.maint_shared += u64::from(shared);
+            match reason {
+                Some(reason) => self.counters.maint_fallback_reasons[reason as usize] += 1,
+                None => self.counters.maint_errors += 1,
+            }
             self.counters.stale_evictions += 1;
         }
     }

@@ -29,7 +29,7 @@ use crate::metrics::{LatencyHistogram, TransportMetrics};
 use crate::proto::result_digest;
 use crate::stats::ServiceStats;
 use proql::engine::{Engine, EngineOptions, QueryOutput};
-use proql::{maintain_output, MaintainResult};
+use proql::{maintain_outputs, EntryOutcome, MaintainEntry, MaintainOutcome};
 use proql_cdss::update::{delete_local_with_graph, DeleteStats};
 use proql_common::sync::{lock, read_lock, write_lock};
 use proql_common::{trace, Error, Result, Tuple};
@@ -388,14 +388,14 @@ impl ServiceCore {
     /// no entry is evicted).
     ///
     /// Before publishing, every **fresh** cache entry whose read set
-    /// intersects the write set is run through incremental view
-    /// maintenance ([`proql::maintain_output`]): the entry's unfolded
-    /// rules are re-run in delta form over the `(snapshot, delta)` pair
-    /// and the cached answer is patched to the new version in O(delta).
-    /// Entries the maintainer cannot localize (graph-walk answers,
-    /// set-valued semirings, broken delta chains, oversized deltas) fall
-    /// back to the old behavior — eviction — so maintenance is never a
-    /// correctness risk. The patched entries are installed, the write
+    /// intersects the write set goes through incremental view
+    /// maintenance ([`proql::maintain_outputs`], see [`Self::publish`]):
+    /// an entry no changed row can reach is kept as it is, and the
+    /// others are patched to the new version in O(delta). Entries the
+    /// maintainer cannot localize (graph-walk answers, set-valued
+    /// semirings the write reaches, broken delta chains, oversized
+    /// deltas) fall back to the old behavior — eviction — so maintenance
+    /// is never a correctness risk. The results are installed, the write
     /// epoch recorded, and the snapshot published under one cache lock
     /// acquisition, so no reader can observe a new-version answer at the
     /// old published version.
@@ -491,65 +491,77 @@ impl ServiceCore {
     /// The shared publish tail of every maintained state transition —
     /// local writes and replicated deltas alike. Caller holds the write
     /// gate. Runs incremental maintenance over intersecting cache
-    /// entries, installs the results + write epoch + snapshot under one
-    /// cache lock, then fans the transition out to query subscribers and
-    /// replicas.
+    /// entries in one [`proql::maintain_outputs`] call, so entries whose
+    /// queries share a projection share one set of delta runs. Installs
+    /// the results + write epoch + snapshot under one cache lock:
+    /// unchanged entries keep their output and are only re-stamped,
+    /// patched ones swap it, fallbacks are evicted. Then fans the
+    /// transition out to query subscribers and replicas.
     fn publish(&self, current: &Snapshot, next: Arc<Snapshot>, write_set: &BTreeSet<String>) {
         let version = next.version;
         // Maintenance runs outside the cache lock (it executes delta
         // plans); the write gate keeps the candidate set stable against
         // other writers, and racing readers still see the old entries at
         // the old published version.
-        let maintained = if self.maintenance {
-            let candidates = lock(&self.cache).take_maintenance_candidates(write_set);
-            candidates
-                .into_iter()
-                .map(|c| {
-                    let outcome = maintain_output(
-                        &current.engine,
-                        &next.engine,
-                        &c.prepared,
-                        &c.previous,
-                        c.state,
-                    );
-                    (c.key, outcome)
-                })
-                .collect()
+        let mut candidates = if self.maintenance {
+            lock(&self.cache).take_maintenance_candidates(write_set)
         } else {
             Vec::new()
         };
+        let outcomes = maintain_outputs(
+            &current.engine,
+            &next.engine,
+            candidates
+                .iter_mut()
+                .map(|c| MaintainEntry {
+                    prepared: &c.prepared,
+                    previous: &c.previous,
+                    state: c.state.take(),
+                })
+                .collect(),
+        );
         let mut events: Vec<(String, SubscriptionEvent)> = Vec::new();
         {
             let mut cache = lock(&self.cache);
-            for (key, outcome) in maintained {
-                match outcome {
-                    Ok(MaintainResult::Maintained {
+            for (c, EntryOutcome { outcome, shared }) in candidates.into_iter().zip(outcomes) {
+                let kept = match outcome {
+                    Ok(MaintainOutcome::Unchanged { state }) => cache
+                        .apply_unchanged(&c.key, state, version, shared)
+                        .then_some((c.previous, 0)),
+                    Ok(MaintainOutcome::Patched {
                         output,
                         rows_patched,
                         state,
                     }) => {
-                        let digest = result_digest(&output);
+                        let output = Arc::new(*output);
                         cache.apply_maintained(
-                            &key,
-                            Arc::new(*output),
+                            &c.key,
+                            Arc::clone(&output),
                             state,
                             version,
                             rows_patched,
+                            shared,
                         );
-                        events.push((
-                            key,
-                            SubscriptionEvent::Delta {
-                                version,
-                                rows_patched,
-                                digest,
-                            },
-                        ));
+                        Some((output, rows_patched))
                     }
-                    Ok(MaintainResult::Fallback(_)) | Err(_) => {
-                        cache.maintenance_fallback(&key);
-                        events.push((key, SubscriptionEvent::Resync { version }));
+                    Ok(MaintainOutcome::Fallback(reason)) => {
+                        cache.maintenance_fallback(&c.key, Some(reason), shared);
+                        None
                     }
-                }
+                    Err(_) => {
+                        cache.maintenance_fallback(&c.key, None, shared);
+                        None
+                    }
+                };
+                let event = match kept {
+                    Some((output, rows_patched)) => SubscriptionEvent::Delta {
+                        version,
+                        rows_patched,
+                        digest: result_digest(&output),
+                    },
+                    None => SubscriptionEvent::Resync { version },
+                };
+                events.push((c.key, event));
             }
             self.retire_and_swap(&mut cache, current, &next, write_set);
         }
@@ -894,6 +906,51 @@ mod tests {
         assert_eq!(stats.cache.maint_fallbacks, 0);
         assert!(stats.cache.maint_rows_patched > 0);
         assert_eq!(stats.cache.stale_evictions, 0);
+    }
+
+    #[test]
+    fn irrelevant_write_keeps_entries_and_counts_why() {
+        use crate::proto::json_u64_field;
+        use proql::FallbackReason;
+        let core = ServiceCore::new(two_island_system(), EngineOptions::default());
+        let low = "FOR [Y $x] INCLUDE PATH [$x] <-+ [] WHERE $x.id < 3 RETURN $x";
+        let texts = [
+            low.to_string(),
+            format!("EVALUATE COUNT OF {{ {low} }}"),
+            format!("EVALUATE LINEAGE OF {{ {low} }}"),
+            Q_Y.to_string(),
+            format!("EVALUATE COUNT OF {{ {Q_Y} }}"),
+        ];
+        for q in &texts {
+            core.query(q).unwrap();
+        }
+        // X(9, 90) lies outside `id < 3`: the three entries over that
+        // range are unchanged, LINEAGE included. The two unfiltered
+        // entries share one set of delta runs.
+        core.insert_and_exchange("X", tup![9, 90]).unwrap();
+        let stats = core.stats().cache;
+        assert_eq!(stats.maint_hits, 5);
+        assert_eq!(stats.maint_unchanged, 3);
+        assert_eq!(stats.maint_shared, 1);
+        assert_eq!(stats.maint_fallbacks, 0);
+        for q in &texts {
+            let served = core.query(q).unwrap();
+            assert!(served.cache_hit, "{q}");
+            let fresh = core.snapshot().engine.query(q).unwrap();
+            assert_eq!(result_digest(&served.output), result_digest(&fresh), "{q}");
+        }
+        // Deleting X(1) reaches every entry: LINEAGE is evicted, and each
+        // group's runs serve all of its members.
+        core.delete("X", &tup![1]).unwrap();
+        let stats = core.stats();
+        assert_eq!(stats.cache.maint_fallbacks, 1);
+        assert_eq!(stats.cache.fallbacks_for(FallbackReason::SetValued), 1);
+        assert_eq!(stats.cache.maint_unchanged, 3);
+        let json = stats.to_json();
+        assert_eq!(json_u64_field(&json, "maint_unchanged"), Some(3));
+        assert_eq!(json_u64_field(&json, "maint_shared"), Some(4));
+        assert_eq!(json_u64_field(&json, "maint_fallback_set_valued"), Some(1));
+        assert_eq!(json_u64_field(&json, "maint_fallback_error"), Some(0));
     }
 
     #[test]

@@ -33,12 +33,13 @@
 //!   histogram ([`metrics`]) ride along.
 //!
 //! Writes do not simply evict intersecting cache entries: the write path
-//! first tries **incremental view maintenance** ([`proql::maintain_output`])
-//! — re-running each affected entry's unfolded rules in delta form over
-//! the published `(snapshot, delta)` pair and patching the cached answer
-//! forward in O(delta). Only non-localizable shapes (graph-walk answers,
-//! set-valued semirings, broken delta chains, oversized deltas) fall back
-//! to eviction. `SUBSCRIBE` clients ride the same machinery: maintained
+//! first tries **incremental view maintenance** ([`proql::maintain_outputs`])
+//! — keeping the entries no changed row can reach as they are, and
+//! re-running the others' unfolded rules in delta form over the
+//! published `(snapshot, delta)` pair, once per projection, to patch the
+//! cached answers forward in O(delta). Only non-localizable shapes
+//! (graph-walk answers, set-valued semirings the write reaches, broken
+//! delta chains, oversized deltas) fall back to eviction. `SUBSCRIBE` clients ride the same machinery: maintained
 //! entries push result deltas, fallbacks push a resync notice. They and
 //! replicas are listeners on one fan-out ([`fanout`]), the last step of
 //! every published write.

@@ -3,6 +3,7 @@
 
 use crate::cache::{CacheCounters, PlanCacheCounters};
 use crate::metrics::{Metrics, TransportSnapshot};
+use proql::FallbackReason;
 
 /// Point-in-time service statistics (the `STATS` verb's payload).
 #[derive(Debug, Clone, Copy, Default)]
@@ -84,7 +85,13 @@ impl ServiceStats {
         m.push_u64("capacity_evictions", self.cache.capacity_evictions);
         m.push_u64("rejected_inserts", self.cache.rejected_inserts);
         m.push_u64("maint_hits", self.cache.maint_hits);
+        m.push_u64("maint_unchanged", self.cache.maint_unchanged);
+        m.push_u64("maint_shared", self.cache.maint_shared);
         m.push_u64("maint_fallbacks", self.cache.maint_fallbacks);
+        for reason in FallbackReason::ALL {
+            m.push_u64(fallback_metric(reason), self.cache.fallbacks_for(reason));
+        }
+        m.push_u64("maint_fallback_error", self.cache.maint_errors);
         m.push_u64("maint_rows_patched", self.cache.maint_rows_patched);
         m.push_u64("delta_compactions", self.delta_compactions);
         m.push_u64("graph_builds", self.graph_builds);
@@ -130,5 +137,19 @@ impl ServiceStats {
     /// TEXT` payload).
     pub fn to_text(&self) -> String {
         self.registry().to_text()
+    }
+}
+
+/// The `STATS` name of one fallback reason's counter.
+fn fallback_metric(reason: FallbackReason) -> &'static str {
+    match reason {
+        FallbackReason::Explain => "maint_fallback_explain",
+        FallbackReason::GraphWalk => "maint_fallback_graph_walk",
+        FallbackReason::NoUnfold => "maint_fallback_no_unfold",
+        FallbackReason::ChainUnavailable => "maint_fallback_chain",
+        FallbackReason::ViewAtom => "maint_fallback_view_atom",
+        FallbackReason::DeltaTooLarge => "maint_fallback_too_large",
+        FallbackReason::TooManyCandidates => "maint_fallback_candidates",
+        FallbackReason::SetValued => "maint_fallback_set_valued",
     }
 }

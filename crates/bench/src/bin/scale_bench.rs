@@ -487,11 +487,13 @@ fn main() {
         let handles: Vec<_> = (0..router_threads)
             .map(|c| {
                 let map = map.clone();
+                let schema = schema_only.clone();
                 let shard_addrs = &shard_addrs;
                 let hot = &hot;
                 s.spawn(move || {
-                    let mut router = Router::connect(map, shard_addrs, RetryPolicy::default())
-                        .expect("router connects");
+                    let mut router =
+                        Router::connect(schema, map, shard_addrs, RetryPolicy::default())
+                            .expect("router connects");
                     for r in 0..requests {
                         let q = &hot[(c + r) % hot.len()];
                         let json = router.query(q).expect("routed query");
@@ -517,8 +519,13 @@ fn main() {
     );
     // Routed answers are digest-identical to the fat node's.
     {
-        let mut router =
-            Router::connect(map.clone(), &shard_addrs, RetryPolicy::default()).expect("verifier");
+        let mut router = Router::connect(
+            schema_only.clone(),
+            map.clone(),
+            &shard_addrs,
+            RetryPolicy::default(),
+        )
+        .expect("verifier");
         for q in &hot {
             let routed = router.query(q).expect("routed");
             let fat_resp = fat.query(q).expect("fat");

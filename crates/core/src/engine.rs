@@ -6,15 +6,17 @@
 //! plan, and the query's read set — and [`Engine::execute`] runs it.
 //! A `PreparedQuery` is plain data (no references into the engine), so a
 //! query service can cache it and execute it against later snapshots:
-//! plans never affect correctness, only cost, which is why reuse across
-//! data changes is always safe. The fingerprint stamps say when reuse
-//! stops being cost-optimal.
+//! plans never affect correctness, only cost. The one data-dependent
+//! part of a translation is goal-directed pruning of alternatives through
+//! empty relations; those relations are in the read set, and a row in any
+//! of them moves the fingerprint stamp. The stamps therefore say when
+//! reuse stops being cost-optimal, or stops being complete.
 
 use crate::annotate::{run_annotation_opts, AnnotatedResult};
 use crate::ast::Query;
 use crate::exec::{
-    prepare_rules, run_projection_graph, run_projection_prepared, run_projection_prepared_profiled,
-    PreparedRule, ProjectionResult,
+    graph_pattern, prepare_rules, run_projection_graph, run_projection_prepared,
+    run_projection_prepared_profiled, PreparedRule, ProjectionResult,
 };
 use crate::parser::parse_query;
 use crate::translate::{translate, BodyRewriter, TranslateOptions, TranslateStats, Translation};
@@ -40,6 +42,13 @@ pub enum Strategy {
     #[default]
     Auto,
     /// Always unfold into conjunctive queries (paper §4.2; acyclic focus).
+    ///
+    /// Unfolding never repeats a mapping along one branch, so on a cyclic
+    /// schema it returns a subset of the graph walk's derivations: a
+    /// derivation that needs a mapping twice on one path (for example
+    /// `m3` in `FOR [O $x] INCLUDE PATH [$x] <-+ []` over Example 2.1) is
+    /// missing. `Graph`, and `Auto` on cyclic schemas, serve the full
+    /// fixpoint.
     Unfold,
     /// Always walk the materialized provenance graph bottom-up (the
     /// alternative scheme sketched in the paper's §8; handles cycles).
@@ -132,10 +141,11 @@ pub struct QueryOutput {
 /// executable many times via [`Engine::execute`].
 ///
 /// Holds no references into the engine it was prepared on, so services
-/// cache it across snapshots. Reusing a prepared plan is **always
-/// correct** (optimizer choices never change results); the
-/// `stats_version` / `stats_fingerprint` stamps only say when the plan
-/// stops being cost-optimal and deserves re-preparation.
+/// cache it across snapshots. Optimizer choices never change results;
+/// the `stats_version` / `stats_fingerprint` stamps say when the plan
+/// stops being cost-optimal and deserves re-preparation. They also cover
+/// the relations unfolding pruned on because they were empty: a row in
+/// one moves the fingerprint, and only then does reuse miss answers.
 #[derive(Debug, Clone)]
 pub struct PreparedQuery {
     /// The parsed query.
@@ -156,6 +166,20 @@ pub struct PreparedQuery {
     pub stats_fingerprint: u64,
     /// Time spent translating + optimizing (the paper's "unfolding time").
     pub prepare_time: Duration,
+}
+
+impl PreparedQuery {
+    /// Whether executing this query on `sys` still answers it in full:
+    /// false once a relation unfolding pruned on as empty has rows, when
+    /// the query must be prepared again.
+    pub fn complete_at(&self, sys: &ProvenanceSystem) -> bool {
+        self.unfold.as_ref().is_none_or(|u| {
+            u.translation
+                .pruned_on
+                .iter()
+                .all(|r| sys.db.table(r).is_ok_and(|t| t.is_empty()))
+        })
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -201,10 +225,9 @@ impl Engine {
         }
     }
 
-    /// Parse and run a ProQL query.
+    /// Parse, prepare and run a ProQL query.
     pub fn query(&self, text: &str) -> Result<QueryOutput> {
-        let q = parse_query(text)?;
-        self.query_parsed(&q)
+        self.execute(&self.prepare(text)?)
     }
 
     /// The in-memory provenance graph for the **current** system version.
@@ -306,29 +329,20 @@ impl Engine {
         }
     }
 
-    /// Run a parsed query: prepare then execute.
-    pub fn query_parsed(&self, q: &Query) -> Result<QueryOutput> {
-        let prepared = self.prepare_parsed(q)?;
-        self.execute(&prepared)
-    }
-
     /// Parse and prepare a query without executing it.
     pub fn prepare(&self, text: &str) -> Result<PreparedQuery> {
         self.prepare_parsed(&parse_query(text)?)
     }
 
     /// Prepare a parsed query: resolve the strategy, translate, and run
-    /// the optimizer's full pass pipeline over every unfolded rule.
+    /// the optimizer's full pass pipeline over every unfolded rule. The
+    /// read set comes from one function, `read_set`, under both strategies.
     pub fn prepare_parsed(&self, q: &Query) -> Result<PreparedQuery> {
         let mut sp = trace::span("prepare");
+        let schema = self.sys.schema_graph();
         let strategy = match self.options.strategy {
-            Strategy::Auto => {
-                if self.sys.schema_graph().is_cyclic() {
-                    Strategy::Graph
-                } else {
-                    Strategy::Unfold
-                }
-            }
+            Strategy::Auto if schema.is_cyclic() => Strategy::Graph,
+            Strategy::Auto => Strategy::Unfold,
             s => s,
         };
         let t0 = Instant::now();
@@ -343,16 +357,25 @@ impl Engine {
                         .map(|r| r as &dyn BodyRewriter),
                     &self.options.translate,
                 )?;
-                let touched = touched_relations_unfold(&self.sys, &translation);
+                let rules = &translation.rules;
+                let touched = read_set(
+                    &self.sys,
+                    rules
+                        .iter()
+                        .flat_map(|r| r.atoms.iter().map(|a| a.relation.as_str()))
+                        .chain(translation.pruned_on.iter().map(String::as_str)),
+                    rules
+                        .iter()
+                        .flat_map(|r| r.prov_records.iter().map(|p| p.mapping.as_str())),
+                );
                 let rules = prepare_rules(&self.sys, &translation)?;
                 (Some(PreparedUnfold { translation, rules }), touched)
             }
             Strategy::Graph | Strategy::Auto => {
-                // The graph walk reads the whole materialized system, so
-                // a graph-strategy answer depends on every relation.
-                let mut touched = BTreeSet::new();
-                touched.extend(self.sys.db.table_names().map(str::to_string));
-                touched.extend(self.sys.db.view_names().map(str::to_string));
+                // The walk visits only what can derive the start relation.
+                let (start, _, _) = graph_pattern(q)?;
+                let (relations, mappings) = schema.backward_closure(&start);
+                let touched = read_set(&self.sys, relations, mappings);
                 (None, touched)
             }
         };
@@ -400,12 +423,12 @@ impl Engine {
                 annotated: None,
                 stats,
                 touched: p.touched.clone(),
-                plan: Some(self.render_plan(p)),
+                plan: Some(self.render_plan(p, None)),
             });
         }
         let mut sp = trace::span("execute");
-        let mut projection = match (&p.unfold, p.strategy) {
-            (Some(u), _) => {
+        let mut projection = match &p.unfold {
+            Some(u) => {
                 let t1 = Instant::now();
                 let proj = run_projection_prepared(
                     &self.sys,
@@ -419,7 +442,7 @@ impl Engine {
                 stats.sql_bytes = proj.metrics.sql_bytes;
                 proj
             }
-            (None, _) => {
+            None => {
                 let graph = self.graph()?;
                 let t1 = Instant::now();
                 let proj = run_projection_graph(&self.sys, &graph, &p.query)?;
@@ -484,7 +507,12 @@ impl Engine {
         stats.sql_bytes = projection.metrics.sql_bytes;
         sp.field("rows", projection.metrics.rows.to_string());
         sp.field("bindings", projection.bindings.len().to_string());
-        let plan = self.render_plan_analyzed(p, per_rule.as_deref(), &projection, exec_time);
+        let actuals = Actuals {
+            per_rule: per_rule.as_deref(),
+            projection: &projection,
+            exec_time,
+        };
+        let plan = self.render_plan(p, Some(actuals));
         Ok(QueryOutput {
             projection: ProjectionResult::default(),
             annotated: None,
@@ -497,7 +525,10 @@ impl Engine {
     /// Render a prepared query's plans: the strategy, each unfolded
     /// rule's operator tree with the optimizer's estimated rows per
     /// operator, and the read set. Large unions show the first few rules.
-    fn render_plan(&self, p: &PreparedQuery) -> String {
+    /// Given the actuals of an analyze run, every operator line also
+    /// carries `actual <rows> rows in <ms>`, and a final `actual:` footer
+    /// reports the executed result sizes and wall time.
+    fn render_plan(&self, p: &PreparedQuery, actuals: Option<Actuals<'_>>) -> String {
         const SHOWN_RULES: usize = 5;
         let mut out = String::new();
         match &p.unfold {
@@ -507,13 +538,17 @@ impl Engine {
                     "strategy: unfold ({} rules, {} dropped statically)",
                     u.translation.stats.rules, u.translation.stats.dropped
                 );
+                let per_rule = actuals.and_then(|a| a.per_rule);
                 for (i, rule) in u.rules.iter().take(SHOWN_RULES).enumerate() {
                     let _ = writeln!(
                         out,
                         "rule {i}: ~{} rows",
                         estimate_rows(&self.sys.db, &rule.plan)
                     );
-                    out.push_str(&explain_tree(&self.sys.db, &rule.plan));
+                    out.push_str(&match per_rule.and_then(|stats| stats.get(i)) {
+                        Some(rstats) => explain_tree_analyzed(&self.sys.db, &rule.plan, rstats),
+                        None => explain_tree(&self.sys.db, &rule.plan),
+                    });
                 }
                 if u.rules.len() > SHOWN_RULES {
                     let _ = writeln!(out, "… {} more rules", u.rules.len() - SHOWN_RULES);
@@ -526,7 +561,8 @@ impl Engine {
                 );
             }
         }
-        let _ = writeln!(out, "reads: {}", comma_join(&p.touched));
+        let reads: Vec<&str> = p.touched.iter().map(String::as_str).collect();
+        let _ = writeln!(out, "reads: {}", reads.join(", "));
         // Row estimates above are recomputed from *current* statistics;
         // the stamps below describe when the plan itself was chosen.
         let _ = writeln!(
@@ -534,61 +570,15 @@ impl Engine {
             "prepared at: version {} (stats fingerprint {:x})",
             p.stats_version, p.stats_fingerprint
         );
-        out
-    }
-
-    /// Render plans annotated with the actuals of an analyze run: same
-    /// shape as [`Engine::render_plan`], but every operator line carries
-    /// `actual <rows> rows in <ms>` next to the estimate, and a final
-    /// `actual:` footer reports the executed result sizes and wall time.
-    fn render_plan_analyzed(
-        &self,
-        p: &PreparedQuery,
-        per_rule: Option<&[Vec<OpStat>]>,
-        projection: &ProjectionResult,
-        exec_time: Duration,
-    ) -> String {
-        const SHOWN_RULES: usize = 5;
-        let mut out = String::new();
-        match (&p.unfold, per_rule) {
-            (Some(u), Some(stats)) => {
-                let _ = writeln!(
-                    out,
-                    "strategy: unfold ({} rules, {} dropped statically)",
-                    u.translation.stats.rules, u.translation.stats.dropped
-                );
-                for (i, (rule, rstats)) in u.rules.iter().zip(stats).take(SHOWN_RULES).enumerate() {
-                    let _ = writeln!(
-                        out,
-                        "rule {i}: ~{} rows",
-                        estimate_rows(&self.sys.db, &rule.plan)
-                    );
-                    out.push_str(&explain_tree_analyzed(&self.sys.db, &rule.plan, rstats));
-                }
-                if u.rules.len() > SHOWN_RULES {
-                    let _ = writeln!(out, "… {} more rules", u.rules.len() - SHOWN_RULES);
-                }
-            }
-            _ => {
-                let _ = writeln!(
-                    out,
-                    "strategy: graph-walk over the materialized provenance graph"
-                );
-            }
+        if let Some(a) = actuals {
+            let _ = writeln!(
+                out,
+                "actual: {} binding rows, {} derivation rows in {:.3} ms",
+                a.projection.bindings.len(),
+                a.projection.derivation_count(),
+                a.exec_time.as_secs_f64() * 1e3
+            );
         }
-        let _ = writeln!(out, "reads: {}", comma_join(&p.touched));
-        let _ = writeln!(
-            out,
-            "prepared at: version {} (stats fingerprint {:x})",
-            p.stats_version, p.stats_fingerprint
-        );
-        let _ = writeln!(
-            out,
-            "actual: {} binding rows, {} derivation rows in {:.3} ms",
-            projection.bindings.len(),
-            projection.derivation_count(),
-            exec_time.as_secs_f64() * 1e3
-        );
         out
     }
 
@@ -601,32 +591,41 @@ impl Engine {
     }
 }
 
-/// Comma-join a read set for the EXPLAIN footer.
-fn comma_join(set: &BTreeSet<String>) -> String {
-    set.iter().cloned().collect::<Vec<_>>().join(", ")
+/// What an `EXPLAIN ANALYZE` run measured, for [`Engine::render_plan`].
+#[derive(Clone, Copy)]
+struct Actuals<'a> {
+    per_rule: Option<&'a [Vec<OpStat>]>,
+    projection: &'a ProjectionResult,
+    exec_time: Duration,
 }
 
-/// The set of relations an unfold-strategy answer reads: every rule body
-/// atom, every provenance relation the rule witnesses, and (for the
-/// annotation phase, which reconstructs leaf tuples) the source/target
-/// relations of each witnessed mapping — all expanded through view
+/// The read set of an answer: every relation (base table or view) whose
+/// contents it depends on. Its inputs are the relations the answer scans
+/// and the mappings whose derivations it may report. The result holds
+/// each relation, plus each mapping's provenance relation and the
+/// relations of its atom recipes (sources and targets, which the
+/// annotation phase reads for leaf values), all expanded through view
 /// definitions down to base tables, so that a write set of base tables
 /// can be intersected against it.
-fn touched_relations_unfold(
+///
+/// An unfold answer passes its rule atoms, the relations pruning found
+/// empty, and the mappings its rules witness. A graph answer passes the
+/// schema graph's backward closure of its start relation. Either may
+/// over-approximate, never under-approximate.
+fn read_set<'a>(
     sys: &ProvenanceSystem,
-    translation: &crate::translate::Translation,
+    relations: impl IntoIterator<Item = &'a str>,
+    mappings: impl IntoIterator<Item = &'a str>,
 ) -> BTreeSet<String> {
     let mut out = BTreeSet::new();
-    for rule in &translation.rules {
-        for atom in &rule.atoms {
-            insert_with_view_deps(sys, &atom.relation, &mut out);
-        }
-        for rec in &rule.prov_records {
-            if let Some(spec) = sys.spec_for(&rec.mapping) {
-                insert_with_view_deps(sys, &spec.prov_rel, &mut out);
-                for recipe in &spec.atoms {
-                    insert_with_view_deps(sys, &recipe.relation, &mut out);
-                }
+    for rel in relations {
+        insert_with_view_deps(sys, rel, &mut out);
+    }
+    for mapping in mappings {
+        if let Some(spec) = sys.spec_for(mapping) {
+            insert_with_view_deps(sys, &spec.prov_rel, &mut out);
+            for recipe in &spec.atoms {
+                insert_with_view_deps(sys, &recipe.relation, &mut out);
             }
         }
     }
@@ -636,9 +635,10 @@ fn touched_relations_unfold(
 /// Insert `rel` and, when it is a view, every relation its definition
 /// scans (recursively — views may read other views).
 fn insert_with_view_deps(sys: &ProvenanceSystem, rel: &str, out: &mut BTreeSet<String>) {
-    if !out.insert(rel.to_string()) {
+    if out.contains(rel) {
         return;
     }
+    out.insert(rel.to_string());
     if let Some(v) = sys.db.view(rel) {
         let mut scanned = BTreeSet::new();
         v.plan.collect_scanned(&mut scanned);
@@ -884,13 +884,91 @@ mod tests {
     }
 
     #[test]
-    fn touched_relations_graph_strategy_is_everything() {
+    fn touched_relations_graph_strategy_is_the_backward_closure() {
         let e = engine(Strategy::Graph);
         let out = e
             .query("FOR [O $x] INCLUDE PATH [$x] <-+ [] RETURN $x")
             .unwrap();
         for rel in ["A", "A_l", "O", "P_m1", "P_m5"] {
             assert!(out.touched.contains(rel), "missing {rel}");
+        }
+        // C's closure is {A, C, N} with their locals and the mappings
+        // L_A, L_C, L_N, m1, m2, m3: O and its mappings are not read.
+        let c = e.prepare("FOR [C $x] INCLUDE PATH [$x] <-+ [] RETURN $x");
+        let touched = c.unwrap().touched;
+        let expect = [
+            "A", "A_l", "C", "C_l", "N", "N_l", "P_L_A", "P_L_C", "P_L_N", "P_m1", "P_m2", "P_m3",
+        ];
+        assert_eq!(touched, expect.iter().map(|r| r.to_string()).collect());
+        // The closure never exceeds "every table and view".
+        let mut all: BTreeSet<String> = e.sys.db.table_names().map(str::to_string).collect();
+        all.extend(e.sys.db.view_names().map(str::to_string));
+        assert!(touched.is_subset(&all));
+    }
+
+    #[test]
+    fn touched_relations_include_what_unfolding_pruned_on() {
+        // O_l is empty, so unfolding drops O's local alternative: the
+        // answer still depends on O_l staying empty.
+        let mut e = engine(Strategy::Unfold);
+        let q = "FOR [O $x] INCLUDE PATH [$x] <-+ [] RETURN $x";
+        let prepared = e.prepare(q).unwrap();
+        assert!(prepared.touched.contains("O_l"), "{:?}", prepared.touched);
+        assert!(prepared.complete_at(&e.sys));
+        e.sys.insert_local("O", tup!["x1", 3, false]).unwrap();
+        e.sys.run_exchange().unwrap();
+        // The translation now misses the local alternative, and the first
+        // row moves the statistics fingerprint, so plan caches re-prepare.
+        assert!(!prepared.complete_at(&e.sys));
+        assert_ne!(
+            e.stats_fingerprint(&prepared.touched),
+            prepared.stats_fingerprint
+        );
+        let stale = e.execute(&prepared).unwrap().projection.bindings.len();
+        let fresh = e.query(q).unwrap().projection.bindings.len();
+        assert_eq!((stale, fresh), (4, 5));
+    }
+
+    #[test]
+    fn explain_rejects_what_the_graph_walk_cannot_run() {
+        // Auto resolves to the graph walk on Example 2.1. A query it cannot
+        // run fails at prepare, so EXPLAIN reports the same error as
+        // running it, and no plan cache can hold a query that never runs.
+        let e = engine(Strategy::Auto);
+        for (q, err) in [
+            (
+                "FOR [O $x] <m4 [A $y] RETURN $x",
+                "graph strategy supports only `[R $x] <-+ []` patterns",
+            ),
+            (
+                "FOR [$x] INCLUDE PATH [$x] <-+ [] RETURN $x",
+                "graph strategy needs a start relation",
+            ),
+        ] {
+            for text in [q.to_string(), format!("EXPLAIN {q}")] {
+                let got = e.query(&text).unwrap_err().to_string();
+                assert!(got.contains(err), "{text}: {got}");
+                assert!(e.prepare(&text).is_err(), "{text}");
+            }
+        }
+    }
+
+    #[test]
+    fn unfold_is_a_strict_subset_of_graph_on_cyclic_schemas() {
+        // Unfolding never repeats a mapping along a branch; the graph walk
+        // serves the full fixpoint. On Example 2.1 (cyclic via m1/m3) every
+        // unfold row is a graph row, and the graph walk finds one more
+        // derivation from each start relation.
+        let (unfold, graph) = (engine(Strategy::Unfold), engine(Strategy::Graph));
+        for (rel, counts) in [("O", (11, 12)), ("C", (7, 8)), ("N", (9, 10))] {
+            let q = format!("FOR [{rel} $x] INCLUDE PATH [$x] <-+ [] RETURN $x");
+            let u = unfold.query(&q).unwrap().projection;
+            let g = graph.query(&q).unwrap().projection;
+            assert_eq!((u.derivation_count(), g.derivation_count()), counts, "{q}");
+            assert!(u.bindings.is_subset(&g.bindings), "{q}");
+            for (mapping, rows) in &u.derivations {
+                assert!(rows.is_subset(&g.derivations[mapping]), "{q}: {mapping}");
+            }
         }
     }
 

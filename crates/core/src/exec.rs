@@ -505,17 +505,13 @@ pub(crate) fn cond_to_expr(cond: &VarCond, var_cols: &HashMap<String, usize>) ->
     })
 }
 
-/// Bottom-up (graph-walk) strategy: supports queries whose FOR/INCLUDE
-/// paths are of the shape `[R $x]` or `[R $x] <-+ []`, which covers the
-/// annotation use cases Q5–Q10 — including **cyclic** provenance graphs.
-/// The result keeps a handle on `full` for annotation.
-pub fn run_projection_graph(
-    sys: &ProvenanceSystem,
-    full: &Arc<ProvGraph>,
-    query: &Query,
-) -> Result<ProjectionResult> {
+/// The graph walk's one query shape — FOR/INCLUDE paths `[R $x]` or
+/// `[R $x] <-+ []` over a single variable, with conjunctive attribute
+/// conditions on it — as `(R, $x, conditions)`. Prepare checks it (a
+/// graph answer's read set starts at `R`), and so does
+/// [`run_projection_graph`], so both reject the same queries.
+pub(crate) fn graph_pattern(query: &Query) -> Result<(String, String, Vec<AttrCond>)> {
     let proj = &query.projection;
-    // Identify the single distinguished start pattern.
     let mut start_rel: Option<String> = None;
     let mut start_var: Option<String> = None;
     for p in proj.for_paths.iter().chain(&proj.include_paths) {
@@ -540,13 +536,25 @@ pub fn run_projection_graph(
             }
         }
     }
-    let start_rel =
+    let rel =
         start_rel.ok_or_else(|| Error::Query("graph strategy needs a start relation".into()))?;
-    let start_var =
+    let var =
         start_var.ok_or_else(|| Error::Query("graph strategy needs a start variable".into()))?;
-
     // Attribute conditions on the start variable filter the roots.
-    let attr_conds = collect_attr_conds(proj.where_cond.as_ref(), &start_var, &start_rel)?;
+    let conds = collect_attr_conds(proj.where_cond.as_ref(), &var, &rel)?;
+    Ok((rel, var, conds))
+}
+
+/// Bottom-up (graph-walk) strategy: supports queries whose FOR/INCLUDE
+/// paths are of the shape `[R $x]` or `[R $x] <-+ []`, which covers the
+/// annotation use cases Q5–Q10 — including **cyclic** provenance graphs.
+/// The result keeps a handle on `full` for annotation.
+pub fn run_projection_graph(
+    sys: &ProvenanceSystem,
+    full: &Arc<ProvGraph>,
+    query: &Query,
+) -> Result<ProjectionResult> {
+    let (start_rel, start_var, attr_conds) = graph_pattern(query)?;
 
     let mut out = ProjectionResult::default();
     let mut visited_t: BTreeSet<proql_common::TupleId> = BTreeSet::new();
@@ -585,24 +593,18 @@ pub fn run_projection_graph(
     Ok(out)
 }
 
+/// One attribute comparison on the graph walk's start variable.
+type AttrCond = (String, CmpOp, Value);
+
 /// The attribute comparisons on `var`, whose roots all lie in `rel`. A
 /// `$var in R` test holds on every root when `R` is `rel`; any other `R`
 /// contradicts the `FOR` pattern, which Unfold rejects the same way.
-fn collect_attr_conds(
-    cond: Option<&Condition>,
-    var: &str,
-    rel: &str,
-) -> Result<Vec<(String, CmpOp, Value)>> {
+fn collect_attr_conds(cond: Option<&Condition>, var: &str, rel: &str) -> Result<Vec<AttrCond>> {
     let mut out = Vec::new();
     let Some(cond) = cond else {
         return Ok(out);
     };
-    fn walk(
-        c: &Condition,
-        var: &str,
-        rel: &str,
-        out: &mut Vec<(String, CmpOp, Value)>,
-    ) -> Result<()> {
+    fn walk(c: &Condition, var: &str, rel: &str, out: &mut Vec<AttrCond>) -> Result<()> {
         match c {
             Condition::And(parts) => {
                 for p in parts {
@@ -639,7 +641,7 @@ fn collect_attr_conds(
 
 fn attr_conds_hold(
     sys: &ProvenanceSystem,
-    conds: &[(String, CmpOp, Value)],
+    conds: &[AttrCond],
     node: &proql_provgraph::TupleNode,
 ) -> Result<bool> {
     if conds.is_empty() {

@@ -40,9 +40,12 @@
 //! pre-maintenance write path did. An annotation a fresh computation
 //! cannot produce either (counting on a cyclic graph) is an error, which
 //! callers treat as evict too. By construction (and by test) a
-//! maintained or unchanged output is digest-equal to a from-scratch
-//! recomputation at the new version. [`maintain_output`] is the
-//! one-entry case.
+//! maintained or unchanged output is digest-equal to executing the same
+//! prepared query at the new version, which is a from-scratch
+//! recomputation whenever [`PreparedQuery::complete_at`] holds there;
+//! callers evict entries for which it does not
+//! ([`FallbackReason::Pruned`]). [`maintain_output`] is the one-entry
+//! case.
 
 use crate::annotate::annotate_on;
 use crate::engine::{Engine, PreparedQuery, PreparedUnfold, QueryOutput, Strategy};
@@ -115,11 +118,17 @@ pub enum FallbackReason {
     /// The write reaches an answer in a set-valued semiring (LINEAGE,
     /// PROBABILITY, POLYNOMIAL), which has no incremental evaluation.
     SetValued,
+    /// A relation the translation pruned on as empty now has rows, so
+    /// the prepared rules miss alternatives (see
+    /// [`PreparedQuery::complete_at`]). The caller checks this before
+    /// maintaining; the maintainer itself patches relative to the
+    /// prepared rules.
+    Pruned,
 }
 
 impl FallbackReason {
     /// Every reason, in declaration order.
-    pub const ALL: [FallbackReason; 8] = [
+    pub const ALL: [FallbackReason; 9] = [
         FallbackReason::Explain,
         FallbackReason::GraphWalk,
         FallbackReason::NoUnfold,
@@ -128,6 +137,7 @@ impl FallbackReason {
         FallbackReason::DeltaTooLarge,
         FallbackReason::TooManyCandidates,
         FallbackReason::SetValued,
+        FallbackReason::Pruned,
     ];
 
     /// The human-readable reason [`MaintainResult::Fallback`] carries.
@@ -141,6 +151,7 @@ impl FallbackReason {
             FallbackReason::DeltaTooLarge => "delta too large",
             FallbackReason::TooManyCandidates => "too many removal candidates",
             FallbackReason::SetValued => "set-valued semiring",
+            FallbackReason::Pruned => "pruned relation now has rows",
         }
     }
 }

@@ -17,7 +17,7 @@ use proql_common::{Error, Result, Value};
 use proql_datalog::ast::{Atom, Term};
 use proql_datalog::unfold::{apply_term, rename_apart, unify_atoms, Subst};
 use proql_provgraph::{ProvenanceSystem, SchemaGraph};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 /// One provenance-relation occurrence inside a rule: executing the rule and
 /// resolving `terms` against a result row yields one `P_mapping` row — one
@@ -152,6 +152,10 @@ pub struct Translation {
     pub stats: TranslateStats,
     /// The query's RETURN variables.
     pub return_vars: Vec<String>,
+    /// Relations found empty by goal-directed pruning: an alternative
+    /// through them was dropped. The translation read them, and it no
+    /// longer holds once any of them has a row.
+    pub pruned_on: BTreeSet<String>,
 }
 
 /// Tuning knobs.
@@ -188,6 +192,7 @@ pub fn translate(
         fresh: 0,
         opts,
         produced: 0,
+        pruned_on: BTreeSet::new(),
     };
     tr.run(query, rewriter)
 }
@@ -231,10 +236,11 @@ impl Partial {
 
 struct Translator<'a> {
     sys: &'a ProvenanceSystem,
-    graph: SchemaGraph,
+    graph: &'a SchemaGraph,
     fresh: usize,
     opts: &'a TranslateOptions,
     produced: usize,
+    pruned_on: BTreeSet<String>,
 }
 
 impl<'a> Translator<'a> {
@@ -347,6 +353,7 @@ impl<'a> Translator<'a> {
             rules,
             stats,
             return_vars: proj.return_vars.clone(),
+            pruned_on: std::mem::take(&mut self.pruned_on),
         })
     }
 
@@ -544,6 +551,7 @@ impl<'a> Translator<'a> {
         if !spec.superfluous {
             if let Ok(t) = self.sys.db.table(&spec.prov_rel) {
                 if t.is_empty() {
+                    self.pruned_on.insert(spec.prov_rel.clone());
                     return Ok(None);
                 }
             }
@@ -661,6 +669,8 @@ impl<'a> Translator<'a> {
                         )?);
                     }
                 }
+            } else {
+                self.pruned_on.insert(local);
             }
         }
 

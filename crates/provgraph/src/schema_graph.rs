@@ -5,9 +5,8 @@
 //! ProQL path patterns are matched against this graph to decide which
 //! mappings participate in a query.
 
-use crate::system::ProvenanceSystem;
-use proql_datalog::ast::Program;
-use std::collections::{HashMap, HashSet, VecDeque};
+use proql_datalog::ast::{Program, Rule};
+use std::collections::{HashMap, HashSet};
 
 /// The schema-level provenance graph.
 #[derive(Debug, Clone, Default)]
@@ -33,39 +32,32 @@ impl SchemaGraph {
     pub fn from_program(program: &Program, local_rules: &HashSet<String>) -> Self {
         let mut g = SchemaGraph::default();
         for rule in &program.rules {
-            let name = rule.name.clone().unwrap_or_else(|| "?".into());
-            let mi = g.intern_mapping(&name);
-            g.is_local[mi] = local_rules.contains(&name);
-            for atom in &rule.body {
-                let ri = g.intern_relation(&atom.relation);
-                if !g.sources_of[mi].contains(&ri) {
-                    g.sources_of[mi].push(ri);
-                    g.feeds[ri].push(mi);
-                }
-            }
-            for atom in &rule.heads {
-                let ri = g.intern_relation(&atom.relation);
-                if !g.targets_of[mi].contains(&ri) {
-                    g.targets_of[mi].push(ri);
-                    g.derived_by[ri].push(mi);
-                }
-            }
+            let local = rule.name.as_ref().is_some_and(|n| local_rules.contains(n));
+            g.add_rule(rule, local);
         }
         g
     }
 
-    /// Build from a provenance system (local `L_*` rules marked local; their
-    /// source relations — the `_l` tables — appear as relation nodes feeding
-    /// them, which is how patterns reach EDB leaves).
-    pub fn from_system(sys: &ProvenanceSystem) -> Self {
-        let locals: HashSet<String> = sys
-            .program()
-            .rules
-            .iter()
-            .filter_map(|r| r.name.clone())
-            .filter(|n| n.starts_with("L_"))
-            .collect();
-        SchemaGraph::from_program(sys.program(), &locals)
+    /// Add one mapping and its edges; `local` marks a local-contribution
+    /// copy (`L_R: R :- R_l`), whose `_l` source is how patterns reach
+    /// EDB leaves.
+    pub fn add_rule(&mut self, rule: &Rule, local: bool) {
+        let mi = self.intern_mapping(rule.name.as_deref().unwrap_or("?"));
+        self.is_local[mi] = local;
+        for atom in &rule.body {
+            let ri = self.intern_relation(&atom.relation);
+            if !self.sources_of[mi].contains(&ri) {
+                self.sources_of[mi].push(ri);
+                self.feeds[ri].push(mi);
+            }
+        }
+        for atom in &rule.heads {
+            let ri = self.intern_relation(&atom.relation);
+            if !self.targets_of[mi].contains(&ri) {
+                self.targets_of[mi].push(ri);
+                self.derived_by[ri].push(mi);
+            }
+        }
     }
 
     fn intern_relation(&mut self, name: &str) -> usize {
@@ -177,29 +169,43 @@ impl SchemaGraph {
     /// (everything that can contribute to its derivations). Returns
     /// `(relations, mappings)` including `relation` itself.
     pub fn backward_reachable(&self, relation: &str) -> (Vec<String>, Vec<String>) {
-        let mut rels: HashSet<usize> = HashSet::new();
-        let mut maps: HashSet<usize> = HashSet::new();
-        let mut queue = VecDeque::new();
+        let (rels, maps) = self.backward_closure(relation);
+        let sorted = |names: Vec<&str>| {
+            let mut names: Vec<String> = names.into_iter().map(str::to_string).collect();
+            names.sort();
+            names
+        };
+        (sorted(rels), sorted(maps))
+    }
+
+    /// [`Self::backward_reachable`] without copying or sorting the names.
+    pub fn backward_closure(&self, relation: &str) -> (Vec<&str>, Vec<&str>) {
+        let mut rel_seen = vec![false; self.relations.len()];
+        let mut map_seen = vec![false; self.mappings.len()];
+        let mut rels = Vec::new();
+        let mut maps = Vec::new();
         if let Some(&ri) = self.rel_idx.get(relation) {
-            rels.insert(ri);
-            queue.push_back(ri);
+            rel_seen[ri] = true;
+            rels.push(ri);
         }
-        while let Some(ri) = queue.pop_front() {
+        let mut next = 0;
+        while let Some(&ri) = rels.get(next) {
+            next += 1;
             for &mi in &self.derived_by[ri] {
-                if maps.insert(mi) {
+                if !std::mem::replace(&mut map_seen[mi], true) {
+                    maps.push(mi);
                     for &si in &self.sources_of[mi] {
-                        if rels.insert(si) {
-                            queue.push_back(si);
+                        if !std::mem::replace(&mut rel_seen[si], true) {
+                            rels.push(si);
                         }
                     }
                 }
             }
         }
-        let mut rel_names: Vec<String> = rels.iter().map(|&i| self.relations[i].clone()).collect();
-        let mut map_names: Vec<String> = maps.iter().map(|&i| self.mappings[i].clone()).collect();
-        rel_names.sort();
-        map_names.sort();
-        (rel_names, map_names)
+        (
+            rels.iter().map(|&i| self.relations[i].as_str()).collect(),
+            maps.iter().map(|&i| self.mappings[i].as_str()).collect(),
+        )
     }
 
     /// True iff the schema graph has a directed cycle (recursive mappings).

@@ -34,6 +34,7 @@ use proql_datalog::eval::{run_program, run_program_seeded, Bindings, EvalStats, 
 use proql_datalog::parse::parse_rule;
 use proql_storage::Database;
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::sync::Arc;
 
 /// Suffix of local-contribution tables: relation `A` gets `A_l`.
 pub const LOCAL_SUFFIX: &str = "_l";
@@ -45,6 +46,8 @@ pub struct ProvenanceSystem {
     /// and provenance relations (tables or views).
     pub db: Database,
     program: Program,
+    /// The schema graph of `program`, kept in step with it.
+    schema: Arc<SchemaGraph>,
     specs: Vec<ProvSpec>,
     local_rels: HashSet<String>,
     exchanged: bool,
@@ -359,6 +362,8 @@ impl ProvenanceSystem {
             }
         }
         self.specs.push(spec);
+        let local = rule.name.as_ref().is_some_and(|n| n.starts_with("L_"));
+        Arc::make_mut(&mut self.schema).add_rule(&rule, local);
         self.program.rules.push(rule);
         self.bump_untracked();
         Ok(())
@@ -528,9 +533,9 @@ impl ProvenanceSystem {
         self.local_rels.contains(&local).then_some(local)
     }
 
-    /// Build the provenance schema graph (Figure 3) for this system.
-    pub fn schema_graph(&self) -> SchemaGraph {
-        SchemaGraph::from_system(self)
+    /// The provenance schema graph (Figure 3) of this system's mappings.
+    pub fn schema_graph(&self) -> &SchemaGraph {
+        &self.schema
     }
 
     /// Names of all public relations that have local tables.
@@ -752,6 +757,14 @@ impl FiringHook for ProvenanceHook<'_> {
 ///
 /// Used by tests, examples, and the Table 1 bench.
 pub fn example_2_1() -> Result<ProvenanceSystem> {
+    example_2_1_with_island(0)
+}
+
+/// [`example_2_1`] plus one disconnected family when `island_size > 0`:
+/// `Island(k, v)` with `island_size` local rows, feeding `IslandOut`
+/// through the mapping `misl`. Nothing the example's relations derive
+/// from reads the island.
+pub fn example_2_1_with_island(island_size: usize) -> Result<ProvenanceSystem> {
     use proql_common::ValueType::*;
     let mut sys = ProvenanceSystem::new();
     sys.add_relation_with_local(Schema::build(
@@ -775,6 +788,15 @@ pub fn example_2_1() -> Result<ProvenanceSystem> {
     sys.add_mapping_text("m3: N(i, n, false) :- C(i, n)")?;
     sys.add_mapping_text("m4: O(n, h, true) :- A(i, n, h)")?;
     sys.add_mapping_text("m5: O(n, h, true) :- A(i, _, h), C(i, n)")?;
+    if island_size > 0 {
+        for name in ["Island", "IslandOut"] {
+            sys.add_relation_with_local(Schema::build(name, &[("k", Int), ("v", Int)], &[0])?)?;
+        }
+        sys.add_mapping_text("misl: IslandOut(k, v) :- Island(k, v)")?;
+        for k in 0..island_size as i64 {
+            sys.insert_local("Island", proql_common::tup![k, k * 7])?;
+        }
+    }
 
     // Base data of Figure 1 (boldface tuples).
     use proql_common::tup;

@@ -17,13 +17,14 @@
 //! The [`PlanCache`] sits **beneath** the result cache: a result-cache
 //! miss (typically caused by a write to a read-set relation) reuses the
 //! query's cached [`PreparedQuery`], skipping parse → translate →
-//! optimize entirely. Plan reuse is always *correct* — optimizer choices
-//! never change results — so the staleness rule is about cost only: an
-//! entry whose [`PreparedQuery::stats_version`] matches the published
-//! snapshot is trivially current, and on version drift the entry is
-//! revalidated by recomputing the bucketed stats fingerprint over its
-//! read set. Only genuine statistics drift (order-of-magnitude data
-//! change) forces a re-preparation.
+//! optimize entirely. Optimizer choices never change results, so the
+//! staleness rule is about cost: an entry whose
+//! [`PreparedQuery::stats_version`] matches the published snapshot is
+//! trivially current, and on version drift the entry is revalidated by
+//! recomputing the bucketed stats fingerprint over its read set. Only
+//! statistics drift (order-of-magnitude data change) forces a
+//! re-preparation — and so does the first row in a relation unfolding
+//! pruned on as empty, since 0 rows is a bucket of its own.
 
 use proql::engine::{PreparedQuery, QueryOutput};
 use proql::{FallbackReason, MaintainState};

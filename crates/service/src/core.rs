@@ -29,7 +29,7 @@ use crate::metrics::{LatencyHistogram, TransportMetrics};
 use crate::proto::result_digest;
 use crate::stats::ServiceStats;
 use proql::engine::{Engine, EngineOptions, QueryOutput};
-use proql::{maintain_outputs, EntryOutcome, MaintainEntry, MaintainOutcome};
+use proql::{maintain_outputs, EntryOutcome, FallbackReason, MaintainEntry, MaintainOutcome};
 use proql_cdss::update::{delete_local_with_graph, DeleteStats};
 use proql_common::sync::{lock, read_lock, write_lock};
 use proql_common::{trace, Error, Result, Tuple};
@@ -340,8 +340,8 @@ impl ServiceCore {
         sp.field("cache", if analyze { "bypass" } else { "miss" });
         let snap = self.snapshot();
         // Result miss: reuse the cached plan when its statistics are
-        // still current (plan reuse is always *correct*; the fingerprint
-        // check only guards cost-optimality).
+        // still current (the fingerprint guards cost-optimality, and
+        // catches a row in a relation unfolding pruned on).
         let cached_plan = lock(&self.plans).lookup(&key, snap.version, |touched| {
             snap.engine.stats_fingerprint(touched)
         });
@@ -502,11 +502,15 @@ impl ServiceCore {
         // Maintenance runs outside the cache lock (it executes delta
         // plans); the write gate keeps the candidate set stable against
         // other writers, and racing readers still see the old entries at
-        // the old published version.
-        let mut candidates = if self.maintenance {
-            lock(&self.cache).take_maintenance_candidates(write_set)
+        // the old published version. An entry whose prepared rules miss
+        // an alternative at the new snapshot is evicted, not maintained.
+        let (mut candidates, outdated): (Vec<_>, Vec<_>) = if self.maintenance {
+            lock(&self.cache)
+                .take_maintenance_candidates(write_set)
+                .into_iter()
+                .partition(|c| c.prepared.complete_at(&next.engine.sys))
         } else {
-            Vec::new()
+            Default::default()
         };
         let outcomes = maintain_outputs(
             &current.engine,
@@ -523,6 +527,10 @@ impl ServiceCore {
         let mut events: Vec<(String, SubscriptionEvent)> = Vec::new();
         {
             let mut cache = lock(&self.cache);
+            for c in outdated {
+                cache.maintenance_fallback(&c.key, Some(FallbackReason::Pruned), false);
+                events.push((c.key, SubscriptionEvent::Resync { version }));
+            }
             for (c, EntryOutcome { outcome, shared }) in candidates.into_iter().zip(outcomes) {
                 let kept = match outcome {
                     Ok(MaintainOutcome::Unchanged { state }) => cache
@@ -613,9 +621,8 @@ impl ServiceCore {
     }
 
     /// Drop every cached result (the `INVALIDATE` verb). Returns how many
-    /// entries were dropped. Prepared plans survive — they are
-    /// correctness-independent of data, so only statistics drift (checked
-    /// on every reuse) retires them.
+    /// entries were dropped. Prepared plans survive — only statistics
+    /// drift (checked on every reuse) retires them.
     pub fn invalidate(&self) -> usize {
         lock(&self.cache).clear()
     }
@@ -951,6 +958,68 @@ mod tests {
         assert_eq!(json_u64_field(&json, "maint_shared"), Some(4));
         assert_eq!(json_u64_field(&json, "maint_fallback_set_valued"), Some(1));
         assert_eq!(json_u64_field(&json, "maint_fallback_error"), Some(0));
+    }
+
+    #[test]
+    fn graph_answers_survive_writes_they_cannot_reach() {
+        // Example 2.1 is cyclic, so `Strategy::Auto` walks the graph.
+        let sys = proql_provgraph::system::example_2_1_with_island(3).unwrap();
+        let core = ServiceCore::new(sys, EngineOptions::default());
+        let q_o = "FOR [O $x] INCLUDE PATH [$x] <-+ [] RETURN $x";
+        let q_c = "FOR [C $x] INCLUDE PATH [$x] <-+ [] RETURN $x";
+        let (sink, log) = recording_sink(true);
+        core.subscribe_sink(q_o, sink).unwrap();
+        core.query(q_c).unwrap();
+        let graph_walk = || core.stats().cache.fallbacks_for(FallbackReason::GraphWalk);
+        let served_fresh = |q: &str| {
+            let served = core.query(q).unwrap();
+            let fresh = core.snapshot().engine.query(q).unwrap();
+            assert_eq!(result_digest(&served.output), result_digest(&fresh), "{q}");
+            served.cache_hit
+        };
+        // The Island is outside both backward closures.
+        core.insert_and_exchange("Island", tup![9, 63]).unwrap();
+        assert_eq!(graph_walk(), 0);
+        assert!(
+            lock(&log).is_empty(),
+            "an unreachable write must not notify"
+        );
+        assert!(served_fresh(q_o) && served_fresh(q_c));
+        // O is outside C's closure {A, C, N}; O's own answer falls back.
+        core.insert_and_exchange("O", tup!["x1", 3, false]).unwrap();
+        assert_eq!(graph_walk(), 1);
+        assert!(served_fresh(q_c));
+        assert!(!served_fresh(q_o));
+        // A feeds both.
+        core.insert_and_exchange("A", tup![8, "sn8", 2]).unwrap();
+        assert_eq!(graph_walk(), 3);
+        assert!(!served_fresh(q_o) && !served_fresh(q_c));
+    }
+
+    #[test]
+    fn write_to_a_pruned_relation_recomputes_the_answer() {
+        use proql_cdss::topology::{build_system, target_query, CdssConfig, Topology};
+        // Chain 0 ← 1 ← 2 ← 3 with data at peer 3 only: unfolding the
+        // target query prunes the alternatives through peer 1's empty
+        // local tables, so the first row there must not be maintained
+        // against the prepared rules, and the plan must be prepared again.
+        let config = CdssConfig::new(4, vec![3], 5);
+        let sys = build_system(Topology::Chain, &config).unwrap();
+        let core = ServiceCore::new(sys, EngineOptions::default());
+        let q = target_query();
+        assert_eq!(core.query(q).unwrap().output.projection.bindings.len(), 5);
+        let (a, b) = proql_cdss::SwissProtLike::new(1, config.attrs).entry(100);
+        core.insert_and_exchange("R1a", a).unwrap();
+        core.insert_and_exchange("R1b", b).unwrap();
+        assert_eq!(core.stats().cache.fallbacks_for(FallbackReason::Pruned), 1);
+        let served = core.query(q).unwrap();
+        assert!(
+            !served.plan_cache_hit,
+            "the outdated plan must be re-prepared"
+        );
+        let fresh = core.snapshot().engine.query(q).unwrap();
+        assert_eq!(result_digest(&served.output), result_digest(&fresh));
+        assert_eq!(served.output.projection.bindings.len(), 6);
     }
 
     #[test]

@@ -17,16 +17,17 @@
 //! across processes, so every router and shard derives the identical
 //! map from the schema alone.
 //!
-//! [`Router`] routes *statically*: it parses each incoming query and
-//! collects every relation and mapping the text mentions (node
-//! patterns, `$x in Rel` conditions, `<m` derivation patterns). That
-//! is exact at family granularity — a path can only reach relations in
-//! the family of any relation it mentions — and, unlike the engine's
-//! runtime read set, it is data-independent, so the router needs no
-//! local data at all. The mentioned set folds to the owning shard set
-//! (memoized per query text). A query mentioning nothing (`FOR [$x]
-//! <-+ [] ...`) walks the whole graph and fans out to every shard.
-//! The common case — every relation in one family — is
+//! [`Router`] routes by the answer's read set: it prepares each incoming
+//! query on an engine over the schema the map was built from, and folds
+//! the prepared [`proql::engine::PreparedQuery::touched`] — the read set
+//! the result cache keys freshness on — to the owning shard set
+//! (memoized per query text). A read set stays inside the families of
+//! the relations the query's paths start from, and preparing needs no
+//! rows: goal-directed pruning puts the empty relations it pruned on
+//! into the read set, so a schema with no data still routes each path to
+//! its family. The router therefore keeps no data. A relation named only
+//! in an annotation test (`CASE $y in R`) is not read, so it does not
+//! pull in `R`'s shard. The common case — every relation in one family — is
 //! forwarded to that single shard verbatim: **zero fan-out**, one hop,
 //! and the shard's answer (digest included) is byte-identical to a fat
 //! node's. Queries whose read set spans families are scattered to the
@@ -42,8 +43,7 @@
 use crate::client::BinClient;
 use crate::proto::{json_str, json_u64_field};
 use crate::retry::{retry_with, RetryPolicy};
-use proql::ast::{Condition, PathExpr, Query};
-use proql::parse_query;
+use proql::engine::Engine;
 use proql_common::{Error, Result};
 use proql_provgraph::ProvenanceSystem;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -194,15 +194,6 @@ impl ShardMap {
         &self.families
     }
 
-    /// Base relations (those with declared locals) owned by `shard` —
-    /// what a shard-node loads data for.
-    pub fn owned_bases(&self, sys: &ProvenanceSystem, shard: usize) -> Vec<String> {
-        sys.relations_with_locals()
-            .into_iter()
-            .filter(|r| self.owner_of(r) == Some(shard))
-            .collect()
-    }
-
     /// Fold a read set to the owning shards. An unmapped relation
     /// means the planner knows something the map does not — scatter to
     /// every shard rather than silently missing data.
@@ -241,69 +232,13 @@ pub struct RouterCounters {
 /// set of repeated query texts, not every text ever seen.
 pub const ROUTE_CACHE_CAPACITY: usize = 1024;
 
-/// Every relation and mapping name a query's text mentions — the
-/// static routing key. Exact at family granularity: provenance paths
-/// never leave the family of a mentioned relation, so the families of
-/// the mentioned names cover everything the query can read.
-pub fn mentioned_names(q: &Query) -> BTreeSet<String> {
-    fn walk_cond(c: &Condition, out: &mut BTreeSet<String>) {
-        match c {
-            Condition::And(cs) | Condition::Or(cs) => cs.iter().for_each(|c| walk_cond(c, out)),
-            Condition::Not(c) => walk_cond(c, out),
-            Condition::InRelation { relation, .. } => {
-                out.insert(relation.clone());
-            }
-            Condition::MappingIs { mapping, .. } => {
-                out.insert(format!("P_{mapping}"));
-            }
-            Condition::AttrCmp { .. } => {}
-        }
-    }
-    fn walk_path(p: &PathExpr, out: &mut BTreeSet<String>) {
-        if let Some(r) = &p.start.relation {
-            out.insert(r.clone());
-        }
-        for (step, node) in &p.steps {
-            if let proql::ast::StepPattern::Single(d) = step {
-                if let Some(m) = &d.mapping {
-                    // A named mapping pins the step to that mapping's
-                    // family via its provenance relation.
-                    out.insert(format!("P_{m}"));
-                }
-            }
-            if let Some(r) = &node.relation {
-                out.insert(r.clone());
-            }
-        }
-    }
-    let mut out = BTreeSet::new();
-    for p in &q.projection.for_paths {
-        walk_path(p, &mut out);
-    }
-    for p in &q.projection.include_paths {
-        walk_path(p, &mut out);
-    }
-    if let Some(c) = &q.projection.where_cond {
-        walk_cond(c, &mut out);
-    }
-    if let Some(ev) = &q.evaluate {
-        for (c, _) in ev
-            .leaf_assign
-            .iter()
-            .flat_map(|l| l.cases.iter())
-            .chain(ev.map_assign.iter().flat_map(|m| m.cases.iter()))
-        {
-            walk_cond(c, &mut out);
-        }
-    }
-    out
-}
-
 /// A scatter-gather read router: a shard map derived from the schema,
 /// one binary connection per shard, no local data.
 #[derive(Debug)]
 pub struct Router {
     map: ShardMap,
+    /// Prepares queries over the map's schema to learn their read sets.
+    schema: Engine,
     conns: Vec<BinClient>,
     route_cache: HashMap<String, Vec<usize>>,
     /// Insertion order of `route_cache` keys — FIFO eviction queue.
@@ -314,8 +249,15 @@ pub struct Router {
 
 impl Router {
     /// Connect to every shard (jittered-backoff dial, then the `HELLO`
-    /// version handshake).
-    pub fn connect(map: ShardMap, addrs: &[SocketAddr], retry: RetryPolicy) -> Result<Router> {
+    /// version handshake). `schema` is the system `map` was built from;
+    /// routing prepares queries on it. A copy without data routes to the
+    /// same shards, so pass one.
+    pub fn connect(
+        schema: ProvenanceSystem,
+        map: ShardMap,
+        addrs: &[SocketAddr],
+        retry: RetryPolicy,
+    ) -> Result<Router> {
         if addrs.len() != map.shards() {
             return Err(Error::Other(format!(
                 "shard map expects {} shards, got {} addresses",
@@ -333,6 +275,7 @@ impl Router {
         }
         Ok(Router {
             map,
+            schema: Engine::new(schema),
             conns,
             route_cache: HashMap::new(),
             route_order: std::collections::VecDeque::new(),
@@ -368,23 +311,17 @@ impl Router {
         self.counters
     }
 
-    /// The shards `proql` must visit (memoized per query text).
+    /// The shards owning what `proql` reads (memoized per query text).
     pub fn shard_set_for(&mut self, proql: &str) -> Result<Vec<usize>> {
         if let Some(hit) = self.route_cache.get(proql) {
             return Ok(hit.clone());
         }
-        let q = parse_query(proql)?;
-        let mentioned = mentioned_names(&q);
-        let set: Vec<usize> = if mentioned.is_empty() {
-            // Nothing pins the query to a family: it can walk the whole
-            // provenance graph, so every shard owns part of the answer.
-            (0..self.map.shards()).collect()
-        } else {
-            self.map
-                .shard_set(mentioned.iter().map(|s| s.as_str()))
-                .into_iter()
-                .collect()
-        };
+        let prepared = self.schema.prepare(proql)?;
+        let set: Vec<usize> = self
+            .map
+            .shard_set(prepared.touched.iter().map(String::as_str))
+            .into_iter()
+            .collect();
         if self.route_cache_capacity > 0 {
             while self.route_cache.len() >= self.route_cache_capacity {
                 self.evict_oldest_route();
@@ -565,8 +502,13 @@ mod tests {
         let s1 = serve(Arc::clone(&shard1), "127.0.0.1:0", 2).unwrap();
         let fat = ServiceCore::new(island_system(true, true), EngineOptions::default());
 
-        let mut router =
-            Router::connect(map, &[s0.addr(), s1.addr()], RetryPolicy::default()).unwrap();
+        let mut router = Router::connect(
+            island_system(false, false),
+            map,
+            &[s0.addr(), s1.addr()],
+            RetryPolicy::default(),
+        )
+        .unwrap();
 
         assert_eq!(router.shard_set_for(Q_Y).unwrap(), vec![1]);
         let routed = router.query(Q_Y).unwrap();
@@ -612,8 +554,13 @@ mod tests {
         ));
         let s0 = serve(shard0, "127.0.0.1:0", 2).unwrap();
         let s1 = serve(shard1, "127.0.0.1:0", 2).unwrap();
-        let mut router =
-            Router::connect(map, &[s0.addr(), s1.addr()], RetryPolicy::default()).unwrap();
+        let mut router = Router::connect(
+            island_system(false, false),
+            map,
+            &[s0.addr(), s1.addr()],
+            RetryPolicy::default(),
+        )
+        .unwrap();
 
         assert_eq!(router.shard_set_for(Q_BOTH).unwrap(), vec![0, 1]);
         let gathered = router.query(Q_BOTH).unwrap();
@@ -626,6 +573,49 @@ mod tests {
         assert_eq!(json_u64_field(&stats, "route_evictions"), Some(0));
         let desc = router.describe();
         assert!(desc.contains("\"families\""), "{desc}");
+
+        s0.shutdown();
+        s1.shutdown();
+    }
+
+    #[test]
+    fn annotation_tests_do_not_widen_the_route() {
+        // `$y in V` names the U/V family, but only tests each leaf's
+        // relation: the answer reads X/Y alone.
+        const Q_TEST_V: &str = "EVALUATE TRUST OF {
+              FOR [Y $x] INCLUDE PATH [$x] <-+ [] RETURN $x
+            } ASSIGNING EACH leaf_node $y {
+              CASE $y in V : SET false
+              DEFAULT : SET true
+            }";
+        let sys = island_system(true, true);
+        let map = split_map(&sys);
+        let shard0 = Arc::new(ServiceCore::new(
+            island_system(false, true),
+            EngineOptions::default(),
+        ));
+        let shard1 = Arc::new(ServiceCore::new(
+            island_system(true, false),
+            EngineOptions::default(),
+        ));
+        let s0 = serve(Arc::clone(&shard0), "127.0.0.1:0", 2).unwrap();
+        let s1 = serve(shard1, "127.0.0.1:0", 2).unwrap();
+        let fat = ServiceCore::new(sys, EngineOptions::default());
+        let mut router = Router::connect(
+            island_system(false, false),
+            map,
+            &[s0.addr(), s1.addr()],
+            RetryPolicy::default(),
+        )
+        .unwrap();
+
+        assert_eq!(router.shard_set_for(Q_TEST_V).unwrap(), vec![1]);
+        let routed = router.query(Q_TEST_V).unwrap();
+        assert_eq!(
+            crate::proto::json_str_field(&routed, "digest").unwrap(),
+            crate::proto::result_digest(&fat.query(Q_TEST_V).unwrap().output).to_string()
+        );
+        assert_eq!(shard0.stats().queries, 0);
 
         s0.shutdown();
         s1.shutdown();
@@ -645,8 +635,13 @@ mod tests {
         ));
         let s0 = serve(shard0, "127.0.0.1:0", 2).unwrap();
         let s1 = serve(shard1, "127.0.0.1:0", 2).unwrap();
-        let mut router =
-            Router::connect(map, &[s0.addr(), s1.addr()], RetryPolicy::default()).unwrap();
+        let mut router = Router::connect(
+            island_system(false, false),
+            map,
+            &[s0.addr(), s1.addr()],
+            RetryPolicy::default(),
+        )
+        .unwrap();
         router.set_route_cache_capacity(2);
 
         // Three distinct query texts through a 2-entry cache: the first

@@ -151,5 +151,6 @@ fn fallback_metric(reason: FallbackReason) -> &'static str {
         FallbackReason::DeltaTooLarge => "maint_fallback_too_large",
         FallbackReason::TooManyCandidates => "maint_fallback_candidates",
         FallbackReason::SetValued => "maint_fallback_set_valued",
+        FallbackReason::Pruned => "maint_fallback_pruned",
     }
 }

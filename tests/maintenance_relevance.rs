@@ -13,19 +13,28 @@
 //! * a second copy of every entry is maintained alone through
 //!   [`maintain_output`], and must reach the same decision and the same
 //!   answer as the grouped path.
+//!
+//! A second loop checks the read sets those entries are kept by. Chain
+//! and branched topologies with an `Island` family, and Example 2.1 (a
+//! cyclic family) with an `Island`, take random inserts and deletes.
+//! Under both strategies, whenever a write set is disjoint from an
+//! answer's prepared read set, a fresh computation at the new version
+//! must be digest-equal to the answer at the old one.
 
-use proql::engine::{Engine, PreparedQuery, QueryOutput};
+use proql::engine::{Engine, EngineOptions, PreparedQuery, QueryOutput, Strategy};
 use proql::{
     maintain_output, maintain_outputs, MaintainEntry, MaintainOutcome, MaintainResult,
     MaintainState,
 };
-use proql_cdss::topology::{build_system, CdssConfig, Topology};
+use proql_cdss::topology::{build_system, build_system_with_island, CdssConfig, Topology};
 use proql_cdss::update::delete_local;
 use proql_cdss::SwissProtLike;
 use proql_common::rng::SplitMix64;
 use proql_common::{tup, Tuple, Value};
+use proql_provgraph::system::example_2_1_with_island;
 use proql_provgraph::ProvenanceSystem;
 use proql_service::result_digest;
+use std::collections::BTreeSet;
 
 const ATTRS: usize = 4;
 const BASE: usize = 12;
@@ -286,4 +295,178 @@ fn grouped_relevance_maintenance_matches_fresh_and_per_entry() {
     assert!(total.values_only > 0, "no value-only round: {total:?}");
     assert!(total.fallbacks > 0, "{total:?}");
     assert!(total.shared > 0, "{total:?}");
+}
+
+/// A relation family the read-set loop writes to: the local rows an
+/// insert of key `k` adds (exchanged together), and the `(relation, key)`
+/// a delete of `k` removes.
+struct Source {
+    rows: Box<dyn FnMut(i64) -> Vec<(String, Tuple)>>,
+    key_of: Box<dyn Fn(i64) -> (String, Tuple)>,
+    keys: std::ops::Range<i64>,
+    live: Vec<i64>,
+}
+
+impl Source {
+    fn new(
+        keys: std::ops::Range<i64>,
+        rows: impl FnMut(i64) -> Vec<(String, Tuple)> + 'static,
+        key_of: impl Fn(i64) -> (String, Tuple) + 'static,
+    ) -> Self {
+        Source {
+            rows: Box::new(rows),
+            key_of: Box::new(key_of),
+            keys,
+            live: Vec::new(),
+        }
+    }
+
+    /// Insert a key not yet written, or delete a live one.
+    fn write(&mut self, rng: &mut SplitMix64, sys: &mut ProvenanceSystem) -> String {
+        let k = rng.gen_range_i64(self.keys.start, self.keys.end);
+        if let Some(at) = self.live.iter().position(|&l| l == k) {
+            self.live.swap_remove(at);
+            let (rel, key) = (self.key_of)(k);
+            delete_local(sys, &rel, &key).unwrap();
+            return format!("delete {rel}{key}");
+        }
+        self.live.push(k);
+        let rows = (self.rows)(k);
+        let what = format!("insert {:?}", rows[0]);
+        for (rel, row) in rows {
+            sys.insert_local(&rel, row).unwrap();
+        }
+        sys.run_exchange().unwrap();
+        what
+    }
+}
+
+fn island(keys: std::ops::Range<i64>) -> Source {
+    Source::new(
+        keys,
+        |k| vec![("Island".into(), tup![k, k * 7])],
+        |k| ("Island".into(), tup![k]),
+    )
+}
+
+/// Random writes over `sources`; after each, every query is prepared on
+/// the old snapshot under both strategies. Returns how many answers the
+/// write could not reach by their read sets.
+fn check_read_sets(
+    mut sys: ProvenanceSystem,
+    mut sources: Vec<Source>,
+    queries: &[String],
+    seed: u64,
+    steps: usize,
+) -> usize {
+    let mut rng = SplitMix64::seed_from_u64(seed);
+    let engine = |sys: &ProvenanceSystem, strategy| {
+        let options = EngineOptions {
+            strategy,
+            ..EngineOptions::default()
+        };
+        Engine::with_options(sys.clone(), options)
+    };
+    let mut disjoint = 0;
+    for step in 0..steps {
+        let mut next = sys.clone();
+        let at = rng.gen_range_usize(0, sources.len());
+        let what = sources[at].write(&mut rng, &mut next);
+        let write_set = next.write_set_since(sys.version()).expect("tracked writes");
+        assert!(!write_set.is_empty(), "{what}");
+        for strategy in [Strategy::Unfold, Strategy::Graph] {
+            let (old, new) = (engine(&sys, strategy), engine(&next, strategy));
+            // The graph read set never exceeds the "every table and view"
+            // set graph answers used to declare.
+            let mut everything: BTreeSet<String> =
+                sys.db.table_names().map(str::to_string).collect();
+            everything.extend(sys.db.view_names().map(str::to_string));
+            for q in queries {
+                let p = old.prepare(q).unwrap();
+                if strategy == Strategy::Graph {
+                    assert!(p.touched.is_subset(&everything), "{q}");
+                }
+                if p.touched.is_disjoint(&write_set) {
+                    disjoint += 1;
+                    let before = old.execute(&p).unwrap();
+                    let after = new.query(q).unwrap();
+                    assert!(
+                        digest_eq(&before, &after),
+                        "seed {seed} step {step} ({what}, writes {write_set:?}) \
+                         {strategy:?} {q}: reads {:?}",
+                        p.touched
+                    );
+                }
+            }
+        }
+        sys = next;
+    }
+    disjoint
+}
+
+#[test]
+fn write_sets_disjoint_from_read_sets_change_no_answer() {
+    let projections = |relations: &[&str]| -> Vec<String> {
+        let mut out = Vec::new();
+        for r in relations {
+            let q = format!("FOR [{r} $x] INCLUDE PATH [$x] <-+ [] RETURN $x");
+            out.push(format!("EVALUATE LINEAGE OF {{ {q} }}"));
+            out.push(q);
+        }
+        out
+    };
+    for seed in [5u64, 17] {
+        let mut disjoint = 0;
+        for (topology, peers, data) in [
+            (Topology::Chain, 4, vec![3]),
+            (Topology::Branched, 5, vec![3, 4]),
+        ] {
+            let mut config = CdssConfig::new(peers, data.clone(), 6);
+            config.attrs = ATTRS;
+            config.seed = seed;
+            let sys = build_system_with_island(topology, &config, 4).unwrap();
+            let mut sources = vec![island(4..12)];
+            for peer in data {
+                let mut gen = SwissProtLike::new(seed ^ peer as u64, ATTRS);
+                sources.push(Source::new(
+                    40..60,
+                    move |k| {
+                        let (a, b) = gen.entry(k);
+                        vec![(format!("R{peer}a"), a), (format!("R{peer}b"), b)]
+                    },
+                    move |k| (format!("R{peer}a"), tup![k]),
+                ));
+            }
+            let queries = projections(&["R0a", "R1a", "IslandOut"]);
+            disjoint += check_read_sets(sys, sources, &queries, seed, 10);
+        }
+        // Example 2.1's m1/m3 cycle, both strategies; keys 3.. are free.
+        let sources = vec![
+            island(4..10),
+            Source::new(
+                3..9,
+                |k| vec![("A".into(), tup![k, format!("sn{k}"), 5 + k % 3])],
+                |k| ("A".into(), tup![k]),
+            ),
+            Source::new(
+                1..7,
+                |k| vec![("N".into(), tup![k, format!("nn{k}"), false])],
+                |k| ("N".into(), tup![k, format!("nn{k}")]),
+            ),
+            Source::new(
+                3..9,
+                |k| vec![("C".into(), tup![k, format!("cn{k}")])],
+                |k| ("C".into(), tup![k, format!("cn{k}")]),
+            ),
+            Source::new(
+                0..6,
+                |k| vec![("O".into(), tup![format!("o{k}"), k, false])],
+                |k| ("O".into(), tup![format!("o{k}")]),
+            ),
+        ];
+        let sys = example_2_1_with_island(4).unwrap();
+        let queries = projections(&["O", "C", "N", "A", "IslandOut"]);
+        disjoint += check_read_sets(sys, sources, &queries, seed, 16);
+        assert!(disjoint > 0, "seed {seed} never wrote outside a read set");
+    }
 }

@@ -5,8 +5,9 @@
 //! across queries and handles cycles.
 
 use proql::engine::{Engine, Strategy};
-use proql_bench::{banner, build_timed, json_output, json_str, scaled};
+use proql_bench::{banner, build_timed, json_output, scaled};
 use proql_cdss::topology::{target_query, CdssConfig, Topology};
+use proql_service::proto::json_str;
 use std::time::Instant;
 
 fn main() {

@@ -14,9 +14,10 @@
 //! `Auto` resolves to one thread — never flake).
 
 use proql::engine::EngineOptions;
-use proql_bench::{banner, build_timed, json_output, json_str, measure_target_query, scaled};
+use proql_bench::{banner, build_timed, json_output, measure_target_query, scaled};
 use proql_cdss::topology::{CdssConfig, Topology};
 use proql_common::Parallelism;
+use proql_service::proto::json_str;
 use proql_storage::ExecMode;
 
 fn main() {

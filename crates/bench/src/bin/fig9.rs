@@ -6,8 +6,9 @@
 //! (machine-readable perf trajectory for future PRs).
 
 use proql::engine::EngineOptions;
-use proql_bench::{banner, build_timed, json_output, json_str, measure_target_query, scaled};
+use proql_bench::{banner, build_timed, json_output, measure_target_query, scaled};
 use proql_cdss::topology::{CdssConfig, Topology};
+use proql_service::proto::json_str;
 
 fn main() {
     banner(

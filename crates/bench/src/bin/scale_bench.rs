@@ -56,7 +56,7 @@ use std::time::{Duration, Instant};
 const DELTA_LOG_CAP: usize = 8;
 
 /// Independent mapping families `In{f} → Mid{f}`, `In{f} ⋈ Mid{f} →
-/// Out{f}` (as in `write_bench`), loading data only for the families
+/// Out{f}`, loading data only for the families
 /// `keep` accepts — the schema (and therefore the shard map) is
 /// identical on every node, the data is partitioned.
 fn build_families_filtered(

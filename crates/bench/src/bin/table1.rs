@@ -4,8 +4,9 @@
 //! annotation for every `O` tuple.
 
 use proql::engine::{Engine, Strategy};
-use proql_bench::{json_output, json_str};
+use proql_bench::json_output;
 use proql_provgraph::system::example_2_1;
+use proql_service::proto::json_str;
 
 fn main() {
     proql_bench::banner(

@@ -67,33 +67,6 @@ pub fn json_output() -> bool {
         .unwrap_or(false)
 }
 
-/// JSON string literal escaping for the hand-rolled encoder.
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Nearest-rank percentile (`p` in 0..=1) of an **ascending-sorted**
-/// series; 0.0 when empty. Shared by the latency-reporting bench bins so
-/// they all compute percentiles the same way.
-pub fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
-}
-
 /// `true` when `PROQL_SCALE=full` (run the paper's original sizes).
 pub fn full_scale() -> bool {
     std::env::var("PROQL_SCALE")

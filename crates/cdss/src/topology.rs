@@ -89,8 +89,8 @@ pub fn build_system(topology: Topology, config: &CdssConfig) -> Result<Provenanc
 /// `Island(k, v)` (with local data, `island_size` tuples keyed `0..n`)
 /// feeding `IslandOut` through the mapping `misl`. No target-query read
 /// set overlaps the island, so island writes are provably unrelated —
-/// the query service's cache tests and the `serve` load generator use
-/// them to show that unrelated updates keep cached answers hot.
+/// the query service's cache tests use them to show that unrelated
+/// updates keep cached answers hot.
 /// `island_size` of 0 omits the island entirely (identical to
 /// [`build_system`]).
 pub fn build_system_with_island(

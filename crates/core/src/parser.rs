@@ -8,10 +8,21 @@ use proql_semiring::{SecurityLevel, SemiringKind};
 /// A parsed CASE ladder: the cases plus the optional DEFAULT.
 type CaseBlock = (Vec<(Condition, SetValue)>, Option<SetValue>);
 
+/// Deepest `NOT` / `(` nesting a condition may have. The parser, and
+/// every consumer of the parsed condition (lowering, evaluation, drop),
+/// recurses once per level, so the bound keeps a hostile query from
+/// overflowing a worker thread's stack. Real conditions nest a handful
+/// of levels.
+const MAX_CONDITION_DEPTH: usize = 256;
+
 /// Parse a full ProQL query.
 pub fn parse_query(src: &str) -> Result<Query> {
     let toks = lex(src)?;
-    let mut p = P { toks, pos: 0 };
+    let mut p = P {
+        toks,
+        pos: 0,
+        depth: 0,
+    };
     let q = p.query()?;
     if !p.at_end() {
         return Err(p.err("trailing input after query"));
@@ -23,6 +34,8 @@ pub fn parse_query(src: &str) -> Result<Query> {
 struct P {
     toks: Vec<Tok>,
     pos: usize,
+    /// Current `NOT` / `(` nesting inside a condition.
+    depth: usize,
 }
 
 impl P {
@@ -279,10 +292,11 @@ impl P {
 
     fn atom_condition(&mut self) -> Result<Condition> {
         if self.eat_kw("NOT") {
-            return Ok(Condition::Not(Box::new(self.atom_condition()?)));
+            let inner = self.nested(Self::atom_condition)?;
+            return Ok(Condition::Not(Box::new(inner)));
         }
         if self.eat_tok(&Tok::LParen) {
-            let c = self.condition()?;
+            let c = self.nested(Self::condition)?;
             self.expect_tok(&Tok::RParen)?;
             return Ok(c);
         }
@@ -325,6 +339,20 @@ impl P {
             }
             _ => Err(self.err("expected `.attr`, `in`, `=`, or `<>` after variable")),
         }
+    }
+
+    /// Parse one `NOT` / `(` level deeper with `f`, refusing to go past
+    /// `MAX_CONDITION_DEPTH`.
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Condition>) -> Result<Condition> {
+        if self.depth == MAX_CONDITION_DEPTH {
+            return Err(self.err(&format!(
+                "condition nested deeper than {MAX_CONDITION_DEPTH} levels"
+            )));
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
     }
 
     fn cmp_op(&mut self) -> Result<CmpOp> {
@@ -619,5 +647,44 @@ mod tests {
         .unwrap();
         let leaf = q.evaluate.unwrap().leaf_assign.unwrap();
         assert_eq!(leaf.cases[0].1, SetValue::Lit(Value::str("secret")));
+    }
+
+    /// `FOR [O $x] WHERE` + `n` copies of `open` before one comparison
+    /// and of `close` after it.
+    fn nested_where(n: usize, open: &str, close: &str) -> String {
+        let (open, close) = (open.repeat(n), close.repeat(n));
+        format!("FOR [O $x] WHERE {open}$x.k < 1{close} RETURN $x")
+    }
+
+    /// The three nestings: `NOT`, parentheses, and both (two levels per
+    /// copy, sharing one budget), each as (open, close, levels per copy).
+    const NESTINGS: [(&str, &str, usize); 3] = [("NOT ", "", 1), ("(", ")", 1), ("NOT (", ")", 2)];
+
+    #[test]
+    fn condition_nesting_at_the_limit_parses() {
+        for (open, close, per) in NESTINGS {
+            let q = parse_query(&nested_where(MAX_CONDITION_DEPTH / per, open, close));
+            assert!(q.is_ok(), "{open:?}: {q:?}");
+        }
+        let q = parse_query(&nested_where(MAX_CONDITION_DEPTH, "NOT ", "")).unwrap();
+        let mut c = q.projection.where_cond.as_ref().unwrap();
+        let mut depth = 0;
+        while let Condition::Not(inner) = c {
+            depth += 1;
+            c = inner;
+        }
+        assert_eq!(depth, MAX_CONDITION_DEPTH);
+    }
+
+    #[test]
+    fn condition_nesting_past_the_limit_is_a_parse_error() {
+        for (open, close, per) in NESTINGS {
+            for n in [MAX_CONDITION_DEPTH / per + 1, 20_000] {
+                match parse_query(&nested_where(n, open, close)) {
+                    Err(Error::Parse(msg)) => assert!(msg.contains("nested"), "{msg}"),
+                    other => panic!("{n} x {open:?}: {other:?}"),
+                }
+            }
+        }
     }
 }

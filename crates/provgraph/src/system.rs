@@ -547,8 +547,9 @@ impl ProvenanceSystem {
     }
 
     /// A clone with **no** shared table storage (the old O(database)
-    /// write-path clone; benchmarks use it as the baseline against the
-    /// O(#relations) copy-on-write [`Clone`]).
+    /// write-path clone, as opposed to the O(#relations) copy-on-write
+    /// [`Clone`]). `bench_e2e`'s oracle recomputes answers on one, so
+    /// they share no storage with the served snapshot.
     pub fn deep_clone(&self) -> ProvenanceSystem {
         let mut out = self.clone();
         out.db = self.db.deep_clone();

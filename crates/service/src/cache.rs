@@ -32,7 +32,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// Monotonic counters the cache keeps about itself (reported by the
-/// service's `STATS` verb and the `serve` load generator).
+/// service's `STATS` verb).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheCounters {
     /// Lookups answered from the cache.
@@ -398,8 +398,7 @@ struct PlanEntry {
 /// A bounded prepared-plan cache keyed by normalized query text.
 ///
 /// A capacity of 0 disables the cache entirely (every lookup misses,
-/// inserts are dropped) — used by benchmarks to measure the unprepared
-/// baseline.
+/// inserts are dropped).
 #[derive(Debug)]
 pub struct PlanCache {
     entries: HashMap<String, PlanEntry>,

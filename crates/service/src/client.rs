@@ -14,7 +14,7 @@ pub(crate) fn io_err(e: io::Error) -> Error {
 }
 
 /// A minimal blocking client for the line protocol — used by the
-/// integration tests and the `serve` load generator.
+/// integration tests and `scale_bench`.
 ///
 /// Responses and asynchronous `PUSH` lines can interleave arbitrarily on
 /// the wire (the event loop pushes the instant an event fires, not

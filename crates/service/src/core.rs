@@ -129,10 +129,6 @@ pub struct ServiceCore {
     /// accumulated + current-snapshot counts.
     graph_builds: AtomicU64,
     graph_patches: AtomicU64,
-    /// Incremental view maintenance switch: `true` patches intersecting
-    /// cache entries forward across writes; `false` reproduces the old
-    /// evict-on-write behavior (the ablation baseline).
-    maintenance: bool,
     /// `SUBSCRIBE` listeners (see [`crate::fanout`]).
     pub(crate) subs: Mutex<SinkList<Subscription>>,
     /// Metrics of the attached TCP front end, if any (installed by
@@ -163,23 +159,6 @@ pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 256;
 impl ServiceCore {
     /// Serve `sys` with engine `options` and the default cache capacities.
     pub fn new(sys: ProvenanceSystem, options: EngineOptions) -> Self {
-        ServiceCore::with_capacities(
-            sys,
-            options,
-            DEFAULT_CACHE_CAPACITY,
-            DEFAULT_PLAN_CACHE_CAPACITY,
-        )
-    }
-
-    /// Serve `sys` with explicit result-cache and plan-cache capacities
-    /// (a plan capacity of 0 disables prepared-plan reuse — the
-    /// unprepared baseline benchmarks measure against).
-    pub fn with_capacities(
-        sys: ProvenanceSystem,
-        options: EngineOptions,
-        capacity: usize,
-        plan_capacity: usize,
-    ) -> Self {
         // Honor PROQL_TRACE / PROQL_TRACE_SPANS before the first query
         // can record a span. Idempotent, so repeated cores are fine.
         trace::init_from_env();
@@ -188,14 +167,13 @@ impl ServiceCore {
         ServiceCore {
             state: RwLock::new(Arc::new(Snapshot { version, engine })),
             write_gate: Mutex::new(()),
-            cache: Mutex::new(ResultCache::new(capacity)),
-            plans: Mutex::new(PlanCache::new(plan_capacity)),
+            cache: Mutex::new(ResultCache::new(DEFAULT_CACHE_CAPACITY)),
+            plans: Mutex::new(PlanCache::new(DEFAULT_PLAN_CACHE_CAPACITY)),
             options,
             queries: AtomicU64::new(0),
             writes: AtomicU64::new(0),
             graph_builds: AtomicU64::new(0),
             graph_patches: AtomicU64::new(0),
-            maintenance: true,
             subs: Mutex::default(),
             transport: Mutex::new(None),
             repl: Mutex::default(),
@@ -215,15 +193,6 @@ impl ServiceCore {
     /// replaces it (last front end wins).
     pub fn set_transport_metrics(&self, metrics: Arc<TransportMetrics>) {
         *lock(&self.transport) = Some(metrics);
-    }
-
-    /// Toggle incremental view maintenance (on by default). Disabling it
-    /// reproduces the pre-maintenance write path — every write evicts
-    /// intersecting entries — which benchmarks use as the ablation
-    /// baseline.
-    pub fn with_maintenance(mut self, enabled: bool) -> Self {
-        self.maintenance = enabled;
-        self
     }
 
     /// The currently published snapshot.
@@ -504,14 +473,10 @@ impl ServiceCore {
         // other writers, and racing readers still see the old entries at
         // the old published version. An entry whose prepared rules miss
         // an alternative at the new snapshot is evicted, not maintained.
-        let (mut candidates, outdated): (Vec<_>, Vec<_>) = if self.maintenance {
-            lock(&self.cache)
-                .take_maintenance_candidates(write_set)
-                .into_iter()
-                .partition(|c| c.prepared.complete_at(&next.engine.sys))
-        } else {
-            Default::default()
-        };
+        let (mut candidates, outdated): (Vec<_>, Vec<_>) = lock(&self.cache)
+            .take_maintenance_candidates(write_set)
+            .into_iter()
+            .partition(|c| c.prepared.complete_at(&next.engine.sys));
         let outcomes = maintain_outputs(
             &current.engine,
             &next.engine,
@@ -1023,22 +988,6 @@ mod tests {
     }
 
     #[test]
-    fn maintenance_disabled_reproduces_evict_on_write() {
-        let core =
-            ServiceCore::new(two_island_system(), EngineOptions::default()).with_maintenance(false);
-        let before = core.query(Q_Y).unwrap();
-        assert_eq!(before.output.projection.bindings.len(), 5);
-        let (v, _) = core.delete("X", &tup![0]).unwrap();
-        let after = core.query(Q_Y).unwrap();
-        assert!(!after.cache_hit, "write to a dependency must evict");
-        assert_eq!(after.version, v);
-        assert_eq!(after.output.projection.bindings.len(), 4);
-        let stats = core.stats();
-        assert_eq!(stats.cache.stale_evictions, 1);
-        assert_eq!(stats.cache.maint_hits, 0);
-    }
-
-    #[test]
     fn insert_and_exchange_maintains_dependent_entries() {
         let core = ServiceCore::new(two_island_system(), EngineOptions::default());
         core.query(Q_Y).unwrap();
@@ -1092,16 +1041,20 @@ mod tests {
 
     #[test]
     fn result_miss_reuses_cached_plan() {
-        // Maintenance off: this test is about the plan-reuse path under
-        // forced result misses (the ablation baseline's hot path).
-        let core =
-            ServiceCore::new(two_island_system(), EngineOptions::default()).with_maintenance(false);
-        let first = core.query(Q_Y).unwrap();
+        // A lineage answer is set-valued, so a write that reaches it is
+        // evicted rather than maintained: the next read is a result miss.
+        let q = format!("EVALUATE LINEAGE OF {{ {Q_Y} }}");
+        let core = ServiceCore::new(two_island_system(), EngineOptions::default());
+        let first = core.query(&q).unwrap();
         assert!(!first.cache_hit && !first.plan_cache_hit);
         // A write to a dependency evicts the result but not the plan: the
         // point delete stays within the stats fingerprint's buckets.
         core.delete("X", &tup![0]).unwrap();
-        let second = core.query(Q_Y).unwrap();
+        assert_eq!(
+            core.stats().cache.fallbacks_for(FallbackReason::SetValued),
+            1
+        );
+        let second = core.query(&q).unwrap();
         assert!(!second.cache_hit, "result must re-execute after the write");
         assert!(second.plan_cache_hit, "plan must be reused");
         assert_eq!(second.output.projection.bindings.len(), 4);
@@ -1120,17 +1073,6 @@ mod tests {
         assert!(!again.cache_hit);
         assert!(again.plan_cache_hit, "INVALIDATE must not drop plans");
         assert_eq!(again.output.projection.bindings.len(), 5);
-    }
-
-    #[test]
-    fn plan_capacity_zero_disables_plan_reuse() {
-        let core =
-            ServiceCore::with_capacities(two_island_system(), EngineOptions::default(), 1024, 0);
-        core.query(Q_Y).unwrap();
-        core.invalidate();
-        let again = core.query(Q_Y).unwrap();
-        assert!(!again.plan_cache_hit);
-        assert_eq!(core.stats().plans.hits, 0);
     }
 
     #[test]

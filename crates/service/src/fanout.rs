@@ -303,7 +303,7 @@ impl ServiceCore {
     /// Query subscribers: every subscription whose read set `write_set`
     /// intersects gets this write's outcome — the `Delta` recorded in
     /// `events` when its entry was maintained, a `Resync` otherwise
-    /// (fallback, eviction, snapshot install, or maintenance disabled).
+    /// (fallback, eviction, or snapshot install).
     ///
     /// Replicas: delta frames when the log bridges the transition, one
     /// full snapshot otherwise. Payloads are encoded once and shared

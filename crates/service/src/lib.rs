@@ -44,8 +44,9 @@
 //! replicas are listeners on one fan-out ([`fanout`]), the last step of
 //! every published write.
 //!
-//! The `serve` binary in `proql-bench` load-tests this stack end to end
-//! and reports throughput, latency percentiles, and cache hit rates.
+//! `bench_e2e` (its own workspace) serves workloads over this stack end
+//! to end and reports client-observed latency, throughput and cache hit
+//! rates, digest-checked against a serial recompute.
 
 pub mod cache;
 pub mod client;

@@ -124,8 +124,7 @@ pub fn result_digest(out: &QueryOutput) -> u64 {
     h
 }
 
-/// JSON string literal escaping (mirrors `proql_bench::json_str`; kept
-/// local so the service crate stays independent of the bench crate).
+/// JSON string literal escaping for the hand-rolled encoders.
 pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');

@@ -167,8 +167,8 @@ impl Database {
     }
 
     /// True iff `name`'s storage is physically shared (same `Arc`) between
-    /// `self` and `other`. Snapshot tests and the write benchmarks use this
-    /// to assert that copy-on-write only materializes what a write touched.
+    /// `self` and `other`. Snapshot tests use this to assert that
+    /// copy-on-write only materializes what a write touched.
     pub fn shares_table_storage(&self, other: &Database, name: &str) -> bool {
         match (self.tables.get(name), other.tables.get(name)) {
             (Some(a), Some(b)) => Arc::ptr_eq(a, b),
@@ -177,8 +177,9 @@ impl Database {
     }
 
     /// A clone with **no** shared structure: every table is materialized.
-    /// This is the old O(database) write-path clone, kept for the
-    /// full-rebuild baselines the write benchmarks compare against.
+    /// This is the old O(database) write-path clone, kept as a reference:
+    /// `bench_e2e`'s oracle recomputes answers on a deep clone, so they
+    /// share no storage with the served snapshot.
     pub fn deep_clone(&self) -> Database {
         let mut out = self.clone();
         let names: Vec<String> = out.table_names().map(str::to_string).collect();

@@ -32,8 +32,8 @@ use crate::plan::{BuildSide, JoinType, Plan};
 use proql_common::{Value, ValueType};
 use std::collections::HashMap;
 
-/// One optimizer pass. [`OptimizerConfig`] orders them; benchmarks ablate
-/// individual passes (e.g. `plan_bench` measures join reordering alone).
+/// One optimizer pass. [`OptimizerConfig`] orders them; the optimizer
+/// property tests ablate individual passes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pass {
     /// Push each conjunct of a selection as deep as it can go:

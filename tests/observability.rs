@@ -3,7 +3,7 @@
 //! combination on randomized instances, `EXPLAIN ANALYZE` actuals agree
 //! exactly with digest-checked result sizes, and a pipelined binary
 //! batch reconstructs as a single trace retrievable over the `TRACE`
-//! wire verb.
+//! wire verb, whose payload parses as JSON.
 //!
 //! These tests only ever *enable* tracing (never disable it), so they
 //! are safe under the parallel test harness: each asserts exclusively
@@ -217,6 +217,10 @@ fn pipelined_binary_batch_reconstructs_as_one_trace() {
 
     // And the same tree is visible over the wire.
     let traces = client.trace(8).unwrap();
+    assert!(
+        json_is_wellformed(&traces),
+        "TRACE reply must parse as JSON: {traces}"
+    );
     assert!(traces.starts_with("{\"traces\": ["), "{traces}");
     assert!(traces.contains("\"name\": \"request\""), "{traces}");
     assert!(
@@ -225,4 +229,130 @@ fn pipelined_binary_batch_reconstructs_as_one_trace() {
     );
     drop(client);
     server.shutdown();
+}
+
+#[test]
+fn json_validator_rejects_malformed_payloads() {
+    for ok in [
+        "{}",
+        "[]",
+        "{\"a\": [1, -2.5e3, true, false, null, \"s\\\"t\"]} ",
+        "{\"traces\": [{\"trace_id\": 7, \"spans\": []}]}",
+    ] {
+        assert!(json_is_wellformed(ok), "{ok}");
+    }
+    for bad in [
+        "",
+        "{",
+        "{\"a\" 1}",
+        "{\"a\": 1,}",
+        "[1 2]",
+        "{\"a\": tru}",
+        "\"open",
+        "{} {}",
+    ] {
+        assert!(!json_is_wellformed(bad), "{bad}");
+    }
+}
+
+/// Minimal recursive-descent JSON validity check (the workspace has no
+/// serde): accepts exactly one value plus trailing whitespace.
+fn json_is_wellformed(s: &str) -> bool {
+    let bytes = s.as_bytes();
+    let mut pos = 0usize;
+    let ok = json_value(bytes, &mut pos);
+    skip_ws(bytes, &mut pos);
+    ok && pos == bytes.len()
+}
+
+fn skip_ws(b: &[u8], pos: &mut usize) {
+    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
+        *pos += 1;
+    }
+}
+
+fn json_value(b: &[u8], pos: &mut usize) -> bool {
+    skip_ws(b, pos);
+    match b.get(*pos) {
+        Some(b'{') => json_seq(b, pos, b'}', true),
+        Some(b'[') => json_seq(b, pos, b']', false),
+        Some(b'"') => json_string(b, pos),
+        Some(b't') => json_lit(b, pos, b"true"),
+        Some(b'f') => json_lit(b, pos, b"false"),
+        Some(b'n') => json_lit(b, pos, b"null"),
+        Some(c) if c.is_ascii_digit() || *c == b'-' => json_number(b, pos),
+        _ => false,
+    }
+}
+
+/// Object (`close`=`}`; members are `"key": value`) or array bodies.
+fn json_seq(b: &[u8], pos: &mut usize, close: u8, keyed: bool) -> bool {
+    *pos += 1; // opener
+    skip_ws(b, pos);
+    if b.get(*pos) == Some(&close) {
+        *pos += 1;
+        return true;
+    }
+    loop {
+        if keyed {
+            skip_ws(b, pos);
+            if !json_string(b, pos) {
+                return false;
+            }
+            skip_ws(b, pos);
+            if b.get(*pos) != Some(&b':') {
+                return false;
+            }
+            *pos += 1;
+        }
+        if !json_value(b, pos) {
+            return false;
+        }
+        skip_ws(b, pos);
+        match b.get(*pos) {
+            Some(b',') => *pos += 1,
+            Some(c) if *c == close => {
+                *pos += 1;
+                return true;
+            }
+            _ => return false,
+        }
+    }
+}
+
+fn json_string(b: &[u8], pos: &mut usize) -> bool {
+    if b.get(*pos) != Some(&b'"') {
+        return false;
+    }
+    *pos += 1;
+    while let Some(&c) = b.get(*pos) {
+        *pos += 1;
+        match c {
+            b'"' => return true,
+            b'\\' => *pos += 1, // escape: skip the escaped byte
+            _ => {}
+        }
+    }
+    false
+}
+
+fn json_number(b: &[u8], pos: &mut usize) -> bool {
+    let start = *pos;
+    while let Some(&c) = b.get(*pos) {
+        if c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E') {
+            *pos += 1;
+        } else {
+            break;
+        }
+    }
+    *pos > start
+}
+
+fn json_lit(b: &[u8], pos: &mut usize, lit: &[u8]) -> bool {
+    if b[*pos..].starts_with(lit) {
+        *pos += lit.len();
+        true
+    } else {
+        false
+    }
 }

@@ -9,7 +9,7 @@
 use proql::engine::{Engine, EngineOptions};
 use proql_cdss::topology::{build_system_with_island, CdssConfig, Topology};
 use proql_cdss::update::delete_local;
-use proql_common::{tup, Tuple};
+use proql_common::{tup, Parallelism, Tuple};
 use proql_service::frame::verb;
 use proql_service::proto::{json_str_field, json_u64_field};
 use proql_service::{result_digest, serve, BinClient, ServiceCore};
@@ -264,26 +264,55 @@ fn serial_session_versions_progress_exactly() {
     assert_eq!(stats.cache.maint_fallbacks, 0);
 }
 
-/// The ablation baseline: with maintenance disabled, a touching write
-/// evicts the entry exactly as the pre-maintenance service did.
+/// Sustained touching writes: every round deletes a chain tuple that all
+/// four hot entries depend on, then re-reads them. Each re-read must be
+/// a cache hit at the write's version (the entry was maintained, not
+/// evicted) and digest-equal to a fresh serial [`Engine`] over a replay
+/// of the same deletions.
 #[test]
-fn maintenance_disabled_service_evicts_on_touching_write() {
+fn sustained_touching_writes_keep_every_hot_entry_maintained() {
+    const HOT_QUERIES: [&str; 4] = [
+        "FOR [R0a $x] INCLUDE PATH [$x] <-+ [] RETURN $x",
+        "FOR [R0a $x] INCLUDE PATH [$x] <-+ [] WHERE $x.k >= 10 RETURN $x",
+        "FOR [R0a $x] INCLUDE PATH [$x] <-+ [] WHERE $x.k < 5 RETURN $x",
+        "EVALUATE DERIVABILITY OF { FOR [R0a $x] INCLUDE PATH [$x] <-+ [] RETURN $x }",
+    ];
+    const ROUNDS: i64 = 12;
     let sys =
-        build_system_with_island(Topology::Chain, &CdssConfig::new(3, vec![2], 8), 4).unwrap();
-    let core = ServiceCore::new(sys, EngineOptions::default()).with_maintenance(false);
-    let q = "FOR [R0a $x] INCLUDE PATH [$x] <-+ [] RETURN $x";
-    let r1 = core.query(q).unwrap();
-    let (v2, _) = core.delete("R2a", &tup![7]).unwrap();
-    let r3 = core.query(q).unwrap();
-    assert!(!r3.cache_hit, "maintenance off ⇒ touching write evicts");
-    assert_eq!(r3.version, v2);
-    assert_eq!(
-        r3.output.projection.bindings.len(),
-        r1.output.projection.bindings.len() - 1
-    );
+        build_system_with_island(Topology::Chain, &CdssConfig::new(4, vec![3], 200), 64).unwrap();
+    let core = ServiceCore::new(sys.clone(), EngineOptions::default());
+    for q in HOT_QUERIES {
+        assert!(!core.query(q).unwrap().cache_hit);
+    }
+    let serial = EngineOptions {
+        parallelism: Parallelism::Serial,
+        ..Default::default()
+    };
+    let mut state = sys;
+    for round in 0..ROUNDS {
+        let key = tup![198 - round];
+        let (version, _) = core.delete("R3a", &key).unwrap();
+        delete_local(&mut state, "R3a", &key).unwrap();
+        assert_eq!(state.version(), version, "replay version drift");
+        let fresh = Engine::with_options(state.clone(), serial.clone());
+        for q in HOT_QUERIES {
+            let served = core.query(q).unwrap();
+            assert!(
+                served.cache_hit,
+                "round {round}: a touching write must be maintained: {q}"
+            );
+            assert_eq!(served.version, version, "round {round}: {q}");
+            assert_eq!(
+                result_digest(&served.output),
+                result_digest(&fresh.query(q).unwrap()),
+                "round {round}: maintained answer diverged from serial replay: {q}"
+            );
+        }
+    }
     let stats = core.stats();
-    assert_eq!(stats.cache.maint_hits, 0);
-    assert_eq!(stats.cache.stale_evictions, 1);
+    assert_eq!(stats.cache.maint_fallbacks, 0, "{stats:?}");
+    assert_eq!(stats.cache.stale_evictions, 0, "{stats:?}");
+    assert_eq!(stats.cache.hits, (ROUNDS as u64) * HOT_QUERIES.len() as u64);
 }
 
 /// Chain-break property test: interleave maintained writes with

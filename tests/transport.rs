@@ -47,6 +47,46 @@ fn subscription_system(rows: i64) -> ProvenanceSystem {
     sys
 }
 
+/// A condition nested far past the parser's limit (20,000 `NOT`s, about
+/// 80 KB) is a clean `ERR parse` over the wire, not a stack overflow that
+/// aborts the server from a worker thread, and the same server keeps
+/// answering. At the limit the query runs end to end on a worker and
+/// answers exactly like its un-negated form.
+#[test]
+fn deeply_nested_condition_is_a_parse_error_not_a_crash() {
+    let core = Arc::new(ServiceCore::new(
+        subscription_system(12),
+        EngineOptions::default(),
+    ));
+    let handle = serve(core, "127.0.0.1:0", 2).unwrap();
+    let mut bin = BinClient::connect(handle.addr()).unwrap();
+    let negated = |n: usize| {
+        format!(
+            "FOR [Y $x] INCLUDE PATH [$x] <-+ [] WHERE {}$x.id < 5 RETURN $x",
+            "NOT ".repeat(n)
+        )
+    };
+    let reply = bin
+        .request(verb::QUERY, negated(20_000).as_bytes())
+        .unwrap();
+    assert_eq!(reply.verb, verb::ERR);
+    let payload = reply.text().unwrap();
+    assert!(payload.starts_with("parse: "), "{payload}");
+    let plain = bin.query(&negated(0)).unwrap();
+    let at_limit = bin.query(&negated(256)).unwrap();
+    assert!(json_u64_field(&plain, "digest").is_some(), "{plain}");
+    assert_eq!(
+        json_u64_field(&at_limit, "digest"),
+        json_u64_field(&plain, "digest")
+    );
+    let served = bin
+        .query("FOR [Y $x] INCLUDE PATH [$x] <-+ [] RETURN $x")
+        .unwrap();
+    assert!(json_u64_field(&served, "version").is_some(), "{served}");
+    drop(bin);
+    handle.shutdown();
+}
+
 /// Garbage after the binary-mode magic byte must drop that connection
 /// cleanly — no panic, no lost worker — and the server must keep serving
 /// fresh connections. Fuzzed with a deterministic PRNG.

@@ -42,7 +42,7 @@ use proql_common::{tup, Schema, Tuple, Value, ValueType};
 use proql_provgraph::ProvenanceSystem;
 use proql_service::proto::{json_f64_field, json_str_field, json_u64_field};
 use proql_service::{
-    handle_line, result_digest, serve, start_replica, Client, ReplicaConfig, RetryPolicy, Router,
+    result_digest, serve, start_replica, BinClient, ReplicaConfig, RetryPolicy, Router,
     ServiceCore, ShardMap,
 };
 use std::io::{BufRead, BufReader, Write as IoWrite};
@@ -54,6 +54,18 @@ use std::time::{Duration, Instant};
 /// Delta-log retention on every node in this bench: small enough that
 /// the post-burst late joiner *must* take the snapshot path.
 const DELTA_LOG_CAP: usize = 8;
+
+/// Replica processes following the primary.
+const REPLICAS: usize = 2;
+
+/// Shard processes behind the routers.
+const SHARDS: usize = 2;
+
+/// Independent mapping families (see [`build_families_filtered`]).
+const FAMILIES: usize = 4;
+
+/// Client threads per endpoint in each read phase.
+const CLIENTS_PER: usize = 2;
 
 /// Independent mapping families `In{f} → Mid{f}`, `In{f} ⋈ Mid{f} →
 /// Out{f}`, loading data only for the families
@@ -212,7 +224,7 @@ impl Drop for ChildNode {
 // ---------------------------------------------------------------------------
 
 fn stats_of(addr: SocketAddr) -> String {
-    let mut c = Client::connect(addr).expect("stats client");
+    let mut c = BinClient::connect(addr).expect("stats client");
     c.stats().expect("stats")
 }
 
@@ -239,7 +251,7 @@ fn read_load(addrs: &[SocketAddr], clients_per: usize, requests: usize, hot: &[S
             for c in 0..clients_per {
                 let hot = &hot;
                 s.spawn(move || {
-                    let mut client = Client::connect(addr).expect("load client");
+                    let mut client = BinClient::connect(addr).expect("load client");
                     for r in 0..requests {
                         let json = client.query(&hot[(c + r) % hot.len()]).expect("query");
                         assert!(
@@ -252,13 +264,6 @@ fn read_load(addrs: &[SocketAddr], clients_per: usize, requests: usize, hot: &[S
         }
     });
     (addrs.len() * clients_per * requests) as f64 / t0.elapsed().as_secs_f64()
-}
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }
 
 fn main() {
@@ -279,24 +284,20 @@ fn main() {
     let cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let replicas = env_usize("PROQL_SCALE_REPLICAS", 2);
-    let shards = env_usize("PROQL_SCALE_SHARDS", 2);
-    let families = env_usize("PROQL_SCALE_FAMILIES", 4);
-    let rows = env_usize("PROQL_SCALE_ROWS", scaled(48, 200));
-    let clients_per = env_usize("PROQL_SCALE_CLIENTS", 2);
-    let requests = env_usize("PROQL_SCALE_REQUESTS", scaled(40, 200));
-    let write_rounds = env_usize("PROQL_SCALE_WRITES", scaled(12, 24)).min(rows.saturating_sub(4));
-    let hot: Vec<String> = (0..families).map(hot_query).collect();
+    let rows = scaled(48, 200);
+    let requests = scaled(40, 200);
+    let write_rounds = scaled(12, 24).min(rows.saturating_sub(4));
+    let hot: Vec<String> = (0..FAMILIES).map(hot_query).collect();
     println!("   detected CPUs: {cpus} (scale-out ratios need >1 to mean anything)");
 
     // Primary: in-process, tiny delta log (phase 4 relies on trimming).
-    let mut sys = build_families(families, rows);
+    let mut sys = build_families(FAMILIES, rows);
     sys.set_delta_log_capacity(DELTA_LOG_CAP);
     let primary = Arc::new(ServiceCore::new(sys, EngineOptions::default()));
     let server = serve(
         Arc::clone(&primary),
         "127.0.0.1:0",
-        clients_per * (replicas + 1) + 2,
+        CLIENTS_PER * (REPLICAS + 1) + 2,
     )
     .expect("primary serves");
     let primary_addr = server.addr();
@@ -305,16 +306,16 @@ fn main() {
     for q in &hot {
         primary.query(q).expect("warm");
     }
-    let single_qps = read_load(&[primary_addr], clients_per, requests, &hot);
+    let single_qps = read_load(&[primary_addr], CLIENTS_PER, requests, &hot);
     println!("   single-node baseline: {single_qps:.1} qps");
 
     // Phase 2: replicated reads under touching writes.
     let fam_args = vec![
         primary_addr.to_string(),
-        families.to_string(),
+        FAMILIES.to_string(),
         rows.to_string(),
     ];
-    let replica_nodes: Vec<ChildNode> = (0..replicas)
+    let replica_nodes: Vec<ChildNode> = (0..REPLICAS)
         .map(|_| ChildNode::spawn("--replica-node", &fam_args))
         .collect();
     for node in &replica_nodes {
@@ -339,7 +340,7 @@ fn main() {
             }
             applied
         });
-        let qps = read_load(&endpoints, clients_per, requests, &hot);
+        let qps = read_load(&endpoints, CLIENTS_PER, requests, &hot);
         (qps, writer.join().expect("writer"))
     });
     let replica_speedup = replicated_qps / single_qps.max(1e-9);
@@ -360,7 +361,7 @@ fn main() {
     }
     // Serial mirror: drop every cached answer on the primary and
     // recompute each hot query from scratch at the converged version.
-    assert!(handle_line(&primary, "INVALIDATE").starts_with("OK "));
+    primary.invalidate();
     let serial: Vec<(String, u64, String)> = hot
         .iter()
         .map(|q| {
@@ -377,7 +378,7 @@ fn main() {
     let mut lag_p99_max: f64 = 0.0;
     let mut deltas_applied_total = 0u64;
     for node in &replica_nodes {
-        let mut c = Client::connect(node.addr).expect("replica client");
+        let mut c = BinClient::connect(node.addr).expect("replica client");
         for (q, version, digest) in &serial {
             let json = c.query(q).expect("replica query");
             let ok = json_u64_field(&json, "version") == Some(*version)
@@ -424,7 +425,7 @@ fn main() {
         late_snapshots >= 1,
         "a joiner past log retention must take the snapshot path: {late_stats}"
     );
-    let mut late_client = Client::connect(late.addr).expect("late client");
+    let mut late_client = BinClient::connect(late.addr).expect("late client");
     for (q, version, digest) in &serial {
         let json = late_client.query(q).expect("late query");
         assert_eq!(json_u64_field(&json, "version"), Some(*version), "{json}");
@@ -448,14 +449,14 @@ fn main() {
     drop(replica_nodes);
 
     // Phase 5: sharded reads behind scatter-gather routers.
-    let schema_only = build_families_filtered(families, rows, |_| false);
-    let map = scale_shard_map(&schema_only, shards);
-    let shard_args: Vec<Vec<String>> = (0..shards)
+    let schema_only = build_families_filtered(FAMILIES, rows, |_| false);
+    let map = scale_shard_map(&schema_only, SHARDS);
+    let shard_args: Vec<Vec<String>> = (0..SHARDS)
         .map(|i| {
             vec![
                 i.to_string(),
-                shards.to_string(),
-                families.to_string(),
+                SHARDS.to_string(),
+                FAMILIES.to_string(),
                 rows.to_string(),
             ]
         })
@@ -468,18 +469,18 @@ fn main() {
 
     // Fat-node baseline: every family on one node (fresh, no deletes).
     let fat = Arc::new(ServiceCore::new(
-        build_families(families, rows),
+        build_families(FAMILIES, rows),
         EngineOptions::default(),
     ));
     let fat_server =
-        serve(Arc::clone(&fat), "127.0.0.1:0", clients_per * shards + 2).expect("fat node serves");
+        serve(Arc::clone(&fat), "127.0.0.1:0", CLIENTS_PER * SHARDS + 2).expect("fat node serves");
     for q in &hot {
         fat.query(q).expect("warm fat");
     }
-    let fat_qps = read_load(&[fat_server.addr()], clients_per * shards, requests, &hot);
+    let fat_qps = read_load(&[fat_server.addr()], CLIENTS_PER * SHARDS, requests, &hot);
 
     // Routed: the same total client count, each thread owning a router.
-    let router_threads = clients_per * shards;
+    let router_threads = CLIENTS_PER * SHARDS;
     let mut zero_fanout = true;
     let mut routed_digest_identity = true;
     let t0 = Instant::now();
@@ -542,9 +543,8 @@ fn main() {
         "routed answers diverged from the fat node"
     );
     println!(
-        "   sharded ({shards} shards, {} families): routed {routed_qps:.1} qps vs \
-         fat node {fat_qps:.1} qps ({shard_speedup:.2}x), zero fan-out, digests identical",
-        families
+        "   sharded ({SHARDS} shards, {FAMILIES} families): routed {routed_qps:.1} qps vs \
+         fat node {fat_qps:.1} qps ({shard_speedup:.2}x), zero fan-out, digests identical"
     );
     fat_server.shutdown();
     drop(shard_nodes);
@@ -552,8 +552,8 @@ fn main() {
 
     if json_output() {
         println!(
-            "{{\"fig\": \"scale\", \"cpus\": {cpus}, \"replicas\": {replicas}, \
-             \"shards\": {shards}, \"families\": {families}, \"rows\": {rows}, \
+            "{{\"fig\": \"scale\", \"cpus\": {cpus}, \"replicas\": {REPLICAS}, \
+             \"shards\": {SHARDS}, \"families\": {FAMILIES}, \"rows\": {rows}, \
              \"single_qps\": {single_qps:.1}, \"replicated_qps\": {replicated_qps:.1}, \
              \"replica_speedup\": {replica_speedup:.4}, \"writes\": {writes_applied}, \
              \"digest_identity\": {digest_identity}, \"lag_p99_ms_max\": {lag_p99_max:.4}, \

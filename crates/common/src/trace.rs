@@ -106,17 +106,11 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// Enable tracing unless `PROQL_TRACE=0`; `PROQL_TRACE_SPANS` overrides
-/// the ring capacity. Idempotent; the query service calls this once.
+/// Enable tracing unless `PROQL_TRACE=0`. Idempotent; the query service
+/// calls this once.
 pub fn init_from_env() {
     if std::env::var("PROQL_TRACE").map(|v| v == "0") != Ok(true) {
         set_enabled(true);
-    }
-    if let Some(cap) = std::env::var("PROQL_TRACE_SPANS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        set_capacity(cap);
     }
 }
 
@@ -241,6 +235,10 @@ impl Span {
     /// Attach a `(key, value)` field. No-op on an inert span.
     pub fn field(&mut self, key: &'static str, value: impl Into<String>) {
         if let Some(live) = self.0.as_mut() {
+            // Most spans carry one field and then sit in the ring for
+            // thousands of spans: hold exactly what was pushed, not the
+            // four slots a first push reserves.
+            live.fields.reserve_exact(1);
             live.fields.push((key, value.into()));
         }
     }
@@ -467,6 +465,18 @@ mod tests {
         }
         assert_eq!(snapshot().len(), before);
         set_enabled(true);
+    }
+
+    #[test]
+    fn a_field_holds_only_its_own_slot() {
+        let _g = guard();
+        set_enabled(true);
+        let mut sp = span("fields");
+        sp.field("one", "1");
+        let capacity = |sp: &Span| sp.0.as_ref().unwrap().fields.capacity();
+        assert_eq!(capacity(&sp), 1);
+        sp.field("two", "2");
+        assert_eq!(capacity(&sp), 2);
     }
 
     #[test]

@@ -150,7 +150,7 @@ impl GraphDelta {
 pub const DEFAULT_MAX_ENTRIES: usize = 256;
 
 /// Op budget retained per log entry slot: the total-op cap scales with
-/// the entry cap so `PROQL_DELTA_LOG_CAP` tunes both together.
+/// the entry cap so one capacity sets both.
 const OPS_PER_ENTRY: usize = 256;
 
 /// A bounded, contiguous log of sealed [`GraphDelta`]s.
@@ -159,12 +159,10 @@ const OPS_PER_ENTRY: usize = 256;
 /// `base + i` to `base + i + 1`.
 ///
 /// The retention bound defaults to [`DEFAULT_MAX_ENTRIES`] and is
-/// configurable — per instance via [`DeltaLog::with_capacity`] /
-/// [`DeltaLog::set_capacity`], or process-wide via the
-/// `PROQL_DELTA_LOG_CAP` environment variable (read by
-/// [`DeltaLog::from_env`], which the system constructor uses). Deeper
-/// logs let replicas catch up over longer disconnections without a
-/// snapshot transfer, at the cost of retained memory.
+/// configurable per instance via [`DeltaLog::with_capacity`] /
+/// [`DeltaLog::set_capacity`]. Deeper logs let replicas catch up over
+/// longer disconnections without a snapshot transfer, at the cost of
+/// retained memory.
 #[derive(Debug, Clone)]
 pub struct DeltaLog {
     base: u64,
@@ -194,17 +192,6 @@ impl DeltaLog {
             max_entries,
             max_ops: max_entries.saturating_mul(OPS_PER_ENTRY),
         }
-    }
-
-    /// An empty log whose retention bound comes from the
-    /// `PROQL_DELTA_LOG_CAP` environment variable (entries; defaults to
-    /// [`DEFAULT_MAX_ENTRIES`] when unset or unparsable).
-    pub fn from_env() -> Self {
-        let cap = std::env::var("PROQL_DELTA_LOG_CAP")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(DEFAULT_MAX_ENTRIES);
-        DeltaLog::with_capacity(cap)
     }
 
     /// Oldest version the log can patch **from**.
@@ -407,14 +394,5 @@ mod tests {
         log.set_capacity(2);
         assert_eq!(log.depth(), 2);
         assert_eq!(log.base(), 8);
-    }
-
-    #[test]
-    fn env_capacity_is_honored() {
-        std::env::set_var("PROQL_DELTA_LOG_CAP", "7");
-        let log = DeltaLog::from_env();
-        std::env::remove_var("PROQL_DELTA_LOG_CAP");
-        assert_eq!(log.capacity(), 7);
-        assert_eq!(DeltaLog::from_env().capacity(), DEFAULT_MAX_ENTRIES);
     }
 }

@@ -76,7 +76,6 @@ impl ProvenanceSystem {
     pub fn new() -> Self {
         ProvenanceSystem {
             trackable: true,
-            deltas: DeltaLog::from_env(),
             ..ProvenanceSystem::default()
         }
     }

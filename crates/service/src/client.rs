@@ -1,11 +1,11 @@
-//! Blocking clients for both wire formats — what the integration tests,
-//! the bench load generators, the replica stream and the shard router
-//! talk to a [`crate::server`] with.
+//! The blocking client for the binary framing — what the integration
+//! tests, `scale_bench`, the replica stream and the shard router talk to
+//! a [`crate::server`] with.
 
 use crate::frame::{self, verb};
 use proql_common::{Error, Result};
 use std::collections::VecDeque;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -13,113 +13,14 @@ pub(crate) fn io_err(e: io::Error) -> Error {
     Error::Other(format!("io: {e}"))
 }
 
-/// A minimal blocking client for the line protocol — used by the
-/// integration tests and `scale_bench`.
-///
-/// Responses and asynchronous `PUSH` lines can interleave arbitrarily on
-/// the wire (the event loop pushes the instant an event fires, not
-/// between requests), so each reader stashes what the other expects:
-/// [`Client::request`] reads past pushes to its response, and
-/// [`Client::next_push`] past responses to its push; neither drops what
-/// it read past.
-#[derive(Debug)]
-pub struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-    /// Lines read past while looking for the other kind: responses at
-    /// index 0, push events (the JSON after `PUSH `) at index 1.
-    stashed: [VecDeque<String>; 2],
-}
-
-impl Client {
-    /// Connect to a server.
-    pub fn connect(addr: SocketAddr) -> Result<Client> {
-        let stream = TcpStream::connect(addr).map_err(io_err)?;
-        stream.set_nodelay(true).map_err(io_err)?;
-        let writer = stream.try_clone().map_err(io_err)?;
-        Ok(Client {
-            reader: BufReader::new(stream),
-            writer,
-            stashed: Default::default(),
-        })
-    }
-
-    /// The next line of the wanted kind — a push event's JSON, or else a
-    /// response line: a stashed one if available, else a blocking read
-    /// that stashes lines of the other kind.
-    fn next_line(&mut self, want_push: bool) -> Result<String> {
-        if let Some(line) = self.stashed[usize::from(want_push)].pop_front() {
-            return Ok(line);
-        }
-        loop {
-            let mut line = String::new();
-            if self.reader.read_line(&mut line).map_err(io_err)? == 0 {
-                return Err(Error::Other("server closed the connection".into()));
-            }
-            let line = line.trim_end();
-            let (is_push, text) = match line.strip_prefix("PUSH ") {
-                Some(event) => (true, event),
-                None => (false, line),
-            };
-            if is_push == want_push {
-                return Ok(text.to_string());
-            }
-            self.stashed[usize::from(is_push)].push_back(text.to_string());
-        }
-    }
-
-    /// Send one request line, read one response line.
-    pub fn request(&mut self, line: &str) -> Result<String> {
-        self.writer.write_all(line.as_bytes()).map_err(io_err)?;
-        self.writer.write_all(b"\n").map_err(io_err)?;
-        self.writer.flush().map_err(io_err)?;
-        self.next_line(false)
-    }
-
-    /// `QUERY` helper: sends the query, returns the `OK` JSON payload or
-    /// the server's error.
-    pub fn query(&mut self, proql: &str) -> Result<String> {
-        expect_ok(self.request(&format!("QUERY {proql}"))?)
-    }
-
-    /// `STATS` helper.
-    pub fn stats(&mut self) -> Result<String> {
-        expect_ok(self.request("STATS")?)
-    }
-
-    /// `TRACE` helper: the `limit` most recent span trees as JSON.
-    pub fn trace(&mut self, limit: usize) -> Result<String> {
-        expect_ok(self.request(&format!("TRACE {limit}"))?)
-    }
-
-    /// `SUBSCRIBE` helper: returns the `OK` JSON payload (the initial
-    /// answer plus the `subscription` id).
-    pub fn subscribe(&mut self, proql: &str) -> Result<String> {
-        expect_ok(self.request(&format!("SUBSCRIBE {proql}"))?)
-    }
-
-    /// Next pushed subscription event (the JSON after `PUSH `): a
-    /// stashed one if available, else a blocking read. A response line
-    /// racing in here is stashed for the next [`Client::request`], never
-    /// dropped.
-    pub fn next_push(&mut self) -> Result<String> {
-        self.next_line(true)
-    }
-}
-
-fn expect_ok(response: String) -> Result<String> {
-    match response.strip_prefix("OK ") {
-        Some(json) => Ok(json.to_string()),
-        None => Err(Error::Other(response)),
-    }
-}
-
 /// A blocking client for the binary framing layer with pipelining:
 /// requests carry client-chosen ids, any number may be sent (or batched
 /// into a single write) before reading responses, and out-of-band frames
-/// (`PUSH`, replication) are stashed exactly like [`Client`] does for
-/// push lines: each reader gets the next frame of its own class, and
-/// whatever else arrives first waits on the queue its reader expects.
+/// (`PUSH`, replication) are stashed: responses and pushes can interleave
+/// arbitrarily on the wire (the event loop pushes the instant an event
+/// fires, not between requests), so each reader gets the next frame of
+/// its own class, and whatever else arrives first waits on the queue its
+/// reader expects — never dropped.
 #[derive(Debug)]
 pub struct BinClient {
     stream: TcpStream,
@@ -151,7 +52,7 @@ impl Class {
 }
 
 impl BinClient {
-    /// Connect to a server; the first frame sent selects binary mode.
+    /// Connect to a server.
     pub fn connect(addr: SocketAddr) -> Result<BinClient> {
         let stream = TcpStream::connect(addr).map_err(io_err)?;
         stream.set_nodelay(true).map_err(io_err)?;

@@ -159,8 +159,8 @@ pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 256;
 impl ServiceCore {
     /// Serve `sys` with engine `options` and the default cache capacities.
     pub fn new(sys: ProvenanceSystem, options: EngineOptions) -> Self {
-        // Honor PROQL_TRACE / PROQL_TRACE_SPANS before the first query
-        // can record a span. Idempotent, so repeated cores are fine.
+        // Honor PROQL_TRACE before the first query can record a span.
+        // Idempotent, so repeated cores are fine.
         trace::init_from_env();
         let version = sys.version();
         let engine = Engine::with_options(sys, options.clone());

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! offset  size  field
-//! 0       1     magic (0xB1 — never the first byte of a legacy line)
+//! 0       1     magic (0xB1, outside ASCII)
 //! 1       1     verb tag
 //! 2       1     protocol version (0 = legacy pre-versioning, else
 //!               1..=VERSION_WINDOW; greater is framing corruption)
@@ -24,28 +24,27 @@
 //! while a byte beyond the window (say a flipped 0xFF) is framing
 //! corruption and still drops the connection.
 //!
-//! The server auto-detects the protocol from a connection's **first
-//! byte**: [`MAGIC`] selects binary framing, anything else the legacy
-//! line protocol ([`crate::proto`]). Requests carry a client-chosen
+//! This is the server's only wire format: every connection's bytes,
+//! from the first, must be frames. Requests carry a client-chosen
 //! `request id` that the matching response echoes, so clients may
 //! pipeline arbitrarily many frames before reading a single response;
 //! the server answers a connection's requests **in order**. Server-push
 //! frames ([`verb::PUSH`], carrying the subscription id in the request-id
 //! slot) and load-shed notices ([`verb::OVERLOADED`]) are out-of-band
 //! frame types of their own, so asynchronous pushes can never corrupt an
-//! in-flight response stream — the failure mode the line protocol's
-//! `PUSH `-prefix convention only avoids by strict lockstep.
+//! in-flight response stream.
 //!
-//! Payloads are protocol text: for requests, exactly the argument text
-//! of the corresponding line verb (`QUERY` → ProQL, `DELETE`/`INSERT` →
-//! `<relation> <v1,v2,...>`); for responses, the same JSON the line
-//! protocol carries after `OK ` / `ERR `. Malformed framing (bad magic,
-//! nonzero flags, oversized length) is unrecoverable by design — the
-//! decoder reports [`DecodeError`] and the server drops the connection —
-//! while a *well-formed* frame with an unknown verb or bogus payload
-//! gets an ordinary [`verb::ERR`] response.
+//! Payloads are protocol text ([`crate::proto`]): for requests, the
+//! verb's argument text (`QUERY` → ProQL, `DELETE`/`INSERT` →
+//! `<relation> <v1,v2,...>`); for responses, JSON after `OK`, or
+//! `<kind>: <message>` after `ERR`. Malformed framing (a bad magic byte,
+//! which any text line starts with; nonzero flags; an oversized length)
+//! is unrecoverable by design — the decoder reports [`DecodeError`] and
+//! the server drops the connection — while a *well-formed* frame with an
+//! unknown verb or bogus payload gets an ordinary [`verb::ERR`]
+//! response.
 
-/// First byte of every binary frame. 0xB1 is outside ASCII, so no legacy
+/// First byte of every binary frame. 0xB1 is outside ASCII, so no text
 /// line can start with it.
 pub const MAGIC: u8 = 0xB1;
 

@@ -21,14 +21,13 @@
 //!   hot-template traffic skips parse → translate → optimize entirely.
 //! * [`server`] — a zero-dependency `std::net` TCP front end built
 //!   around a nonblocking readiness-driven event loop ([`net`] supplies
-//!   the `poll(2)` shim and cross-thread waker). Two wire formats share
-//!   the port, decided from a connection's first byte: the pipelined
-//!   length-prefixed binary framing layer ([`frame`]) with out-of-band
-//!   `PUSH` frames and explicit `OVERLOADED` load shedding, and the line
-//!   protocol. Both decode to the same request, run through the one
-//!   dispatcher, and are answered through the one reply encoder
-//!   ([`proto`]). Matching blocking clients live in [`client`]:
-//!   [`Client`] (lines) and [`BinClient`] (frames, pipelining).
+//!   the `poll(2)` shim and cross-thread waker). It speaks one wire
+//!   format, the pipelined length-prefixed binary framing layer
+//!   ([`frame`]) with out-of-band `PUSH` frames and explicit
+//!   `OVERLOADED` load shedding. Every request runs through the one
+//!   dispatcher and is answered through the one reply encoder
+//!   ([`proto`]). The matching blocking client is [`BinClient`]
+//!   ([`client`], pipelining).
 //!   Per-connection admission control and an allocation-free latency
 //!   histogram ([`metrics`]) ride along.
 //!
@@ -64,10 +63,10 @@ pub mod stats;
 
 pub use crate::core::{QueryResponse, ReplApplyOutcome, ServiceCore, Snapshot};
 pub use cache::{CacheCounters, MaintenanceCandidate, PlanCache, PlanCacheCounters, ResultCache};
-pub use client::{BinClient, Client};
+pub use client::BinClient;
 pub use fanout::{PushSink, ReplFrameKind, ReplSink, SubscriptionEvent};
 pub use metrics::{HistogramSnapshot, LatencyHistogram, TransportMetrics, TransportSnapshot};
-pub use proto::{handle_line, result_digest};
+pub use proto::result_digest;
 pub use replica::{start_replica, wait_for_version, ReplicaConfig, ReplicaHandle};
 pub use retry::{retry, retry_with, Backoff, RetryPolicy};
 pub use router::{Router, RouterCounters, ShardMap};

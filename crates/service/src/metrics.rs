@@ -132,9 +132,9 @@ pub struct TransportMetrics {
     pub connections_open: AtomicU64,
     /// Connections ever accepted.
     pub connections_total: AtomicU64,
-    /// Requests decoded (binary frames and legacy lines both count).
+    /// Request frames decoded.
     pub frames_in: AtomicU64,
-    /// Responses and pushes written (frames or lines).
+    /// Response and push frames written.
     pub frames_out: AtomicU64,
     /// Requests answered `OVERLOADED` by admission control instead of
     /// being executed.

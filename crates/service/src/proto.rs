@@ -1,16 +1,14 @@
 //! The protocol: verbs, the one dispatcher, and the one reply encoder.
 //!
-//! Both wire formats decode to the same request — a verb byte from
-//! [`crate::frame::verb`] plus argument text — which `execute` runs
-//! against a [`ServiceCore`]; the JSON (or error) it returns is spelled
-//! for the connection's format by `Wire::encode`. The binary framing
-//! carries the verb byte and text as they are ([`crate::frame`]); the
-//! line format's decoder (`parse_line`) is a small adapter from a verb
-//! *word* to the same byte.
+//! A request is a verb byte from [`crate::frame::verb`] plus argument
+//! text, carried as they are by the binary framing ([`crate::frame`]).
+//! `execute` runs it against a [`ServiceCore`]; the JSON (or error) it
+//! returns becomes an `OK` (or `ERR`) frame through `reply`. The verbs
+//! also have words ([`dispatch`] takes one), used for naming verbs in
+//! errors and for in-process callers.
 //!
-//! Line requests are single lines, `<VERB> [args]`; responses are single
-//! lines, either `OK <json-object>` or `ERR <kind>: <message>` (message
-//! newlines escaped). Verbs:
+//! Replies are either `OK` with a JSON object or `ERR` with `<kind>:
+//! <message>` (message newlines flattened). Verbs:
 //!
 //! | verb | args | reply payload |
 //! |---|---|---|
@@ -20,23 +18,23 @@
 //! | `STATS` | `[TEXT]` | [`crate::stats::ServiceStats`] JSON; with `TEXT`, the `name value` line rendering inside `{"text": ...}` |
 //! | `INVALIDATE` | — | number of dropped cache entries |
 //! | `PING` | — | `{"pong": true}` |
-//! | `SUBSCRIBE` | ProQL text | like `QUERY` plus a `subscription` id; the server then pushes `PUSH <json>` lines on writes |
+//! | `SUBSCRIBE` | ProQL text | like `QUERY` plus a `subscription` id; the server then pushes `PUSH` frames on writes |
 //! | `TRACE` | `[n]` | the `n` (default 8, max 64) most recent span trees from the telemetry ring as JSON |
 //! | `QUIT` | — | no reply: the connection closes once pending responses drain |
 //! | `HELLO` | protocol version | `{"protocol": n}` — the version this server speaks |
-//! | `REPL_SUBSCRIBE` | `<from_version> [SNAPSHOT]` | binary framing only (replication frames are binary payloads); a line connection gets a clean `ERR` |
+//! | `REPL_SUBSCRIBE` | `<from_version> [SNAPSHOT]` | `{"repl_subscription": id, "version": n}`; replication frames follow out-of-band |
 //!
 //! Tuple values in `DELETE`/`INSERT` are comma-separated and typed by
 //! shape: `true`/`false` → bool, integers → int, decimals → float,
 //! `NULL` → null, everything else → string.
 //!
 //! `SUBSCRIBE` breaks the strict request/response lockstep: after the
-//! `OK` reply, the server may interleave asynchronous `PUSH {...}` lines
-//! — a `"delta"` event when the subscribed answer was patched forward by
+//! `OK` reply, the server may interleave asynchronous `PUSH` frames —
+//! a `"delta"` event when the subscribed answer was patched forward by
 //! incremental maintenance (carrying the new version, patched row count,
 //! and the answer's digest) or a `"resync"` event when the client must
-//! re-issue the query. Clients distinguish pushes by the `PUSH ` prefix
-//! ([`crate::client::Client`] stashes them transparently).
+//! re-issue the query. Pushes are a frame verb of their own, so
+//! [`crate::client::BinClient`] stashes them apart from responses.
 
 use crate::core::{QueryResponse, ServiceCore};
 use crate::fanout::SubscriptionEvent;
@@ -79,36 +77,28 @@ fn parse_value(raw: &str) -> Value {
 /// rendering of bindings, derivations, and annotations). Two outputs
 /// digest equal iff their observable content is identical — the
 /// concurrency stress test and the wire protocol both use this to check
-/// bit-identical results without shipping whole result sets.
+/// bit-identical results without shipping whole result sets. Every reply
+/// to a `QUERY` computes it, so rows are rendered straight into the hash
+/// rather than into a string each.
 pub fn result_digest(out: &QueryOutput) -> u64 {
-    const OFFSET: u64 = 0xcbf29ce484222325;
-    const PRIME: u64 = 0x100000001b3;
-    let mut h = OFFSET;
-    let mut eat = |s: &str| {
-        for b in s.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-        h ^= 0x1f; // field separator
-        h = h.wrapping_mul(PRIME);
-    };
+    let mut h = Fnv1a::default();
     for (mapping, rows) in &out.projection.derivations {
-        eat("D");
-        eat(mapping);
+        h.field(format_args!("D"));
+        h.field(format_args!("{mapping}"));
         for row in rows {
-            eat(&format!("{row:?}"));
+            h.field(format_args!("{row:?}"));
         }
     }
     for binding in &out.projection.bindings {
-        eat("B");
+        h.field(format_args!("B"));
         for (var, (rel, key)) in binding {
-            eat(var);
-            eat(rel);
-            eat(&format!("{key:?}"));
+            h.field(format_args!("{var}"));
+            h.field(format_args!("{rel}"));
+            h.field(format_args!("{key:?}"));
         }
     }
     if let Some(ann) = &out.annotated {
-        eat("A");
+        h.field(format_args!("A"));
         // Annotation row order is an implementation detail; sort a
         // canonical rendering so the digest is order-insensitive.
         let mut rows: Vec<String> = ann
@@ -118,10 +108,39 @@ pub fn result_digest(out: &QueryOutput) -> u64 {
             .collect();
         rows.sort();
         for r in rows {
-            eat(&r);
+            h.field(format_args!("{r}"));
         }
     }
-    h
+    h.0
+}
+
+/// FNV-1a over the bytes written to it.
+struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf29ce484222325)
+    }
+}
+
+impl Fnv1a {
+    fn byte(&mut self, b: u8) {
+        self.0 ^= u64::from(b);
+        self.0 = self.0.wrapping_mul(0x100000001b3);
+    }
+
+    /// Hash one rendered field, then the field separator.
+    fn field(&mut self, args: std::fmt::Arguments<'_>) {
+        let _ = std::fmt::Write::write_fmt(self, args);
+        self.byte(0x1f);
+    }
+}
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        s.bytes().for_each(|b| self.byte(b));
+        Ok(())
+    }
 }
 
 /// JSON string literal escaping for the hand-rolled encoders.
@@ -247,9 +266,9 @@ fn extract_token(json: &str, key: &str) -> Option<String> {
     Some(token.trim_matches('"').to_string())
 }
 
-/// The request verbs by their line-protocol words. `QUIT` is absent on
-/// purpose: it closes the connection instead of executing, so both
-/// decoders act on it before a request exists.
+/// The request verbs by their words. `QUIT` is absent on purpose: it
+/// closes the connection instead of executing, so the frame decoder acts
+/// on it before a request exists.
 const VERB_WORDS: [(&str, u8); 10] = [
     ("QUERY", verb::QUERY),
     ("DELETE", verb::DELETE),
@@ -263,7 +282,7 @@ const VERB_WORDS: [(&str, u8); 10] = [
     ("REPL_SUBSCRIBE", verb::REPL_SUBSCRIBE),
 ];
 
-/// The verb byte a line-protocol verb word (any case) names.
+/// The verb byte a verb word (any case) names.
 fn verb_of_word(word: &str) -> Result<u8, Error> {
     VERB_WORDS
         .iter()
@@ -279,26 +298,14 @@ fn verb_of_word(word: &str) -> Result<u8, Error> {
         })
 }
 
-/// The line decoder: split `<VERB> [args]` into the verb byte and the
-/// trimmed argument text — the same request the binary framing carries.
-pub(crate) fn parse_line(line: &str) -> Result<(u8, &str), Error> {
-    let line = line.trim();
-    let (word, rest) = match line.split_once(char::is_whitespace) {
-        Some((w, r)) => (w, r.trim()),
-        None => (line, ""),
-    };
-    Ok((verb_of_word(word)?, rest))
-}
-
 /// The `PING` reply's payload.
 pub(crate) const PONG: &str = "{\"pong\": true}";
 
 /// Execute one request — a verb byte plus its argument text — against a
 /// service, returning the reply's JSON payload. This is the only
-/// dispatcher: the TCP server's workers call it for both wire formats
-/// with the requesting connection, and [`dispatch`] / [`handle_line`]
-/// call it with none (the two subscription verbs need a connection to
-/// push down).
+/// dispatcher: the TCP server's workers call it with the requesting
+/// connection, and [`dispatch`] calls it with none (the two subscription
+/// verbs need a connection to push down).
 pub(crate) fn execute(
     core: &ServiceCore,
     conn: Option<&Arc<ConnShared>>,
@@ -341,60 +348,12 @@ pub fn dispatch(core: &ServiceCore, verb: &str, rest: &str) -> Result<String, Er
     execute(core, None, verb_of_word(verb)?, rest)
 }
 
-/// Handle one protocol line against a service, outside any connection.
-/// Always returns a single line (no trailing newline).
-pub fn handle_line(core: &ServiceCore, line: &str) -> String {
-    let result = parse_line(line).and_then(|(verb, rest)| execute(core, None, verb, rest));
-    let mut reply = Wire::Line.reply(0, result.map_err(|e| error_payload(&e)));
-    reply.pop(); // the line terminator
-    String::from_utf8(reply).expect("a line reply is its UTF-8 payload behind an ASCII word")
-}
-
-/// Which of the two wire formats a connection speaks — decided once,
-/// from its first byte — and therefore how every reply to it is
-/// spelled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Wire {
-    /// `<WORD> <payload>\n` lines.
-    Line,
-    /// [`crate::frame`] frames.
-    Binary,
-}
-
-impl Wire {
-    /// The protocol's name in spans and logs.
-    pub(crate) fn name(self) -> &'static str {
-        match self {
-            Wire::Line => "line",
-            Wire::Binary => "binary",
-        }
-    }
-
-    /// Spell the answer to request `id`: `OK` with the JSON, or `ERR` with
-    /// the rendered error.
-    pub(crate) fn reply(self, id: u64, result: Result<String, String>) -> Vec<u8> {
-        match result {
-            Ok(json) => self.encode(verb::OK, id, json.as_bytes()),
-            Err(msg) => self.encode(verb::ERR, id, msg.as_bytes()),
-        }
-    }
-
-    /// Spell one reply. `kind` is the reply's frame verb (`OK`, `ERR`,
-    /// `OVERLOADED`, `PUSH`, or a replication verb); `id` is the request
-    /// (or subscription) id it answers, which only frames can carry.
-    pub(crate) fn encode(self, kind: u8, id: u64, payload: &[u8]) -> Vec<u8> {
-        let word: &[u8] = match (self, kind) {
-            (Wire::Binary, _) => return frame::encode(kind, id, payload),
-            (Wire::Line, verb::OK) => b"OK ",
-            (Wire::Line, verb::PUSH) => b"PUSH ",
-            // The line format has no shed notice of its own: an ERR of
-            // kind `overloaded` stands in for the OVERLOADED frame.
-            (Wire::Line, verb::OVERLOADED) => {
-                b"ERR overloaded: request shed by admission control; drain responses and retry"
-            }
-            (Wire::Line, _) => b"ERR ",
-        };
-        [word, payload, b"\n"].concat()
+/// Spell the answer to request `id` as a frame: `OK` with the JSON, or
+/// `ERR` with the rendered error.
+pub(crate) fn reply(id: u64, result: Result<String, String>) -> Vec<u8> {
+    match result {
+        Ok(json) => frame::encode(verb::OK, id, json.as_bytes()),
+        Err(msg) => frame::encode(verb::ERR, id, msg.as_bytes()),
     }
 }
 
@@ -441,8 +400,8 @@ fn hello_cmd(text: &str) -> Result<String, Error> {
     Ok(format!("{{\"protocol\": {}}}", frame::PROTOCOL_VERSION))
 }
 
-/// Render an error as the `ERR` reply's payload (the same on both wire
-/// formats): `<kind>: <message>`, newlines flattened.
+/// Render an error as the `ERR` reply's payload: `<kind>: <message>`,
+/// newlines flattened.
 pub fn error_payload(e: &Error) -> String {
     format!("{}: {}", e.kind(), e.message().replace(['\n', '\r'], " "))
 }
@@ -522,6 +481,65 @@ mod tests {
         assert_ne!(result_digest(&a), result_digest(&filtered));
     }
 
+    /// The digest as first defined: every field rendered to a `String`,
+    /// then hashed. Digests are compared across replicas and against
+    /// stored values, so the streamed form must agree with it bit for
+    /// bit.
+    fn rendered_digest(out: &QueryOutput) -> u64 {
+        let mut h: u64 = 0xcbf29ce484222325;
+        let mut eat = |s: &str| {
+            for b in s.bytes().chain([0x1f]) {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x100000001b3);
+            }
+        };
+        for (mapping, rows) in &out.projection.derivations {
+            eat("D");
+            eat(mapping);
+            for row in rows {
+                eat(&format!("{row:?}"));
+            }
+        }
+        for binding in &out.projection.bindings {
+            eat("B");
+            for (var, (rel, key)) in binding {
+                eat(var);
+                eat(rel);
+                eat(&format!("{key:?}"));
+            }
+        }
+        if let Some(ann) = &out.annotated {
+            eat("A");
+            let mut rows: Vec<String> = ann
+                .rows
+                .iter()
+                .map(|r| format!("{}{:?}={}", r.relation, r.key, r.annotation))
+                .collect();
+            rows.sort();
+            for r in rows {
+                eat(&r);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn streamed_digest_equals_the_rendered_one() {
+        use proql::engine::Engine;
+        use proql_provgraph::system::example_2_1;
+        let e = Engine::new(example_2_1().unwrap());
+        for q in [
+            "FOR [O $x] INCLUDE PATH [$x] <-+ [] RETURN $x",
+            "FOR [O $x] INCLUDE PATH [$x] <-+ [] WHERE $x.h >= 6 RETURN $x",
+            "EVALUATE LINEAGE OF { FOR [O $x] INCLUDE PATH [$x] <-+ [] RETURN $x }",
+            "EVALUATE DERIVABILITY OF { FOR [O $x] INCLUDE PATH [$x] <-+ [] RETURN $x }",
+            "EXPLAIN FOR [O $x] INCLUDE PATH [$x] <-+ [] RETURN $x",
+        ] {
+            let out = e.query(q).unwrap();
+            assert_eq!(result_digest(&out), rendered_digest(&out), "{q}");
+        }
+    }
+
     #[test]
     fn json_field_extraction_round_trips() {
         let json = "{\"version\": 12, \"cache\": \"hit\", \"rate\": 0.75, \"digest\": \"18446744073709551615\"}";
@@ -532,43 +550,81 @@ mod tests {
         assert_eq!(json_u64_field(json, "missing"), None);
     }
 
-    #[test]
-    fn unknown_verb_and_bad_args_report_err() {
+    /// [`dispatch`], with an error rendered as its `ERR` payload.
+    fn call(core: &ServiceCore, verb: &str, rest: &str) -> Result<String, String> {
+        dispatch(core, verb, rest).map_err(|e| error_payload(&e))
+    }
+
+    fn example_core() -> ServiceCore {
         use proql::engine::EngineOptions;
         use proql_provgraph::system::example_2_1;
-        let core = ServiceCore::new(example_2_1().unwrap(), EngineOptions::default());
-        assert!(handle_line(&core, "FROB x").starts_with("ERR parse:"));
-        assert!(handle_line(&core, "QUERY").starts_with("ERR parse:"));
-        assert!(handle_line(&core, "DELETE C").starts_with("ERR parse:"));
-        assert!(handle_line(&core, "DELETE C 99,zz").starts_with("ERR not found:"));
+        ServiceCore::new(example_2_1().unwrap(), EngineOptions::default())
+    }
+
+    #[test]
+    fn unknown_verb_and_bad_args_report_err() {
+        let core = example_core();
+        assert!(call(&core, "FROB", "x").unwrap_err().starts_with("parse:"));
+        assert!(call(&core, "QUERY", "").unwrap_err().starts_with("parse:"));
+        assert!(call(&core, "DELETE", "C")
+            .unwrap_err()
+            .starts_with("parse:"));
+        assert!(call(&core, "DELETE", "C 99,zz")
+            .unwrap_err()
+            .starts_with("not found:"));
+    }
+
+    /// Verb words match in any case, and the usage message for an
+    /// unknown one names every verb a request may carry.
+    #[test]
+    fn unknown_verb_names_every_verb() {
+        let core = example_core();
+        assert_eq!(
+            call(&core, "hello", "1").unwrap(),
+            format!("{{\"protocol\": {}}}", frame::PROTOCOL_VERSION)
+        );
+        assert!(call(&core, "hello", "5")
+            .unwrap_err()
+            .contains("unsupported"));
+        let unknown = call(&core, "FROB", "x").unwrap_err();
+        for word in [
+            "QUERY",
+            "DELETE",
+            "INSERT",
+            "STATS",
+            "INVALIDATE",
+            "PING",
+            "SUBSCRIBE",
+            "TRACE",
+            "HELLO",
+            "REPL_SUBSCRIBE",
+        ] {
+            assert!(unknown.contains(word), "{word} missing from: {unknown}");
+        }
     }
 
     #[test]
     fn protocol_session_against_example() {
-        use proql::engine::EngineOptions;
-        use proql_provgraph::system::example_2_1;
-        let core = ServiceCore::new(example_2_1().unwrap(), EngineOptions::default());
-        let q = "QUERY FOR [O $x] INCLUDE PATH [$x] <-+ [] RETURN $x";
-        let first = handle_line(&core, q);
-        assert!(first.starts_with("OK "), "{first}");
+        let core = example_core();
+        let q = "FOR [O $x] INCLUDE PATH [$x] <-+ [] RETURN $x";
+        let first = call(&core, "QUERY", q).unwrap();
         assert_eq!(json_str_field(&first, "cache").as_deref(), Some("miss"));
         assert_eq!(json_u64_field(&first, "bindings"), Some(4));
-        let second = handle_line(&core, q);
+        let second = call(&core, "QUERY", q).unwrap();
         assert_eq!(json_str_field(&second, "cache").as_deref(), Some("hit"));
         assert_eq!(
             json_str_field(&first, "digest"),
             json_str_field(&second, "digest")
         );
 
-        let del = handle_line(&core, "DELETE C 2,cn2");
-        assert!(del.starts_with("OK "), "{del}");
+        let del = call(&core, "DELETE", "C 2,cn2").unwrap();
         assert!(json_u64_field(&del, "tuples_deleted").unwrap() > 0);
 
-        let third = handle_line(&core, q);
+        let third = call(&core, "QUERY", q).unwrap();
         assert_eq!(json_str_field(&third, "cache").as_deref(), Some("miss"));
         assert_eq!(json_u64_field(&third, "bindings"), Some(3));
 
-        let stats = handle_line(&core, "STATS");
+        let stats = call(&core, "STATS", "").unwrap();
         assert_eq!(json_u64_field(&stats, "cache_hits"), Some(1));
         assert_eq!(json_u64_field(&stats, "writes"), Some(1));
         // Example 2.1 is cyclic → graph strategy → the delete's
@@ -577,10 +633,11 @@ mod tests {
         assert_eq!(json_u64_field(&stats, "maint_hits"), Some(0));
         assert!(json_u64_field(&stats, "delta_compactions").is_some());
 
-        let inv = handle_line(&core, "INVALIDATE");
+        let inv = call(&core, "INVALIDATE", "").unwrap();
         assert_eq!(json_u64_field(&inv, "cleared"), Some(1));
-        assert_eq!(json_u64_field(&handle_line(&core, "PING"), "pong"), None); // bool field
-        assert!(handle_line(&core, "PING").contains("true"));
+        let pong = call(&core, "PING", "").unwrap();
+        assert_eq!(json_u64_field(&pong, "pong"), None); // bool field
+        assert_eq!(pong, PONG);
 
         // Deleting the A-grounded tuple works over the wire too.
         let _ = core.delete("A", &tup![1]).unwrap();
@@ -588,40 +645,44 @@ mod tests {
 
     #[test]
     fn stats_text_and_trace_verbs_answer() {
-        use proql::engine::EngineOptions;
-        use proql_provgraph::system::example_2_1;
-        let core = ServiceCore::new(example_2_1().unwrap(), EngineOptions::default());
+        let core = example_core();
         core.query("FOR [O $x] INCLUDE PATH [$x] <-+ [] RETURN $x")
             .unwrap();
-        let text = handle_line(&core, "STATS TEXT");
-        assert!(text.starts_with("OK {\"text\":"), "{text}");
+        let text = call(&core, "STATS", "TEXT").unwrap();
+        assert!(text.starts_with("{\"text\":"), "{text}");
         let inner = json_str_field(&text, "text").unwrap();
         assert!(inner.contains("queries 1\n"), "{inner}");
         assert!(inner.contains("graph_builds "), "{inner}");
         // TRACE always answers well-formed JSON (empty when tracing is
         // off); a bad limit is a parse error.
-        let tr = handle_line(&core, "TRACE 4");
-        assert!(tr.starts_with("OK {\"traces\": ["), "{tr}");
-        assert!(handle_line(&core, "TRACE four").starts_with("ERR parse:"));
+        let tr = call(&core, "TRACE", "4").unwrap();
+        assert!(tr.starts_with("{\"traces\": ["), "{tr}");
+        assert!(call(&core, "TRACE", "four")
+            .unwrap_err()
+            .starts_with("parse:"));
     }
 
     #[test]
     fn explain_over_the_wire_carries_plan_text() {
-        use proql::engine::EngineOptions;
-        use proql_provgraph::system::example_2_1;
-        let core = ServiceCore::new(example_2_1().unwrap(), EngineOptions::default());
-        let reply = handle_line(
+        let core = example_core();
+        let reply = call(
             &core,
-            "QUERY EXPLAIN FOR [O $x] INCLUDE PATH [$x] <-+ [] RETURN $x",
-        );
-        assert!(reply.starts_with("OK "), "{reply}");
+            "QUERY",
+            "EXPLAIN FOR [O $x] INCLUDE PATH [$x] <-+ [] RETURN $x",
+        )
+        .unwrap();
         let plan = json_str_field(&reply, "plan").expect("plan field");
         // Example 2.1 is cyclic, so the graph strategy is chosen.
         assert!(plan.contains("strategy: graph-walk"), "{plan}");
         assert!(plan.contains("reads: A,"), "newlines must decode: {plan}");
         assert_eq!(json_u64_field(&reply, "bindings"), Some(0));
         // Plain queries carry no plan field.
-        let plain = handle_line(&core, "QUERY FOR [O $x] INCLUDE PATH [$x] <-+ [] RETURN $x");
+        let plain = call(
+            &core,
+            "QUERY",
+            "FOR [O $x] INCLUDE PATH [$x] <-+ [] RETURN $x",
+        )
+        .unwrap();
         assert!(json_str_field(&plain, "plan").is_none());
         assert_eq!(
             json_str_field(&plain, "plan_cache").as_deref(),

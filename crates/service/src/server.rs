@@ -11,23 +11,20 @@
 //! [`crate::net::Waker`]. The pool size bounds *concurrent request
 //! execution*, not connections.
 //!
-//! Two wire formats share the port, decided once per connection from its
-//! first byte (`Wire`): the binary framing layer ([`crate::frame`],
-//! first byte [`crate::frame::MAGIC`]) supports pipelining, out-of-band
-//! `PUSH` frames, and explicit `OVERLOADED` shedding; anything else is
-//! the line protocol. They differ only at the two ends of a request's
-//! life: each has a decoder producing the same `Request`, and every
-//! reply — response, error, shed notice, push — is spelled by
-//! `Wire::encode`. Between the two, one path: admission control, the
-//! worker pool, `proto::execute`, the reorder buffer.
+//! The server speaks one wire format, the binary framing layer
+//! ([`crate::frame`]): pipelining, out-of-band `PUSH` frames, and
+//! explicit `OVERLOADED` shedding. A connection whose bytes do not
+//! decode as frames — a wrong first byte included — is dropped and
+//! counted in `protocol_errors`. A request's path is one: the frame
+//! decoder, admission control, the worker pool, `proto::execute`, the
+//! reorder buffer, and a reply frame.
 //!
 //! Backpressure and admission control are per connection: more than
 //! [`ServerConfig::max_inflight`] unanswered requests, or an outbound
 //! queue past [`ServerConfig::out_high_water`], sheds new requests with
-//! an `OVERLOADED` frame (line mode: an `ERR overloaded:` line) *without
-//! executing them*; past [`ServerConfig::out_hard_cap`] the loop stops
-//! reading the connection entirely so TCP flow control pushes back on
-//! the client. Shedding and latency are recorded in
+//! an `OVERLOADED` frame *without executing them*; past
+//! [`ServerConfig::out_hard_cap`] the loop stops reading the connection
+//! entirely so TCP flow control pushes back on the client. Shedding and latency are recorded in
 //! [`crate::metrics::TransportMetrics`], surfaced through `STATS`.
 
 use crate::client::io_err;
@@ -36,7 +33,7 @@ use crate::fanout::{ReplFrameKind, SubscriptionEvent};
 use crate::frame::{self, verb};
 use crate::metrics::TransportMetrics;
 use crate::net::{poll, PollFd, WakeReceiver, Waker, POLLHUP, POLLIN, POLLOUT};
-use crate::proto::{error_payload, execute, parse_line, push_json, subscribe_json, Wire, PONG};
+use crate::proto::{error_payload, execute, push_json, reply, subscribe_json, PONG};
 use proql_common::sync::lock;
 use proql_common::{trace, Error, Result};
 use std::collections::{BTreeMap, VecDeque};
@@ -45,7 +42,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -180,33 +177,23 @@ struct Ctx {
     waker: Arc<Waker>,
 }
 
-/// One decoded request traveling to the worker pool — what both
-/// decoders produce.
+/// One decoded request traveling to the worker pool.
 struct Request {
     /// A request verb from [`frame::verb`].
     verb: u8,
-    /// The id the reply echoes (frames carry one; lines have none).
+    /// The id the reply echoes.
     id: u64,
     /// The verb's argument text, as received: a frame's payload is
     /// checked for UTF-8 by the worker that executes it, so the loop
     /// thread — the one resource every connection shares — never walks
-    /// payload bytes. Or, when the decoder itself refused the request
-    /// (unknown verb word, a frame from a future protocol version), the
-    /// `ERR` payload it is answered with: in its sequence slot like any
-    /// reply, without executing.
+    /// payload bytes. Or, when the decoder itself refused the request (a
+    /// frame from a future protocol version), the `ERR` payload it is
+    /// answered with: in its sequence slot like any reply, without
+    /// executing.
     text: std::result::Result<Vec<u8>, String>,
 }
 
 impl Request {
-    /// The line decoder (see [`parse_line`]).
-    fn from_line(line: &str) -> Request {
-        let (verb, text) = match parse_line(line) {
-            Ok((verb, rest)) => (verb, Ok(rest.as_bytes().to_vec())),
-            Err(e) => (0, Err(error_payload(&e))),
-        };
-        Request { verb, id: 0, text }
-    }
-
     /// The frame decoder's second half: [`frame::decode`] has split the
     /// bytes; this checks the version they were stamped with.
     fn from_frame(f: frame::Frame) -> Request {
@@ -247,10 +234,6 @@ pub(crate) struct ConnShared {
     closed: AtomicBool,
     /// Decoded-but-unanswered requests (admission control input).
     in_flight: AtomicUsize,
-    /// The wire format, set by the loop when the first byte arrives —
-    /// before any request of this connection exists, so everything that
-    /// replies finds it set.
-    wire: OnceLock<Wire>,
     /// Subscription ids to drop when the connection closes.
     subs: Mutex<Vec<u64>>,
     /// Replication subscription ids to drop when the connection closes.
@@ -271,20 +254,12 @@ impl ConnShared {
             out: Mutex::new(OutBuf::default()),
             closed: AtomicBool::new(false),
             in_flight: AtomicUsize::new(0),
-            wire: OnceLock::new(),
             subs: Mutex::new(Vec::new()),
             repl_subs: Mutex::new(Vec::new()),
             trace_ctx: trace::new_trace(),
             waker,
             metrics,
         }
-    }
-
-    fn wire(&self) -> Wire {
-        *self
-            .wire
-            .get()
-            .expect("the wire format is decided before a connection's first request")
     }
 
     /// Enqueue an out-of-band message (a push) and wake the loop, unless
@@ -296,7 +271,7 @@ impl ConnShared {
         if self.closed.load(Ordering::Acquire) {
             return false;
         }
-        lock(&self.out).append(self.wire().encode(kind, id, payload));
+        lock(&self.out).append(frame::encode(kind, id, payload));
         self.metrics.frames_out.fetch_add(1, Ordering::Relaxed);
         self.waker.wake();
         true
@@ -322,18 +297,11 @@ impl ConnShared {
     /// into this connection's outbound queue. Payload: `<from_version>
     /// [SNAPSHOT]` — `SNAPSHOT` forces a full-state transfer (the
     /// digest-mismatch recovery path). Returns the `OK` payload JSON.
-    /// Replication requires the binary framing; the line protocol has no
-    /// out-of-band binary channel.
     pub(crate) fn repl_subscribe(
         self: &Arc<Self>,
         core: &ServiceCore,
         args: &str,
     ) -> Result<String> {
-        if self.wire() != Wire::Binary {
-            return Err(Error::Other(
-                "unsupported: REPL_SUBSCRIBE requires the binary framing".into(),
-            ));
-        }
         let mut parts = args.split_whitespace();
         let from_version: u64 = parts.next().unwrap_or("").parse().map_err(|_| {
             Error::Parse(format!(
@@ -426,8 +394,7 @@ struct Conn {
     dead: bool,
 }
 
-/// Largest buffered input per connection: one max frame. A line longer
-/// than this is treated as framing corruption too.
+/// Largest buffered input per connection: one max frame.
 const MAX_INPUT_BUFFER: usize = frame::MAX_PAYLOAD as usize + frame::HEADER_LEN;
 
 /// Per-iteration read budget per connection, so one firehose connection
@@ -569,28 +536,10 @@ fn read_and_process(ctx: &Ctx, c: &mut Conn, scratch: &mut [u8]) {
     process_input(ctx, c);
 }
 
+/// Decode and dispatch every whole frame buffered on `c`. Bytes that are
+/// not a frame — from the first byte on — drop the connection as a
+/// protocol error.
 fn process_input(ctx: &Ctx, c: &mut Conn) {
-    let Some(&first) = c.rbuf.first() else {
-        return;
-    };
-    let wire = *c.shared.wire.get_or_init(|| match first {
-        frame::MAGIC => Wire::Binary,
-        _ => Wire::Line,
-    });
-    match wire {
-        Wire::Binary => process_frames(ctx, c),
-        Wire::Line => process_lines(ctx, c),
-    }
-    if c.rbuf.len() > MAX_INPUT_BUFFER {
-        ctx.metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-        c.dead = true;
-    }
-    if c.closing || c.dead {
-        c.rbuf.clear();
-    }
-}
-
-fn process_frames(ctx: &Ctx, c: &mut Conn) {
     let mut consumed = 0;
     while !c.closing && !c.dead {
         match frame::decode(&c.rbuf[consumed..]) {
@@ -610,28 +559,13 @@ fn process_frames(ctx: &Ctx, c: &mut Conn) {
         }
     }
     c.rbuf.drain(..consumed);
-}
-
-fn process_lines(ctx: &Ctx, c: &mut Conn) {
-    let mut consumed = 0;
-    while !c.closing && !c.dead {
-        let Some(pos) = c.rbuf[consumed..].iter().position(|&b| b == b'\n') else {
-            break;
-        };
-        let line = String::from_utf8_lossy(&c.rbuf[consumed..consumed + pos]);
-        let line = line.trim();
-        consumed += pos + 1;
-        if line.is_empty() {
-            continue;
-        }
-        if line.eq_ignore_ascii_case("QUIT") {
-            c.closing = true;
-        } else {
-            let req = Request::from_line(line);
-            dispatch_request(ctx, c, req);
-        }
+    if c.rbuf.len() > MAX_INPUT_BUFFER {
+        ctx.metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
+        c.dead = true;
     }
-    c.rbuf.drain(..consumed);
+    if c.closing || c.dead {
+        c.rbuf.clear();
+    }
 }
 
 /// Admission control, then hand-off: a request past the in-flight or
@@ -643,19 +577,19 @@ fn dispatch_request(ctx: &Ctx, c: &mut Conn, req: Request) {
     ctx.metrics.frames_in.fetch_add(1, Ordering::Relaxed);
     let seq = c.next_seq;
     c.next_seq += 1;
-    let (wire, id) = (c.shared.wire(), req.id);
+    let id = req.id;
     let ping = req.verb == verb::PING;
     let in_flight = c.shared.in_flight.load(Ordering::Acquire);
     let out_bytes = lock(&c.shared.out).bytes;
     if (!ping && in_flight >= ctx.cfg.max_inflight) || out_bytes >= ctx.cfg.out_high_water {
         ctx.metrics.shed_count.fetch_add(1, Ordering::Relaxed);
-        lock(&c.shared.out).complete(seq, wire.encode(verb::OVERLOADED, id, b""));
+        lock(&c.shared.out).complete(seq, frame::encode(verb::OVERLOADED, id, b""));
         ctx.metrics.frames_out.fetch_add(1, Ordering::Relaxed);
         return;
     }
     if ping {
-        let reply = wire.reply(id, req.text.map(|_| PONG.to_string()));
-        lock(&c.shared.out).complete(seq, reply);
+        let pong = reply(id, req.text.map(|_| PONG.to_string()));
+        lock(&c.shared.out).complete(seq, pong);
         ctx.metrics.frames_out.fetch_add(1, Ordering::Relaxed);
         return;
     }
@@ -669,7 +603,7 @@ fn dispatch_request(ctx: &Ctx, c: &mut Conn, req: Request) {
     if ctx.work_tx.send(job).is_err() {
         // Workers gone (can only happen mid-shutdown): answer in place.
         c.shared.in_flight.fetch_sub(1, Ordering::AcqRel);
-        let notice = wire.encode(verb::ERR, id, b"internal: worker pool unavailable");
+        let notice = frame::encode(verb::ERR, id, b"internal: worker pool unavailable");
         lock(&c.shared.out).complete(seq, notice);
     }
 }
@@ -727,20 +661,18 @@ fn worker_loop(core: Arc<ServiceCore>, work_rx: Arc<Mutex<Receiver<Job>>>) {
             req,
             started,
         } = job;
-        let wire = conn.wire();
         // The explicit context hand-off: this worker thread has no span
         // stack of its own, so the request span is parented on the
         // connection's trace anchor — every engine span opened below
         // nests under it via the thread-local stack.
         let mut sp = trace::span_child_of("request", conn.trace_ctx);
         sp.field("seq", seq.to_string());
-        sp.field("proto", wire.name());
         let result = req.text.and_then(|bytes| {
             let text = std::str::from_utf8(&bytes)
                 .map_err(|_| "parse: frame payload is not valid UTF-8".to_string())?;
             execute(&core, Some(&conn), req.verb, text).map_err(|e| error_payload(&e))
         });
-        let bytes = wire.reply(req.id, result);
+        let bytes = reply(req.id, result);
         let span_id = sp.id();
         drop(sp); // record the finished span before rendering its tree
         let elapsed = started.elapsed();
@@ -785,7 +717,7 @@ fn log_slow_query(span_id: Option<u64>, elapsed: std::time::Duration) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::{BinClient, Client};
+    use crate::client::BinClient;
     use crate::proto::{json_str_field, json_u64_field};
     use proql::engine::EngineOptions;
     use proql_provgraph::system::example_2_1;
@@ -804,7 +736,7 @@ mod tests {
     #[test]
     fn wire_session_query_delete_stats() {
         let (_core, handle) = start(2);
-        let mut c = Client::connect(handle.addr()).unwrap();
+        let mut c = BinClient::connect(handle.addr()).unwrap();
 
         let first = c.query(Q).unwrap();
         assert_eq!(json_u64_field(&first, "bindings"), Some(4));
@@ -817,8 +749,8 @@ mod tests {
             json_str_field(&second, "digest")
         );
 
-        let del = c.request("DELETE C 2,cn2").unwrap();
-        assert!(del.starts_with("OK "), "{del}");
+        let del = c.request(verb::DELETE, b"C 2,cn2").unwrap();
+        assert_eq!(del.verb, verb::OK, "{del:?}");
 
         let third = c.query(Q).unwrap();
         assert_eq!(json_u64_field(&third, "bindings"), Some(3));
@@ -830,10 +762,11 @@ mod tests {
         assert_eq!(json_u64_field(&stats, "connections_open"), Some(1));
         assert!(json_u64_field(&stats, "frames_in").unwrap() >= 5);
 
-        let err = c.request("QUERY FOR [O $x RETURN $x").unwrap();
-        assert!(err.starts_with("ERR parse:"), "{err}");
+        let err = c.request(verb::QUERY, b"FOR [O $x RETURN $x").unwrap();
+        assert_eq!(err.verb, verb::ERR, "{err:?}");
+        assert!(err.text().unwrap().starts_with("parse:"), "{err:?}");
 
-        assert!(c.request("INVALIDATE").unwrap().starts_with("OK"));
+        assert_eq!(c.request(verb::INVALIDATE, b"").unwrap().verb, verb::OK);
         drop(c);
         handle.shutdown();
     }
@@ -846,7 +779,7 @@ mod tests {
             let handles: Vec<_> = (0..4)
                 .map(|_| {
                     s.spawn(move || {
-                        let mut c = Client::connect(addr).unwrap();
+                        let mut c = BinClient::connect(addr).unwrap();
                         let mut digests = Vec::new();
                         for _ in 0..5 {
                             let json = c.query(Q).unwrap();
@@ -897,21 +830,23 @@ mod tests {
         let handle = serve(Arc::clone(&core), "127.0.0.1:0", 2).unwrap();
         let qy = "FOR [Y $x] INCLUDE PATH [$x] <-+ [] RETURN $x";
 
-        let mut c = Client::connect(handle.addr()).unwrap();
+        let mut c = BinClient::connect(handle.addr()).unwrap();
         let sub = c.subscribe(qy).unwrap();
         let sub_id = json_u64_field(&sub, "subscription").expect("subscription id");
         assert_eq!(json_u64_field(&sub, "bindings"), Some(5));
 
         // A touching write from another client: the maintained entry's
         // delta is pushed to the subscriber.
-        let mut w = Client::connect(handle.addr()).unwrap();
-        let del = w.request("DELETE X 0").unwrap();
-        assert!(del.starts_with("OK "), "{del}");
+        let mut w = BinClient::connect(handle.addr()).unwrap();
+        let del = w.request(verb::DELETE, b"X 0").unwrap();
+        assert_eq!(del.verb, verb::OK, "{del:?}");
         let push = c.next_push().unwrap();
-        assert_eq!(json_u64_field(&push, "subscription"), Some(sub_id));
-        assert_eq!(json_str_field(&push, "event").as_deref(), Some("delta"));
-        assert!(json_u64_field(&push, "rows_patched").unwrap() > 0);
-        let pushed_digest = json_u64_field(&push, "digest").unwrap();
+        assert_eq!(push.id, sub_id);
+        let push = push.text().unwrap();
+        assert_eq!(json_u64_field(push, "subscription"), Some(sub_id));
+        assert_eq!(json_str_field(push, "event").as_deref(), Some("delta"));
+        assert!(json_u64_field(push, "rows_patched").unwrap() > 0);
+        let pushed_digest = json_u64_field(push, "digest").unwrap();
 
         // The pushed digest is exactly what a re-query serves (a cache
         // hit on the patched entry).
@@ -921,11 +856,14 @@ mod tests {
         assert_eq!(json_u64_field(&requery, "digest"), Some(pushed_digest));
 
         // Kill the entry, then write again: the subscriber must resync.
-        assert!(c.request("INVALIDATE").unwrap().starts_with("OK"));
-        let del2 = w.request("DELETE X 1").unwrap();
-        assert!(del2.starts_with("OK "), "{del2}");
+        assert_eq!(c.request(verb::INVALIDATE, b"").unwrap().verb, verb::OK);
+        let del2 = w.request(verb::DELETE, b"X 1").unwrap();
+        assert_eq!(del2.verb, verb::OK, "{del2:?}");
         let push2 = c.next_push().unwrap();
-        assert_eq!(json_str_field(&push2, "event").as_deref(), Some("resync"));
+        assert_eq!(
+            json_str_field(push2.text().unwrap(), "event").as_deref(),
+            Some("resync")
+        );
 
         // Closing the subscriber's connection unsubscribes it.
         drop(c);
@@ -944,13 +882,13 @@ mod tests {
     fn quit_closes_cleanly_and_server_survives() {
         let (_core, handle) = start(1);
         {
-            let mut c = Client::connect(handle.addr()).unwrap();
+            let mut c = BinClient::connect(handle.addr()).unwrap();
             c.query(Q).unwrap();
             // QUIT gets no response; the connection just closes.
-            assert!(c.request("QUIT").is_err());
+            assert!(c.request(verb::QUIT, b"").is_err());
         }
         // The worker pool must be free again for the next connection.
-        let mut c2 = Client::connect(handle.addr()).unwrap();
+        let mut c2 = BinClient::connect(handle.addr()).unwrap();
         assert!(c2.query(Q).is_ok());
         drop(c2);
         handle.shutdown();
@@ -1004,16 +942,18 @@ mod tests {
         handle.shutdown();
     }
 
-    /// Shutdown must not wait on clients: with one line connection and
-    /// one binary connection open and idle (each has spoken, so each
-    /// wire format is live in the loop), it closes both and returns
-    /// promptly.
+    /// Shutdown must not wait on clients: with two connections open and
+    /// idle (each has spoken, one a query and one a `PING`), it closes
+    /// both and returns promptly.
     #[test]
     fn shutdown_with_idle_clients_of_both_protocols_is_fast() {
         let (_core, handle) = start(2);
-        let mut line = Client::connect(handle.addr()).unwrap();
+        let mut querier = BinClient::connect(handle.addr()).unwrap();
         let mut bin = BinClient::connect(handle.addr()).unwrap();
-        assert_eq!(json_u64_field(&line.query(Q).unwrap(), "bindings"), Some(4));
+        assert_eq!(
+            json_u64_field(&querier.query(Q).unwrap(), "bindings"),
+            Some(4)
+        );
         assert_eq!(bin.request(verb::PING, b"").unwrap().verb, verb::OK);
         let t = Instant::now();
         handle.shutdown();
@@ -1023,15 +963,15 @@ mod tests {
             t.elapsed()
         );
         // Both clients observe the close instead of hanging.
-        assert!(line.request("PING").is_err());
+        assert!(querier.request(verb::PING, b"").is_err());
         assert!(bin.request(verb::PING, b"").is_err());
     }
 
-    /// A loop-side connection of the given wire format over a real
-    /// socket pair, plus the loop context to dispatch on. The context's
+    /// A loop-side connection over a real socket pair, plus the loop
+    /// context to dispatch on. The context's
     /// worker channel has **no receiver**: every hand-off fails, as it
     /// would with the pool gone mid-shutdown.
-    fn orphaned_loop(wire: Wire) -> (Ctx, Conn, TcpStream) {
+    fn orphaned_loop() -> (Ctx, Conn, TcpStream) {
         let core = Arc::new(ServiceCore::new(
             example_2_1().unwrap(),
             EngineOptions::default(),
@@ -1044,11 +984,9 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (stream, _) = listener.accept().unwrap();
-        let shared = ConnShared::new(Arc::clone(&waker), Arc::clone(&metrics));
-        shared.wire.set(wire).unwrap();
         let conn = Conn {
             stream,
-            shared: Arc::new(shared),
+            shared: Arc::new(ConnShared::new(Arc::clone(&waker), Arc::clone(&metrics))),
             rbuf: Vec::new(),
             next_seq: 0,
             closing: false,
@@ -1064,13 +1002,12 @@ mod tests {
         (ctx, conn, peer)
     }
 
-    /// Regression: with the worker pool gone, a binary connection's
-    /// sequence slot used to be filled with the line protocol's bytes —
-    /// unframed text on a framed stream. Every in-place answer goes
-    /// through the connection's reply encoder now.
+    /// Regression: with the worker pool gone, a connection's sequence
+    /// slot used to be filled with unframed text on a framed stream. The
+    /// in-place answer is an `ERR` frame echoing the request's id.
     #[test]
     fn worker_pool_loss_is_answered_in_the_connections_own_wire_format() {
-        let (ctx, mut conn, _peer) = orphaned_loop(Wire::Binary);
+        let (ctx, mut conn, _peer) = orphaned_loop();
         let req = Request::from_frame(
             frame::decode(&frame::encode(verb::QUERY, 7, Q.as_bytes()))
                 .unwrap()
@@ -1084,12 +1021,6 @@ mod tests {
         assert_eq!((reply.verb, reply.id), (verb::ERR, 7));
         assert_eq!(reply.text(), Some("internal: worker pool unavailable"));
         assert_eq!(conn.shared.in_flight.load(Ordering::Acquire), 0);
-
-        let (ctx, mut conn, _peer) = orphaned_loop(Wire::Line);
-        dispatch_request(&ctx, &mut conn, Request::from_line(&format!("QUERY {Q}")));
-        let queued = lock(&conn.shared.out).queue.pop_front().unwrap();
-        assert_eq!(queued, b"ERR internal: worker pool unavailable\n");
-        assert_eq!(conn.shared.in_flight.load(Ordering::Acquire), 0);
     }
 
     /// Regression: a `PING` used to take an in-flight slot and a worker,
@@ -1099,7 +1030,7 @@ mod tests {
     /// still shed.
     #[test]
     fn ping_at_the_admission_limit_is_answered_in_order_and_takes_no_slot() {
-        let (ctx, mut conn, _peer) = orphaned_loop(Wire::Binary);
+        let (ctx, mut conn, _peer) = orphaned_loop();
         let full = ctx.cfg.max_inflight;
         conn.shared.in_flight.store(full, Ordering::Release);
         let frame_req = |v, id, payload: &[u8]| {

@@ -40,7 +40,8 @@ pub struct ServiceStats {
     /// can still replicate **from**.
     pub delta_log_base: u64,
     /// The delta log's configured retention bound, in entries
-    /// (`PROQL_DELTA_LOG_CAP`).
+    /// ([`proql_provgraph::delta::DEFAULT_MAX_ENTRIES`] unless the
+    /// system set its own).
     pub delta_log_cap: u64,
     /// Live replica subscriptions on this node.
     pub repl_subscribers: u64,

@@ -1,7 +1,8 @@
 //! Wire-level tests for the event-loop transport: binary-framing
-//! robustness under fuzzed garbage and byte-split partial reads,
-//! admission-control shedding with no silent drops, and the
-//! response/PUSH interleaving the pipelined server makes possible.
+//! robustness under fuzzed garbage (text lines included) and byte-split
+//! partial reads, admission-control shedding with no silent drops, the
+//! response/PUSH interleaving the pipelined server makes possible, and
+//! served frames matching the in-process dispatcher.
 
 use proql::engine::EngineOptions;
 use proql_cdss::topology::{build_system_with_island, CdssConfig, Topology};
@@ -10,12 +11,14 @@ use proql_common::{tup, Schema, ValueType};
 use proql_provgraph::system::example_2_1;
 use proql_provgraph::ProvenanceSystem;
 use proql_service::frame::{self, verb};
-use proql_service::proto::{json_str_field, json_u64_field};
+use proql_service::proto::{
+    dispatch, error_payload, json_str_field, json_u64_field, push_json, subscribe_json,
+};
 use proql_service::server::{serve_with, ServerConfig};
-use proql_service::{serve, BinClient, Client, ServiceCore};
+use proql_service::{serve, BinClient, ServiceCore};
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 const Q: &str = "FOR [O $x] INCLUDE PATH [$x] <-+ [] RETURN $x";
@@ -87,17 +90,21 @@ fn deeply_nested_condition_is_a_parse_error_not_a_crash() {
     handle.shutdown();
 }
 
-/// Garbage after the binary-mode magic byte must drop that connection
-/// cleanly — no panic, no lost worker — and the server must keep serving
-/// fresh connections. Fuzzed with a deterministic PRNG.
+/// Garbage on the wire must drop that connection cleanly — no panic, no
+/// hang, no lost worker — and the server must keep serving fresh
+/// connections. Fuzzed with a deterministic PRNG. A text request line is
+/// garbage too: the server speaks frames only, so its first byte is a
+/// bad magic byte.
 #[test]
 fn fuzzed_garbage_drops_the_connection_but_not_the_server() {
+    const KINDS: usize = 5;
+    const ROUNDS: usize = 10 * KINDS;
     let (core, handle) = start(2);
     let mut rng = SplitMix64::seed_from_u64(0xBADF00D);
-    for round in 0..40 {
+    for round in 0..ROUNDS {
         let mut s = TcpStream::connect(handle.addr()).unwrap();
         s.set_nodelay(true).unwrap();
-        let garbage: Vec<u8> = match round % 4 {
+        let garbage: Vec<u8> = match round % KINDS {
             // Magic byte then random junk. The flags byte is forced
             // nonzero so the stream is provably corrupt (pure random
             // junk can spell a valid frame prefix, which would make the
@@ -122,11 +129,13 @@ fn fuzzed_garbage_drops_the_connection_but_not_the_server() {
                 g
             }
             // Reserved flags set.
-            _ => {
+            3 => {
                 let mut g = frame::encode(verb::QUERY, 3, b"x");
                 g[2] = 0xFF;
                 g
             }
+            // A text request line instead of a frame.
+            _ => format!("QUERY {Q}\n").into_bytes(),
         };
         s.write_all(&garbage).unwrap();
         // The server must close this connection (EOF), not hang or panic.
@@ -137,7 +146,7 @@ fn fuzzed_garbage_drops_the_connection_but_not_the_server() {
     // Every framing error was counted and the server still answers.
     let stats = core.stats();
     assert!(
-        stats.transport.protocol_errors >= 40,
+        stats.transport.protocol_errors >= ROUNDS as u64,
         "protocol errors: {}",
         stats.transport.protocol_errors
     );
@@ -234,7 +243,7 @@ fn shedding_engages_and_no_accepted_request_is_dropped() {
     handle.shutdown();
 }
 
-/// Regression (previously `next_push` dropped response lines): a PUSH
+/// Regression (a client's push reader once dropped responses): a PUSH
 /// arriving between a request and its response must be stashed on both
 /// read paths, never lost, in either order of retrieval.
 #[test]
@@ -246,23 +255,27 @@ fn push_and_response_interleaving_loses_neither() {
     let handle = serve(Arc::clone(&core), "127.0.0.1:0", 2).unwrap();
     let qy = "FOR [Y $x] INCLUDE PATH [$x] <-+ [] RETURN $x";
 
-    let mut sub = Client::connect(handle.addr()).unwrap();
-    let mut writer = Client::connect(handle.addr()).unwrap();
+    let mut sub = BinClient::connect(handle.addr()).unwrap();
+    let mut writer = BinClient::connect(handle.addr()).unwrap();
     let ack = sub.subscribe(qy).unwrap();
     let sub_id = json_u64_field(&ack, "subscription").unwrap();
 
     for i in 0..10 {
         // The write fires an asynchronous PUSH at the subscriber while
         // the subscriber races its own request down the same socket.
-        let del = writer.request(&format!("DELETE X {i}")).unwrap();
-        assert!(del.starts_with("OK "), "{del}");
+        let del = writer
+            .request(verb::DELETE, format!("X {i}").as_bytes())
+            .unwrap();
+        assert_eq!(del.verb, verb::OK, "{del:?}");
         let resp = sub.query(qy).unwrap();
         assert!(json_u64_field(&resp, "bindings").is_some());
         // The push must be retrievable afterwards whether it raced the
         // response or not, and carry this subscription's id.
         let push = sub.next_push().unwrap();
-        assert_eq!(json_u64_field(&push, "subscription"), Some(sub_id));
-        assert_eq!(json_str_field(&push, "event").as_deref(), Some("delta"));
+        assert_eq!(push.id, sub_id);
+        let push = push.text().unwrap();
+        assert_eq!(json_u64_field(push, "subscription"), Some(sub_id));
+        assert_eq!(json_str_field(push, "event").as_deref(), Some("delta"));
     }
     drop(sub);
     drop(writer);
@@ -284,10 +297,12 @@ fn binary_pushes_are_ordered_per_connection() {
     let ack = sub.subscribe(qy).unwrap();
     let sub_id = json_u64_field(&ack, "subscription").unwrap();
 
-    let mut writer = Client::connect(handle.addr()).unwrap();
+    let mut writer = BinClient::connect(handle.addr()).unwrap();
     for i in 0..8 {
-        let del = writer.request(&format!("DELETE X {i}")).unwrap();
-        assert!(del.starts_with("OK "), "{del}");
+        let del = writer
+            .request(verb::DELETE, format!("X {i}").as_bytes())
+            .unwrap();
+        assert_eq!(del.verb, verb::OK, "{del:?}");
     }
     let mut last_version = 0u64;
     for _ in 0..8 {
@@ -304,23 +319,6 @@ fn binary_pushes_are_ordered_per_connection() {
     }
     drop(sub);
     drop(writer);
-    handle.shutdown();
-}
-
-/// The line protocol still works over the same port, auto-detected, with
-/// both protocol clients connected at once.
-#[test]
-fn line_and_binary_clients_share_one_server() {
-    let (_core, handle) = start(2);
-    let mut line = Client::connect(handle.addr()).unwrap();
-    let mut bin = BinClient::connect(handle.addr()).unwrap();
-    let a = line.query(Q).unwrap();
-    let b = bin.query(Q).unwrap();
-    assert_eq!(json_str_field(&a, "digest"), json_str_field(&b, "digest"));
-    let pong = line.request("PING").unwrap();
-    assert!(pong.starts_with("OK"), "{pong}");
-    drop(line);
-    drop(bin);
     handle.shutdown();
 }
 
@@ -435,53 +433,6 @@ fn in_window_future_frame_versions_err_cleanly_without_dropping() {
     handle.shutdown();
 }
 
-/// The handshake and replication verbs reach the one dispatcher from a
-/// line connection too: `HELLO` answers the same version JSON a binary
-/// client gets, and `REPL_SUBSCRIBE` — whose stream is binary frames a
-/// line connection cannot carry — is refused with a clean `ERR`. (Both
-/// used to answer `unknown verb`.)
-#[test]
-fn line_mode_hello_and_repl_subscribe_reach_the_dispatcher() {
-    let (core, handle) = start(1);
-    let mut line = Client::connect(handle.addr()).unwrap();
-    let mut bin = BinClient::connect(handle.addr()).unwrap();
-
-    let hello = line
-        .request(&format!("HELLO {}", frame::PROTOCOL_VERSION))
-        .unwrap();
-    assert_eq!(hello, format!("OK {}", bin.hello().unwrap()));
-    assert!(line.request("hello 5").unwrap().contains("unsupported"));
-
-    let refused = line.request("REPL_SUBSCRIBE 0").unwrap();
-    assert_eq!(
-        refused,
-        "ERR error: unsupported: REPL_SUBSCRIBE requires the binary framing"
-    );
-    assert_eq!(core.repl_subscriber_count(), 0);
-    // The connection survives the refusal.
-    assert!(line.request("PING").unwrap().starts_with("OK "));
-
-    // The usage message names every verb a line may start with.
-    let unknown = line.request("FROB x").unwrap();
-    for word in [
-        "QUERY",
-        "DELETE",
-        "INSERT",
-        "STATS",
-        "INVALIDATE",
-        "PING",
-        "SUBSCRIBE",
-        "TRACE",
-        "HELLO",
-        "REPL_SUBSCRIBE",
-    ] {
-        assert!(unknown.contains(word), "{word} missing from: {unknown}");
-    }
-    drop(line);
-    drop(bin);
-    handle.shutdown();
-}
-
 /// How a parity row's two replies are compared.
 #[derive(Clone, Copy)]
 enum Same {
@@ -491,7 +442,7 @@ enum Same {
     /// latency percentiles, which are measurements.
     Shape,
     /// Same reply kind and error kind only: an unknown verb is named by
-    /// a word on one wire and a byte on the other.
+    /// a byte on the wire and by a word in process.
     ErrorKind,
     /// Both payloads open with this text: `TRACE` dumps the process-wide
     /// span ring, whose ids and timings are nobody's to predict.
@@ -515,27 +466,28 @@ fn mask_numbers(s: &str) -> String {
     out
 }
 
-/// Protocol parity: the two wire formats are two spellings of one
-/// protocol. The same request sequence against identically built cores
-/// must produce the same reply kind and the same payload bytes whether
-/// it travels as lines or as frames — for every verb, for decoder- and
-/// dispatcher-level errors, and for the PUSH a touching write fires.
-/// (`REPL_SUBSCRIBE` is the one verb with no line spelling to compare:
-/// `line_mode_hello_and_repl_subscribe_reach_the_dispatcher` holds its
-/// refusal.)
+/// Served frames equal the in-process dispatcher. The same request
+/// sequence against two identically built cores — one served and asked
+/// over [`BinClient`], one asked through [`dispatch`] in process — must
+/// produce the same reply kind and the same payload bytes, for every
+/// verb, for decoder- and dispatcher-level errors, and for the PUSH a
+/// touching write fires. `SUBSCRIBE` needs a connection to push down, so
+/// in process it registers a collecting sink with the core directly, as
+/// the server does for its connection. (`REPL_SUBSCRIBE`'s stream is
+/// `tests/replication.rs`'s.)
 #[test]
-fn line_and_binary_replies_are_byte_identical() {
+fn served_frames_match_in_process_dispatch() {
     let qy = "FOR [Y $x] INCLUDE PATH [$x] <-+ [] RETURN $x";
-    let serve_fresh = || {
-        let core = Arc::new(ServiceCore::new(
+    let fresh = || {
+        Arc::new(ServiceCore::new(
             subscription_system(12),
             EngineOptions::default(),
-        ));
-        serve(core, "127.0.0.1:0", 1).unwrap()
+        ))
     };
-    let (line_server, bin_server) = (serve_fresh(), serve_fresh());
-    let mut line = Client::connect(line_server.addr()).unwrap();
-    let mut bin = BinClient::connect(bin_server.addr()).unwrap();
+    let (served, local) = (fresh(), fresh());
+    let server = serve(served, "127.0.0.1:0", 1).unwrap();
+    let mut bin = BinClient::connect(server.addr()).unwrap();
+    let local_pushes = Arc::new(Mutex::new(Vec::new()));
 
     let explain = format!("EXPLAIN {qy}");
     let table: Vec<(&str, u8, &str, Same)> = vec![
@@ -571,31 +523,44 @@ fn line_and_binary_replies_are_byte_identical() {
     ];
     for (word, byte, text, same) in table {
         let row = format!("{word} {text:?}");
-        let reply = line.request(format!("{word} {text}").trim_end()).unwrap();
-        let (line_kind, line_payload) = reply.split_once(' ').unwrap();
+        let in_process = if byte == verb::SUBSCRIBE {
+            let pushes = Arc::clone(&local_pushes);
+            local
+                .subscribe_sink(
+                    text,
+                    Box::new(move |id, event| {
+                        pushes.lock().unwrap().push(push_json(id, &event));
+                        true
+                    }),
+                )
+                .map(|(id, resp)| subscribe_json(id, &resp))
+        } else {
+            dispatch(&local, word, text)
+        }
+        .map_err(|e| error_payload(&e));
         let f = bin.request(byte, text.as_bytes()).unwrap();
         let bin_payload = f.text().unwrap();
-        match f.verb {
-            verb::OK => assert_eq!(line_kind, "OK", "{row}: {reply}"),
-            verb::ERR => assert_eq!(line_kind, "ERR", "{row}: {reply}"),
-            other => panic!("{row}: unexpected reply verb {other}"),
-        }
+        let local_payload = match (f.verb, &in_process) {
+            (verb::OK, Ok(json)) => json.as_str(),
+            (verb::ERR, Err(msg)) => msg.as_str(),
+            (other, _) => panic!("{row}: reply verb {other}, in process {in_process:?}"),
+        };
         match same {
-            Same::Bytes => assert_eq!(line_payload, bin_payload, "{row}"),
+            Same::Bytes => assert_eq!(bin_payload, local_payload, "{row}"),
             Same::Shape => assert_eq!(
-                mask_numbers(line_payload),
                 mask_numbers(bin_payload),
+                mask_numbers(local_payload),
                 "{row}"
             ),
             Same::Opens(prefix) => {
-                assert!(line_payload.starts_with(prefix), "{row}: {reply}");
                 assert!(bin_payload.starts_with(prefix), "{row}: {bin_payload}");
+                assert!(local_payload.starts_with(prefix), "{row}: {local_payload}");
             }
             Same::ErrorKind => {
                 assert_eq!(f.verb, verb::ERR, "{row}");
                 assert_eq!(
-                    line_payload.split_once(": ").unwrap().0,
                     bin_payload.split_once(": ").unwrap().0,
+                    local_payload.split_once(": ").unwrap().0,
                     "{row}"
                 );
             }
@@ -604,16 +569,15 @@ fn line_and_binary_replies_are_byte_identical() {
 
     // Two rows published a write the subscription's read set intersects
     // (the INSERT and the DELETE that succeeded; the no-op and the
-    // failures publish nothing): one PUSH each, byte for byte the same
-    // on both wires.
-    for _ in 0..2 {
-        let line_push = line.next_push().unwrap();
+    // failures publish nothing): one PUSH each, byte for byte what the
+    // in-process sink received.
+    let local_pushes = local_pushes.lock().unwrap().clone();
+    assert_eq!(local_pushes.len(), 2, "{local_pushes:?}");
+    for local_push in &local_pushes {
         let bin_push = bin.next_push().unwrap();
         assert_eq!(bin_push.verb, verb::PUSH);
-        assert_eq!(line_push, bin_push.text().unwrap());
+        assert_eq!(bin_push.text().unwrap(), local_push);
     }
-    drop(line);
     drop(bin);
-    line_server.shutdown();
-    bin_server.shutdown();
+    server.shutdown();
 }

@@ -613,8 +613,11 @@ fn values_reach(
         None => previous.derivations.iter().any(|(mapping, rows)| {
             sys.spec_for(mapping).is_none_or(|spec| {
                 spec.atoms.iter().any(|recipe| {
+                    // A write revalues a handful of keys: compare them in
+                    // place rather than build one key per answer row.
                     set_values.get(&recipe.relation).is_some_and(|keys| {
-                        rows.iter().any(|row| keys.contains(&recipe.key_of(row)))
+                        rows.iter()
+                            .any(|row| keys.iter().any(|key| recipe.key_matches(row, key)))
                     })
                 })
             })

@@ -19,6 +19,7 @@
 
 use proql_common::Tuple;
 use std::collections::{BTreeSet, VecDeque};
+use std::sync::Arc;
 
 /// One atomic change to the decoded provenance graph.
 #[derive(Debug, Clone, PartialEq)]
@@ -158,6 +159,11 @@ const OPS_PER_ENTRY: usize = 256;
 /// Entry `i` describes the mutation that took the system from version
 /// `base + i` to `base + i + 1`.
 ///
+/// A sealed entry never changes, so entries are held behind `Arc`s:
+/// cloning the log (every copy-on-write clone of a
+/// [`crate::ProvenanceSystem`] does) copies one pointer per entry, not
+/// the entries' ops and rows.
+///
 /// The retention bound defaults to [`DEFAULT_MAX_ENTRIES`] and is
 /// configurable per instance via [`DeltaLog::with_capacity`] /
 /// [`DeltaLog::set_capacity`]. Deeper logs let replicas catch up over
@@ -166,7 +172,7 @@ const OPS_PER_ENTRY: usize = 256;
 #[derive(Debug, Clone)]
 pub struct DeltaLog {
     base: u64,
-    entries: VecDeque<GraphDelta>,
+    entries: VecDeque<Arc<GraphDelta>>,
     total_ops: usize,
     compactions: u64,
     max_entries: usize,
@@ -245,7 +251,7 @@ impl DeltaLog {
             return;
         }
         self.total_ops += delta.weight();
-        self.entries.push_back(delta);
+        self.entries.push_back(Arc::new(delta));
         self.trim();
     }
 
@@ -270,7 +276,7 @@ impl DeltaLog {
         }
         let a = (from - self.base) as usize;
         let b = (to - self.base) as usize;
-        Some(self.entries.range(a..b))
+        Some(self.entries.range(a..b).map(|d| &**d))
     }
 }
 
@@ -343,6 +349,21 @@ mod tests {
         assert_eq!(log.span(12, 12).unwrap().count(), 0);
         assert!(log.span(9, 12).is_none());
         assert!(log.span(10, 13).is_none());
+    }
+
+    #[test]
+    fn clones_share_sealed_entries() {
+        let mut log = DeltaLog::default();
+        log.reset(0);
+        log.push(1, delta(3));
+        let copy = log.clone();
+        log.push(2, delta(1));
+        assert!(Arc::ptr_eq(&log.entries[0], &copy.entries[0]));
+        assert_eq!(copy.head(), 1, "a clone does not see later pushes");
+        assert_eq!(
+            log.span(0, 1).unwrap().next(),
+            copy.span(0, 1).unwrap().next()
+        );
     }
 
     #[test]

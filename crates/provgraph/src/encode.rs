@@ -50,6 +50,16 @@ impl AtomRecipe {
                 .collect(),
         )
     }
+
+    /// Whether [`Self::key_of`] `prov_row` equals `key`, without building
+    /// the key.
+    pub fn key_matches(&self, prov_row: &Tuple, key: &Tuple) -> bool {
+        key.arity() == self.key_recipe.len()
+            && (self.key_recipe.iter().zip(key.values())).all(|(r, v)| match r {
+                RecipeTerm::Col(c) => prov_row.get(*c) == v,
+                RecipeTerm::Const(c) => c == v,
+            })
+    }
 }
 
 /// The provenance-relation specification of one mapping.
@@ -907,6 +917,14 @@ mod tests {
         let t = spec.targets().next().unwrap();
         assert_eq!(t.key_recipe, vec![RecipeTerm::Const(Value::str("fixed"))]);
         assert_eq!(t.key_of(&tup![9]), tup!["fixed"]);
+        assert!(t.key_matches(&tup![9], &tup!["fixed"]));
+        assert!(!t.key_matches(&tup![9], &tup!["other"]));
+        assert!(!t.key_matches(&tup![9], &tup!["fixed", 1]), "arity differs");
+        let row = tup![42, "cn"];
+        let rule = parse_rule("mx: O(n, 1, true) :- C(i, n), N(i, n, false)").unwrap();
+        let atom = &spec_for_rule(&db, &rule).unwrap().atoms[0];
+        assert!(atom.key_matches(&row, &tup![42, "cn"]));
+        assert!(!atom.key_matches(&row, &tup![42, "sn"]));
     }
 
     #[test]

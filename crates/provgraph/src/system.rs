@@ -45,17 +45,11 @@ pub struct ProvenanceSystem {
     /// The backing database: public relations, local contribution tables,
     /// and provenance relations (tables or views).
     pub db: Database,
-    program: Program,
-    /// The schema graph of `program`, kept in step with it.
-    schema: Arc<SchemaGraph>,
-    specs: Vec<ProvSpec>,
-    local_rels: HashSet<String>,
+    /// The schema-level state, shared by every clone until a DDL call
+    /// changes it (`Arc::make_mut`): a write's clone copies one pointer.
+    mappings: Arc<Mappings>,
     exchanged: bool,
     version: u64,
-    /// Row-level matchers for superfluous (view-backed) provenance
-    /// relations: given a base-table row, produce the view row it
-    /// contributes, so writes to the base table translate to graph deltas.
-    matchers: Vec<SuperfluousMatcher>,
     /// Ops staged by the mutation currently in progress.
     staged: GraphDelta,
     /// Sealed per-version deltas (bounded history).
@@ -69,6 +63,22 @@ pub struct ProvenanceSystem {
     /// True when the database is known to be at the program's fixpoint
     /// modulo `pending_exchange` (enables incremental exchange).
     at_fixpoint: bool,
+}
+
+/// What only DDL changes: the mapping program and everything derived
+/// from it when a relation or mapping is registered.
+#[derive(Debug, Clone, Default)]
+struct Mappings {
+    program: Program,
+    /// The schema graph of `program`, kept in step with it.
+    schema: SchemaGraph,
+    /// Provenance specs, parallel to `program.rules`.
+    specs: Vec<ProvSpec>,
+    local_rels: HashSet<String>,
+    /// Row-level matchers for superfluous (view-backed) provenance
+    /// relations: given a base-table row, produce the view row it
+    /// contributes, so writes to the base table translate to graph deltas.
+    matchers: Vec<SuperfluousMatcher>,
 }
 
 impl ProvenanceSystem {
@@ -314,7 +324,9 @@ impl ProvenanceSystem {
         self.bump_untracked();
         self.db.create_table(schema.clone())?;
         self.db.create_table(schema.renamed(&local))?;
-        self.local_rels.insert(local.clone());
+        Arc::make_mut(&mut self.mappings)
+            .local_rels
+            .insert(local.clone());
         let vars: Vec<String> = (0..schema.arity()).map(|i| format!("x{i}")).collect();
         let rule = parse_rule(&format!(
             "L_{name}: {name}({args}) :- {local}({args})",
@@ -348,22 +360,23 @@ impl ProvenanceSystem {
             ));
         }
         let spec = spec_for_rule(&self.db, &rule)?;
-        if self.specs.iter().any(|s| s.mapping == spec.mapping) {
+        if self.spec_for(&spec.mapping).is_some() {
             return Err(Error::AlreadyExists(format!("mapping {}", spec.mapping)));
         }
         create_prov_relation(&mut self.db, &spec, &rule)?;
+        let mappings = Arc::make_mut(&mut self.mappings);
         if spec.superfluous {
             match SuperfluousMatcher::build(&spec, &rule) {
-                Some(m) => self.matchers.push(m),
+                Some(m) => mappings.matchers.push(m),
                 // No row-level matcher ⇒ deltas for this mapping cannot be
                 // captured; fall back to full rebuilds forever.
                 None => self.trackable = false,
             }
         }
-        self.specs.push(spec);
+        mappings.specs.push(spec);
         let local = rule.name.as_ref().is_some_and(|n| n.starts_with("L_"));
-        Arc::make_mut(&mut self.schema).add_rule(&rule, local);
-        self.program.rules.push(rule);
+        mappings.schema.add_rule(&rule, local);
+        mappings.program.rules.push(rule);
         self.bump_untracked();
         Ok(())
     }
@@ -371,7 +384,7 @@ impl ProvenanceSystem {
     /// Insert a tuple into a relation's local-contribution table.
     pub fn insert_local(&mut self, relation: &str, tuple: Tuple) -> Result<bool> {
         let local = format!("{relation}{LOCAL_SUFFIX}");
-        if !self.local_rels.contains(&local) {
+        if !self.mappings.local_rels.contains(&local) {
             return Err(Error::NotFound(format!(
                 "relation {relation} has no local-contribution table"
             )));
@@ -382,9 +395,7 @@ impl ProvenanceSystem {
         if inserted {
             record_row_change(
                 &self.db,
-                &self.specs,
-                &self.matchers,
-                &self.local_rels,
+                &self.mappings,
                 &mut self.staged,
                 &local,
                 &tuple,
@@ -418,9 +429,7 @@ impl ProvenanceSystem {
         self.at_fixpoint = false;
         record_row_change(
             &self.db,
-            &self.specs,
-            &self.matchers,
-            &self.local_rels,
+            &self.mappings,
             &mut self.staged,
             table,
             &removed,
@@ -441,7 +450,8 @@ impl ProvenanceSystem {
     /// `(mapping, view row)` pairs. CDSS deletion uses this to mask the
     /// seed's `+` derivations out of a cached graph instead of rebuilding.
     pub fn superfluous_prov_rows(&self, table: &str, row: &Tuple) -> Vec<(String, Tuple)> {
-        self.matchers
+        self.mappings
+            .matchers
             .iter()
             .filter(|m| m.body_rel == table)
             .filter_map(|m| m.project(row).map(|r| (m.mapping.clone(), r)))
@@ -456,9 +466,7 @@ impl ProvenanceSystem {
     /// what it derives, not the whole database.
     pub fn run_exchange(&mut self) -> Result<EvalStats> {
         let mut hook = ProvenanceHook {
-            specs: &self.specs,
-            matchers: &self.matchers,
-            local_rels: &self.local_rels,
+            mappings: &self.mappings,
             staged: GraphDelta::default(),
         };
         let seeds = if self.exchanged && self.at_fixpoint {
@@ -472,8 +480,10 @@ impl ProvenanceSystem {
             None
         };
         let result = match seeds {
-            Some(seeds) => run_program_seeded(&mut self.db, &self.program, &mut hook, seeds),
-            None => run_program(&mut self.db, &self.program, &mut hook),
+            Some(seeds) => {
+                run_program_seeded(&mut self.db, &self.mappings.program, &mut hook, seeds)
+            }
+            None => run_program(&mut self.db, &self.mappings.program, &mut hook),
         };
         let hook_staged = hook.staged;
         self.staged.ops.extend(hook_staged.ops);
@@ -503,43 +513,44 @@ impl ProvenanceSystem {
 
     /// The mapping program (local rules + schema mappings).
     pub fn program(&self) -> &Program {
-        &self.program
+        &self.mappings.program
     }
 
     /// All provenance specs, parallel to `program().rules`.
     pub fn specs(&self) -> &[ProvSpec] {
-        &self.specs
+        &self.mappings.specs
     }
 
     /// The spec of a mapping by name.
     pub fn spec_for(&self, mapping: &str) -> Option<&ProvSpec> {
-        self.specs.iter().find(|s| s.mapping == mapping)
+        self.mappings.specs.iter().find(|s| s.mapping == mapping)
     }
 
     /// The rule of a mapping by name.
     pub fn rule_for(&self, mapping: &str) -> Option<&Rule> {
-        self.program.rule_named(mapping)
+        self.mappings.program.rule_named(mapping)
     }
 
     /// True iff `relation` is a local-contribution table.
     pub fn is_local_relation(&self, relation: &str) -> bool {
-        self.local_rels.contains(relation)
+        self.mappings.local_rels.contains(relation)
     }
 
     /// Local-contribution table name of a public relation, if registered.
     pub fn local_of(&self, relation: &str) -> Option<String> {
         let local = format!("{relation}{LOCAL_SUFFIX}");
-        self.local_rels.contains(&local).then_some(local)
+        self.mappings.local_rels.contains(&local).then_some(local)
     }
 
     /// The provenance schema graph (Figure 3) of this system's mappings.
     pub fn schema_graph(&self) -> &SchemaGraph {
-        &self.schema
+        &self.mappings.schema
     }
 
     /// Names of all public relations that have local tables.
     pub fn relations_with_locals(&self) -> Vec<String> {
-        self.local_rels
+        self.mappings
+            .local_rels
             .iter()
             .map(|l| l.trim_end_matches(LOCAL_SUFFIX).to_string())
             .collect()
@@ -558,7 +569,8 @@ impl ProvenanceSystem {
     /// Total provenance rows stored (materialized `P_m` tables only; views
     /// contribute zero storage — that is the point of superfluity).
     pub fn provenance_rows(&self) -> usize {
-        self.specs
+        self.mappings
+            .specs
             .iter()
             .filter(|s| !s.superfluous)
             .filter_map(|s| self.db.table(&s.prov_rel).ok())
@@ -637,12 +649,9 @@ impl SuperfluousMatcher {
 /// materialized provenance rows map to derivation ops directly, rows of
 /// tables read by superfluous views map through the matchers, and public
 /// rows additionally refresh their tuple node's resolved values.
-#[allow(clippy::too_many_arguments)]
 fn record_row_change(
     db: &Database,
-    specs: &[ProvSpec],
-    matchers: &[SuperfluousMatcher],
-    local_rels: &HashSet<String>,
+    mappings: &Mappings,
     staged: &mut GraphDelta,
     table: &str,
     row: &Tuple,
@@ -667,16 +676,20 @@ fn record_row_change(
         }
     };
     let mut is_prov = false;
-    if let Some(spec) = specs.iter().find(|s| !s.superfluous && s.prov_rel == table) {
+    if let Some(spec) = mappings
+        .specs
+        .iter()
+        .find(|s| !s.superfluous && s.prov_rel == table)
+    {
         is_prov = true;
         staged.push_op(make(&spec.mapping, row.clone()));
     }
-    for m in matchers.iter().filter(|m| m.body_rel == table) {
+    for m in mappings.matchers.iter().filter(|m| m.body_rel == table) {
         if let Some(prow) = m.project(row) {
             staged.push_op(make(&m.mapping, prow));
         }
     }
-    if !is_prov && !local_rels.contains(table) {
+    if !is_prov && !mappings.local_rels.contains(table) {
         if let Ok(t) = db.table(table) {
             staged.push_op(DeltaOp::SetValues {
                 relation: table.to_string(),
@@ -691,9 +704,7 @@ fn record_row_change(
 /// rows are staged as graph-delta ops. Idempotent because provenance
 /// relations are keyed on all columns.
 struct ProvenanceHook<'a> {
-    specs: &'a [ProvSpec],
-    matchers: &'a [SuperfluousMatcher],
-    local_rels: &'a HashSet<String>,
+    mappings: &'a Mappings,
     staged: GraphDelta,
 }
 
@@ -716,9 +727,7 @@ impl FiringHook for ProvenanceHook<'_> {
             {
                 record_row_change(
                     db,
-                    self.specs,
-                    self.matchers,
-                    self.local_rels,
+                    self.mappings,
                     &mut self.staged,
                     &h.relation,
                     &tuple,
@@ -726,7 +735,7 @@ impl FiringHook for ProvenanceHook<'_> {
                 );
             }
         }
-        let spec = &self.specs[rule_index];
+        let spec = &self.mappings.specs[rule_index];
         if spec.superfluous {
             return Ok(()); // the view covers it
         }
@@ -738,9 +747,7 @@ impl FiringHook for ProvenanceHook<'_> {
         if db.table_mut(&spec.prov_rel)?.insert(row.clone())? {
             record_row_change(
                 db,
-                self.specs,
-                self.matchers,
-                self.local_rels,
+                self.mappings,
                 &mut self.staged,
                 &spec.prov_rel,
                 &row,
@@ -832,6 +839,25 @@ mod tests {
         let c = sys.db.table("C").unwrap();
         assert!(c.contains(&tup![1, "cn1"]));
         assert!(c.contains(&tup![2, "cn2"]));
+    }
+
+    #[test]
+    fn a_write_clone_shares_mappings_until_ddl() {
+        let sys = example_2_1().unwrap();
+        let mut copy = sys.clone();
+        copy.insert_local("A", tup![9, "sn9", 4]).unwrap();
+        copy.run_exchange().unwrap();
+        assert!(Arc::ptr_eq(&sys.mappings, &copy.mappings));
+        // DDL on a clone splits it off; the original keeps its program.
+        let mut ddl = ProvenanceSystem::new();
+        ddl.add_relation_with_local(sys.db.table("A").unwrap().schema().renamed("Z"))
+            .unwrap();
+        let before = ddl.clone();
+        ddl.add_relation_with_local(sys.db.table("A").unwrap().schema().renamed("W"))
+            .unwrap();
+        assert!(!Arc::ptr_eq(&before.mappings, &ddl.mappings));
+        assert_eq!(before.program().rules.len(), 1);
+        assert_eq!(ddl.program().rules.len(), 2);
     }
 
     #[test]

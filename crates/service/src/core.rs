@@ -8,7 +8,8 @@
 //!   whole query against that immutable snapshot.
 //! * Writers serialize through `write_gate` and publish `(snapshot,
 //!   delta)` pairs: the next system is a **copy-on-write** clone
-//!   (O(#relations) pointer bumps; only mutated tables materialize), the
+//!   (pointer copies: tables, sealed delta-log entries and the mapping
+//!   program are shared; only mutated tables materialize), the
 //!   mutation seals a [`proql_provgraph::GraphDelta`] in the system's
 //!   delta log, the write set recorded in the result cache is derived
 //!   from that delta, and the published engine adopts the previous
@@ -24,9 +25,8 @@
 //!   reports.
 
 use crate::cache::{PlanCache, ResultCache};
-use crate::fanout::{wall_micros, ReplSink, SinkList, Subscription, SubscriptionEvent};
+use crate::fanout::{wall_micros, KeptEntry, ReplSink, SinkList, Subscription};
 use crate::metrics::{LatencyHistogram, TransportMetrics};
-use crate::proto::result_digest;
 use crate::stats::ServiceStats;
 use proql::engine::{Engine, EngineOptions, QueryOutput};
 use proql::{maintain_outputs, EntryOutcome, FallbackReason, MaintainEntry, MaintainOutcome};
@@ -344,10 +344,12 @@ impl ServiceCore {
     }
 
     /// Apply a mutation through the single-writer path: clone the
-    /// current system **copy-on-write** (O(#relations) pointer bumps —
-    /// only the tables the mutation touches are materialized), run
-    /// `mutate` on the clone, then publish the result as the next
-    /// snapshot. The published engine **adopts** the previous snapshot's
+    /// current system **copy-on-write**, run `mutate` on the clone, then
+    /// publish the result as the next snapshot. The clone copies
+    /// pointers only: one per relation, one per sealed delta-log entry,
+    /// and one for the mapping program; the tables the mutation touches
+    /// materialize on first write (the `service.write.clone` span times
+    /// it). The published engine **adopts** the previous snapshot's
     /// cached provenance graph, so the first graph query after the write
     /// pays a delta patch instead of a from-scratch rebuild.
     ///
@@ -380,7 +382,10 @@ impl ServiceCore {
         }
         let mut sp = trace::span("service.write");
         let current = self.snapshot();
-        let mut sys = current.engine.sys.clone();
+        let mut sys = {
+            let _clone = trace::span("service.write.clone");
+            current.engine.sys.clone()
+        };
         let Some((write_set, value)) = mutate(&current, &mut sys)? else {
             return Ok(None);
         };
@@ -459,13 +464,21 @@ impl ServiceCore {
 
     /// The shared publish tail of every maintained state transition —
     /// local writes and replicated deltas alike. Caller holds the write
-    /// gate. Runs incremental maintenance over intersecting cache
-    /// entries in one [`proql::maintain_outputs`] call, so entries whose
-    /// queries share a projection share one set of delta runs. Installs
-    /// the results + write epoch + snapshot under one cache lock:
-    /// unchanged entries keep their output and are only re-stamped,
-    /// patched ones swap it, fallbacks are evicted. Then fans the
-    /// transition out to query subscribers and replicas.
+    /// gate. Three steps, each under its own span:
+    ///
+    /// * `service.publish.maintain` runs incremental maintenance over
+    ///   intersecting cache entries in one [`proql::maintain_outputs`]
+    ///   call, so entries whose queries share a projection share one set
+    ///   of delta runs.
+    /// * `service.publish.install` installs the results + write epoch +
+    ///   snapshot under one cache lock: unchanged entries keep their
+    ///   output and are only re-stamped, patched ones swap it, fallbacks
+    ///   are evicted. Nothing is digested here, so the lock is held for
+    ///   bookkeeping only.
+    /// * `service.publish.fan_out` ([`Self::fan_out`]) tells query
+    ///   subscribers and replicas, after the lock is released. It gets
+    ///   each kept entry's answer, and digests only those a live
+    ///   subscription names.
     fn publish(&self, current: &Snapshot, next: Arc<Snapshot>, write_set: &BTreeSet<String>) {
         let version = next.version;
         // Maintenance runs outside the cache lock (it executes delta
@@ -473,6 +486,7 @@ impl ServiceCore {
         // other writers, and racing readers still see the old entries at
         // the old published version. An entry whose prepared rules miss
         // an alternative at the new snapshot is evicted, not maintained.
+        let maintain = trace::span("service.publish.maintain");
         let (mut candidates, outdated): (Vec<_>, Vec<_>) = lock(&self.cache)
             .take_maintenance_candidates(write_set)
             .into_iter()
@@ -489,18 +503,23 @@ impl ServiceCore {
                 })
                 .collect(),
         );
-        let mut events: Vec<(String, SubscriptionEvent)> = Vec::new();
+        drop(maintain);
+        // Entries that fell back are not listed: their subscribers get a
+        // `Resync`, as for any other intersecting write.
+        let mut kept: Vec<KeptEntry> = Vec::new();
         {
+            let _install = trace::span("service.publish.install");
             let mut cache = lock(&self.cache);
             for c in outdated {
                 cache.maintenance_fallback(&c.key, Some(FallbackReason::Pruned), false);
-                events.push((c.key, SubscriptionEvent::Resync { version }));
             }
             for (c, EntryOutcome { outcome, shared }) in candidates.into_iter().zip(outcomes) {
-                let kept = match outcome {
-                    Ok(MaintainOutcome::Unchanged { state }) => cache
-                        .apply_unchanged(&c.key, state, version, shared)
-                        .then_some((c.previous, 0)),
+                match outcome {
+                    Ok(MaintainOutcome::Unchanged { state }) => {
+                        if cache.apply_unchanged(&c.key, state, version, shared) {
+                            kept.push(KeptEntry::new(c.key, c.previous, 0));
+                        }
+                    }
                     Ok(MaintainOutcome::Patched {
                         output,
                         rows_patched,
@@ -515,30 +534,17 @@ impl ServiceCore {
                             rows_patched,
                             shared,
                         );
-                        Some((output, rows_patched))
+                        kept.push(KeptEntry::new(c.key, output, rows_patched));
                     }
                     Ok(MaintainOutcome::Fallback(reason)) => {
-                        cache.maintenance_fallback(&c.key, Some(reason), shared);
-                        None
+                        cache.maintenance_fallback(&c.key, Some(reason), shared)
                     }
-                    Err(_) => {
-                        cache.maintenance_fallback(&c.key, None, shared);
-                        None
-                    }
-                };
-                let event = match kept {
-                    Some((output, rows_patched)) => SubscriptionEvent::Delta {
-                        version,
-                        rows_patched,
-                        digest: result_digest(&output),
-                    },
-                    None => SubscriptionEvent::Resync { version },
-                };
-                events.push((c.key, event));
+                    Err(_) => cache.maintenance_fallback(&c.key, None, shared),
+                }
             }
             self.retire_and_swap(&mut cache, current, &next, write_set);
         }
-        self.fan_out(current.version, &next, write_set, &events);
+        self.fan_out(current.version, &next, write_set, &kept);
     }
 
     /// CDSS deletion: remove a tuple from `relation`'s local table and
@@ -772,7 +778,8 @@ impl ServiceCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fanout::{PushSink, ReplFrameKind};
+    use crate::fanout::{PushSink, ReplFrameKind, SubscriptionEvent};
+    use crate::proto::result_digest;
     use proql_common::{tup, Schema, ValueType};
     use std::sync::mpsc;
 
@@ -1233,6 +1240,47 @@ mod tests {
         assert!(core.unsubscribe(id));
         assert!(!core.unsubscribe(id));
         assert_eq!(core.subscription_count(), 0);
+    }
+
+    #[test]
+    fn unchanged_entries_push_a_zero_patch_delta_with_the_fresh_digest() {
+        let core = ServiceCore::new(two_island_system(), EngineOptions::default());
+        let low = "FOR [Y $x] INCLUDE PATH [$x] <-+ [] WHERE $x.id < 3 RETURN $x";
+        let counted = format!("EVALUATE COUNT OF {{ {low} }}");
+        let (sink_a, log_a) = recording_sink(true);
+        let (sink_b, log_b) = recording_sink(true);
+        let (sink_c, log_c) = recording_sink(true);
+        let (a, _) = core.subscribe_sink(low, sink_a).unwrap();
+        let (b, _) = core.subscribe_sink(low, sink_b).unwrap();
+        let (c, _) = core.subscribe_sink(&counted, sink_c).unwrap();
+        // X(9, 90) lies outside `id < 3`: the relevance filter keeps both
+        // entries as they are, and each subscriber still hears a Delta.
+        let (v, _) = core.insert_and_exchange("X", tup![9, 90]).unwrap();
+        assert_eq!(core.stats().cache.maint_unchanged, 2);
+        let snap = core.snapshot();
+        assert_eq!(snap.version, v);
+        let mut digests = Vec::new();
+        for (log, id, q) in [(&log_a, a, low), (&log_b, b, low), (&log_c, c, &counted)] {
+            let events = std::mem::take(&mut *lock(log));
+            assert_eq!(events.len(), 1, "{q}");
+            let (got, event) = events[0];
+            assert_eq!(got, id);
+            let fresh = result_digest(&snap.engine.query(q).unwrap());
+            match event {
+                SubscriptionEvent::Delta {
+                    version,
+                    rows_patched,
+                    digest,
+                } => {
+                    assert_eq!((version, rows_patched), (v, 0), "{q}");
+                    assert_eq!(digest, fresh, "{q}");
+                    digests.push(digest);
+                }
+                other => panic!("expected Delta, got {other:?}"),
+            }
+        }
+        assert_eq!(digests[0], digests[1], "one key, one digest");
+        assert_ne!(digests[0], digests[2]);
     }
 
     #[test]

@@ -12,10 +12,13 @@
 //! [`wire`] frames.
 
 use crate::core::{QueryResponse, ServiceCore, Snapshot};
+use crate::proto::result_digest;
+use proql::engine::QueryOutput;
 use proql_common::sync::lock;
-use proql_common::Result;
+use proql_common::{trace, Result};
 use proql_provgraph::encode::wire;
 use proql_provgraph::ProvenanceSystem;
+use std::cell::OnceCell;
 use std::collections::BTreeSet;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -86,11 +89,15 @@ impl<S> SinkList<S> {
 /// `SUBSCRIBE` clients, tagged with the subscription id).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubscriptionEvent {
-    /// The cached answer was patched forward by incremental maintenance:
-    /// the subscriber's view is current again at `version` without a
-    /// recompute. `digest` is the canonical result digest of the patched
-    /// answer (what a re-`QUERY` would report); `rows_patched` is how
-    /// many projection/annotation rows actually changed.
+    /// The cached answer was carried forward by incremental maintenance
+    /// (patched, or kept unchanged with `rows_patched` 0): the
+    /// subscriber's view is current again at `version` without a
+    /// recompute. `digest` is the canonical result digest of the answer
+    /// now cached (what a re-`QUERY` would report); `rows_patched` is how
+    /// many projection/annotation rows actually changed. The digest is
+    /// computed for subscribers only, once per cache key per write, after
+    /// the cache lock is released: an entry nobody subscribes to costs
+    /// no digest.
     Delta {
         /// The version the patched answer is valid at.
         version: u64,
@@ -123,6 +130,29 @@ pub(crate) struct Subscription {
     /// triggers an event even if the cache entry itself has vanished.
     deps: BTreeSet<String>,
     sink: PushSink,
+}
+
+/// A cache entry a write kept, unchanged or patched, as the fan-out
+/// step needs it: the answer now served under `key`, and how many of
+/// its rows the write changed (0 for an unchanged entry).
+pub(crate) struct KeptEntry {
+    key: String,
+    output: Arc<QueryOutput>,
+    rows_patched: u64,
+    /// The answer's digest, computed by the first subscriber that needs
+    /// it.
+    digest: OnceCell<u64>,
+}
+
+impl KeptEntry {
+    pub(crate) fn new(key: String, output: Arc<QueryOutput>, rows_patched: u64) -> Self {
+        KeptEntry {
+            key,
+            output,
+            rows_patched,
+            digest: OnceCell::new(),
+        }
+    }
 }
 
 /// The payload kind of a replication frame (selects the transport verb:
@@ -301,9 +331,11 @@ impl ServiceCore {
     /// `next`.
     ///
     /// Query subscribers: every subscription whose read set `write_set`
-    /// intersects gets this write's outcome — the `Delta` recorded in
-    /// `events` when its entry was maintained, a `Resync` otherwise
-    /// (fallback, eviction, or snapshot install).
+    /// intersects gets this write's outcome — a `Delta` when its entry
+    /// is in `kept`, a `Resync` otherwise (fallback, eviction, or
+    /// snapshot install). A `Delta`'s digest is computed here, on first
+    /// use, once per key: kept entries no live subscription names are
+    /// never digested. The caller has released the cache lock.
     ///
     /// Replicas: delta frames when the log bridges the transition, one
     /// full snapshot otherwise. Payloads are encoded once and shared
@@ -316,19 +348,23 @@ impl ServiceCore {
         from_version: u64,
         next: &Snapshot,
         write_set: &BTreeSet<String>,
-        events: &[(String, SubscriptionEvent)],
+        kept: &[KeptEntry],
     ) {
+        let _sp = trace::span("service.publish.fan_out");
         lock(&self.subs).deliver(|id, sub| {
             if !sub.deps.iter().any(|d| write_set.contains(d)) {
                 return true;
             }
-            let event = events
-                .iter()
-                .find(|(key, _)| *key == sub.key)
-                .map(|(_, e)| *e)
-                .unwrap_or(SubscriptionEvent::Resync {
+            let event = match kept.iter().find(|k| k.key == sub.key) {
+                Some(k) => SubscriptionEvent::Delta {
                     version: next.version,
-                });
+                    rows_patched: k.rows_patched,
+                    digest: *k.digest.get_or_init(|| result_digest(&k.output)),
+                },
+                None => SubscriptionEvent::Resync {
+                    version: next.version,
+                },
+            };
             (sub.sink)(id, event)
         });
         let mut repl = lock(&self.repl);

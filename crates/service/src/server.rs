@@ -3,13 +3,15 @@
 //!
 //! One loop thread owns every connection socket: it [`crate::net::poll`]s
 //! for readiness, accepts, reads into per-connection buffers, decodes
-//! requests, and hands them to a fixed worker pool over a channel.
-//! Workers never touch sockets — they execute the request and enqueue the
-//! encoded response on the connection's outbound queue (a seq-numbered
-//! reorder buffer, so pipelined requests complete out of order on the
-//! pool but flush strictly in order), then wake the loop via
-//! [`crate::net::Waker`]. The pool size bounds *concurrent request
-//! execution*, not connections.
+//! requests, and hands them to a fixed worker pool through a job queue
+//! — except writes (`INSERT`, `DELETE`), which go to one dedicated
+//! writer thread (see `dispatch_request`). Workers never touch sockets
+//! — they execute the request and enqueue the encoded response on the
+//! connection's outbound queue (a seq-numbered reorder buffer, so
+//! pipelined requests complete out of order on the pool but flush
+//! strictly in order), then wake the loop via [`crate::net::Waker`].
+//! The pool size bounds *concurrent request execution*, not
+//! connections.
 //!
 //! The server speaks one wire format, the binary framing layer
 //! ([`crate::frame`]): pipelining, out-of-band `PUSH` frames, and
@@ -41,15 +43,15 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// Tuning for the event-loop server.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Request-executor threads (bounds concurrent execution).
+    /// Request-executor threads (bounds concurrent execution). Writes
+    /// run on one more thread of their own.
     pub workers: usize,
     /// Per-connection cap on decoded-but-unanswered requests; beyond it
     /// new requests are shed with `OVERLOADED`.
@@ -137,21 +139,22 @@ pub fn serve_with(core: Arc<ServiceCore>, addr: &str, cfg: ServerConfig) -> Resu
     let (waker, wake_rx) = Waker::pair().map_err(io_err)?;
     let waker = Arc::new(waker);
     let stop = Arc::new(AtomicBool::new(false));
-    let (work_tx, work_rx) = channel::<Job>();
-    let work_rx = Arc::new(Mutex::new(work_rx));
+    let pool = Arc::new(JobQueue::new(cfg.workers.max(1)));
+    let writer = Arc::new(JobQueue::new(1));
 
     let mut threads = Vec::new();
-    for _ in 0..cfg.workers.max(1) {
+    for queue in std::iter::repeat_n(&pool, cfg.workers.max(1)).chain([&writer]) {
         let core = Arc::clone(&core);
-        let work_rx = Arc::clone(&work_rx);
-        threads.push(std::thread::spawn(move || worker_loop(core, work_rx)));
+        let queue = Arc::clone(queue);
+        threads.push(std::thread::spawn(move || worker_loop(core, queue)));
     }
 
     let ctx = Ctx {
         core,
         cfg,
         metrics,
-        work_tx,
+        pool,
+        writer,
         waker: Arc::clone(&waker),
     };
     let loop_stop = Arc::clone(&stop);
@@ -168,13 +171,24 @@ pub fn serve_with(core: Arc<ServiceCore>, addr: &str, cfg: ServerConfig) -> Resu
 }
 
 /// Loop-wide context shared by dispatch helpers. Dropping it (when the
-/// event loop returns) drops `work_tx`, which ends every worker.
+/// event loop returns) closes both job queues, which ends every worker
+/// and the writer.
 struct Ctx {
     core: Arc<ServiceCore>,
     cfg: ServerConfig,
     metrics: Arc<TransportMetrics>,
-    work_tx: Sender<Job>,
+    /// The worker pool's queue: every request but a write.
+    pool: Arc<JobQueue>,
+    /// The writer thread's queue: `INSERT` and `DELETE`.
+    writer: Arc<JobQueue>,
     waker: Arc<Waker>,
+}
+
+impl Drop for Ctx {
+    fn drop(&mut self) {
+        self.pool.close();
+        self.writer.close();
+    }
 }
 
 /// One decoded request traveling to the worker pool.
@@ -573,6 +587,16 @@ fn process_input(ctx: &Ctx, c: &mut Conn) {
 /// (so shed notices keep wire order too) without executing. A `PING`
 /// needs no worker: it is answered in its slot here, so it never takes
 /// an in-flight slot from a query (only the outbound limit sheds it).
+///
+/// Writes go to the writer thread, everything else to the pool. Writes
+/// serialize on the core's write gate anyway, so one thread costs them
+/// no concurrency. What it buys is that each thread keeps one role. If
+/// the pool took writes too, the worker that had just run a write would
+/// often be the next read's worker. On a box with as many busy threads
+/// as cores, the scheduler tends to wake such a thread on the core it
+/// last ran on, where the next write is running, and the read waits out
+/// the writer's time slice: 1–4 ms, for about 1.4 % of `bench_e2e`'s
+/// `read_mixed` reads on two cores.
 fn dispatch_request(ctx: &Ctx, c: &mut Conn, req: Request) {
     ctx.metrics.frames_in.fetch_add(1, Ordering::Relaxed);
     let seq = c.next_seq;
@@ -600,7 +624,11 @@ fn dispatch_request(ctx: &Ctx, c: &mut Conn, req: Request) {
         req,
         started: Instant::now(),
     };
-    if ctx.work_tx.send(job).is_err() {
+    let queue = match job.req.verb {
+        verb::INSERT | verb::DELETE => &ctx.writer,
+        _ => &ctx.pool,
+    };
+    if queue.push(job).is_err() {
         // Workers gone (can only happen mid-shutdown): answer in place.
         c.shared.in_flight.fetch_sub(1, Ordering::AcqRel);
         let notice = frame::encode(verb::ERR, id, b"internal: worker pool unavailable");
@@ -647,14 +675,140 @@ fn close_conn(c: &mut Conn, ctx: &Ctx) {
     ctx.metrics.connections_open.fetch_sub(1, Ordering::Relaxed);
 }
 
-fn worker_loop(core: Arc<ServiceCore>, work_rx: Arc<Mutex<Receiver<Job>>>) {
-    loop {
-        // Hold the receiver lock only while picking up a job; recover
-        // from a panicked sibling's poison.
-        let job = match lock(&work_rx).recv() {
-            Ok(j) => j,
-            Err(_) => return, // loop gone
+/// Jobs for a set of executor threads. A job goes to the thread that
+/// went idle **last**, so a lone client's requests keep landing on the
+/// same warm thread. (A first-come hand-off passes each request to the
+/// thread that has waited longest: a closed loop's requests then
+/// alternate across the pool, and each one wakes a colder thread. On
+/// two cores that cost `read_mixed` several percent of its p50.)
+struct JobQueue {
+    state: Mutex<QueueState>,
+}
+
+struct QueueState {
+    /// Jobs no thread has taken yet, oldest first.
+    jobs: VecDeque<Job>,
+    /// Threads waiting for a job, the most recently idle last.
+    idle: Vec<Arc<Handoff>>,
+    /// Threads still serving this queue; a push with none is refused.
+    live: usize,
+    closed: bool,
+}
+
+/// Where one idle thread waits for its next job.
+#[derive(Default)]
+struct Handoff {
+    slot: Mutex<Slot>,
+    filled: Condvar,
+}
+
+#[derive(Default)]
+enum Slot {
+    #[default]
+    Empty,
+    Job(Job),
+    Closed,
+}
+
+impl JobQueue {
+    /// A queue that `threads` threads will serve.
+    fn new(threads: usize) -> JobQueue {
+        JobQueue {
+            state: Mutex::new(QueueState {
+                jobs: VecDeque::new(),
+                idle: Vec::new(),
+                live: threads,
+                closed: false,
+            }),
+        }
+    }
+
+    /// Hand `job` to the most recently idle thread, or queue it when
+    /// none waits. Gives the job back once the queue is closed or every
+    /// thread serving it is gone.
+    fn push(&self, job: Job) -> std::result::Result<(), Job> {
+        let mut state = lock(&self.state);
+        if state.closed || state.live == 0 {
+            return Err(job);
+        }
+        match state.idle.pop() {
+            Some(idle) => {
+                drop(state);
+                idle.fill(Slot::Job(job));
+            }
+            None => state.jobs.push_back(job),
+        }
+        Ok(())
+    }
+
+    /// The next job for the thread waiting at `handoff`; `None` once the
+    /// queue is closed and drained.
+    fn pop(&self, handoff: &Arc<Handoff>) -> Option<Job> {
+        {
+            let mut state = lock(&self.state);
+            if let Some(job) = state.jobs.pop_front() {
+                return Some(job);
+            }
+            if state.closed {
+                return None;
+            }
+            state.idle.push(Arc::clone(handoff));
+        }
+        match handoff.wait() {
+            Slot::Job(job) => Some(job),
+            Slot::Empty | Slot::Closed => None,
+        }
+    }
+
+    /// Refuse further jobs and release every idle thread. Jobs already
+    /// queued are still served.
+    fn close(&self) {
+        let idle = {
+            let mut state = lock(&self.state);
+            state.closed = true;
+            std::mem::take(&mut state.idle)
         };
+        for handoff in idle {
+            handoff.fill(Slot::Closed);
+        }
+    }
+}
+
+impl Handoff {
+    fn fill(&self, slot: Slot) {
+        *lock(&self.slot) = slot;
+        self.filled.notify_one();
+    }
+
+    fn wait(&self) -> Slot {
+        let mut slot = lock(&self.slot);
+        loop {
+            match std::mem::take(&mut *slot) {
+                Slot::Empty => {
+                    slot = self
+                        .filled
+                        .wait(slot)
+                        .unwrap_or_else(PoisonError::into_inner)
+                }
+                filled => return filled,
+            }
+        }
+    }
+}
+
+/// Counts a thread out of its queue when it ends, panicking or not.
+struct Serving(Arc<JobQueue>);
+
+impl Drop for Serving {
+    fn drop(&mut self) {
+        lock(&self.0.state).live -= 1;
+    }
+}
+
+fn worker_loop(core: Arc<ServiceCore>, queue: Arc<JobQueue>) {
+    let serving = Serving(queue);
+    let handoff = Arc::new(Handoff::default());
+    while let Some(job) = serving.0.pop(&handoff) {
         let Job {
             conn,
             seq,
@@ -968,10 +1122,19 @@ mod tests {
     }
 
     /// A loop-side connection over a real socket pair, plus the loop
-    /// context to dispatch on. The context's
-    /// worker channel has **no receiver**: every hand-off fails, as it
-    /// would with the pool gone mid-shutdown.
+    /// context to dispatch on. The context's worker and writer queues
+    /// are **closed**: every hand-off fails, as it would with the pool
+    /// gone mid-shutdown.
     fn orphaned_loop() -> (Ctx, Conn, TcpStream) {
+        let (ctx, conn, peer) = test_loop();
+        ctx.pool.close();
+        ctx.writer.close();
+        (ctx, conn, peer)
+    }
+
+    /// [`orphaned_loop`] with open queues that no thread serves: what
+    /// is dispatched stays queued.
+    fn test_loop() -> (Ctx, Conn, TcpStream) {
         let core = Arc::new(ServiceCore::new(
             example_2_1().unwrap(),
             EngineOptions::default(),
@@ -979,8 +1142,6 @@ mod tests {
         let (waker, _wake_rx) = Waker::pair().unwrap();
         let waker = Arc::new(waker);
         let metrics = Arc::new(TransportMetrics::new());
-        let (work_tx, work_rx) = channel::<Job>();
-        drop(work_rx);
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (stream, _) = listener.accept().unwrap();
@@ -996,10 +1157,67 @@ mod tests {
             core,
             cfg: ServerConfig::default(),
             metrics,
-            work_tx,
+            pool: Arc::new(JobQueue::new(1)),
+            writer: Arc::new(JobQueue::new(1)),
             waker,
         };
         (ctx, conn, peer)
+    }
+
+    /// Writes go to the writer thread's queue and nothing else does, so a
+    /// pool worker never runs a write.
+    #[test]
+    fn writes_are_queued_for_the_writer_and_the_rest_for_the_pool() {
+        let (ctx, mut conn, _peer) = test_loop();
+        let requests = [
+            (verb::QUERY, Q),
+            (verb::INSERT, "A 9,sn9,4"),
+            (verb::STATS, ""),
+            (verb::DELETE, "A 9"),
+            (verb::INVALIDATE, ""),
+        ];
+        for (id, (v, text)) in requests.into_iter().enumerate() {
+            let bytes = frame::encode(v, id as u64, text.as_bytes());
+            let req = Request::from_frame(frame::decode(&bytes).unwrap().unwrap().0);
+            dispatch_request(&ctx, &mut conn, req);
+        }
+        let verbs = |q: &JobQueue| {
+            let state = lock(&q.state);
+            state.jobs.iter().map(|j| j.req.verb).collect::<Vec<_>>()
+        };
+        assert_eq!(verbs(&ctx.writer), [verb::INSERT, verb::DELETE]);
+        assert_eq!(
+            verbs(&ctx.pool),
+            [verb::QUERY, verb::STATS, verb::INVALIDATE]
+        );
+        assert_eq!(conn.shared.in_flight.load(Ordering::Acquire), 5);
+    }
+
+    /// A job goes to the thread that went idle last; closing releases
+    /// the rest, and a closed queue hands jobs back.
+    #[test]
+    fn the_most_recently_idle_thread_takes_the_next_job() {
+        let (ctx, mut conn, _peer) = test_loop();
+        let (first, last) = (Arc::new(Handoff::default()), Arc::new(Handoff::default()));
+        lock(&ctx.pool.state)
+            .idle
+            .extend([Arc::clone(&first), Arc::clone(&last)]);
+        let bytes = frame::encode(verb::QUERY, 1, Q.as_bytes());
+        dispatch_request(
+            &ctx,
+            &mut conn,
+            Request::from_frame(frame::decode(&bytes).unwrap().unwrap().0),
+        );
+        assert!(matches!(last.wait(), Slot::Job(job) if job.req.id == 1));
+        ctx.pool.close();
+        assert!(matches!(first.wait(), Slot::Closed));
+        assert!(lock(&ctx.pool.state).jobs.is_empty());
+        dispatch_request(
+            &ctx,
+            &mut conn,
+            Request::from_frame(frame::decode(&bytes).unwrap().unwrap().0),
+        );
+        assert!(lock(&ctx.pool.state).jobs.is_empty(), "refused, not queued");
     }
 
     /// Regression: with the worker pool gone, a connection's sequence

@@ -3,7 +3,9 @@
 //! combination on randomized instances, `EXPLAIN ANALYZE` actuals agree
 //! exactly with digest-checked result sizes, and a pipelined binary
 //! batch reconstructs as a single trace retrievable over the `TRACE`
-//! wire verb, whose payload parses as JSON.
+//! wire verb, whose payload parses as JSON, and an `INSERT`'s trace
+//! breaks its write path into the clone, maintenance, install and
+//! fan-out steps.
 //!
 //! These tests only ever *enable* tracing (never disable it), so they
 //! are safe under the parallel test harness: each asserts exclusively
@@ -14,7 +16,10 @@ use proql::parse_query;
 use proql_cdss::topology::{build_system, target_query, CdssConfig, Topology};
 use proql_common::rng::SplitMix64;
 use proql_common::{trace, Parallelism};
-use proql_service::proto::{json_str_field, result_digest};
+use proql_common::{tup, Schema, ValueType};
+use proql_provgraph::ProvenanceSystem;
+use proql_service::frame::verb;
+use proql_service::proto::{json_str_field, json_u64_field, result_digest};
 use proql_service::{serve, BinClient, ServiceCore};
 use proql_storage::ExecMode;
 use std::sync::Arc;
@@ -227,6 +232,91 @@ fn pipelined_binary_batch_reconstructs_as_one_trace() {
         traces.contains(&format!("\"trace_id\": {trace_id}")),
         "{traces}"
     );
+    drop(client);
+    server.shutdown();
+}
+
+/// The four steps of a served write, each a child of `service.write`.
+const WRITE_STEPS: [&str; 4] = [
+    "service.write.clone",
+    "service.publish.maintain",
+    "service.publish.install",
+    "service.publish.fan_out",
+];
+
+/// One `INSERT` over the wire: its `service.write` span sits directly
+/// under the request root, holds one span per write step, and the same
+/// parent links come back over the `TRACE` verb.
+#[test]
+fn an_insert_traces_each_write_step_under_its_root() {
+    trace::set_enabled(true);
+    let mut sys = ProvenanceSystem::new();
+    for name in ["X", "Y"] {
+        let schema =
+            Schema::build(name, &[("id", ValueType::Int), ("w", ValueType::Int)], &[0]).unwrap();
+        sys.add_relation_with_local(schema).unwrap();
+    }
+    sys.add_mapping_text("mxy: Y(i, w) :- X(i, w)").unwrap();
+    for i in 0..5 {
+        sys.insert_local("X", tup![i, i * 10]).unwrap();
+    }
+    sys.run_exchange().unwrap();
+    let core = Arc::new(ServiceCore::new(sys, EngineOptions::default()));
+    let server = serve(Arc::clone(&core), "127.0.0.1:0", 2).unwrap();
+    let mut client = BinClient::connect(server.addr()).unwrap();
+    // A cached answer the write reaches, so maintenance has work.
+    client
+        .query("EVALUATE COUNT OF { FOR [Y $x] INCLUDE PATH [$x] <-+ [] RETURN $x }")
+        .unwrap();
+    let reply = client.request(verb::INSERT, b"X 9,90").unwrap();
+    let reply = String::from_utf8(reply.payload).unwrap();
+    let version = json_u64_field(&reply, "version").expect("INSERT replies its version");
+    assert_eq!(core.stats().cache.maint_hits, 1, "{reply}");
+
+    // The server runs in-process: this core's write at `version` is the
+    // `service.write` span carrying that version under a request root.
+    let all = trace::snapshot();
+    let write = all
+        .iter()
+        .find(|s| {
+            s.name == "service.write"
+                && s.fields
+                    .iter()
+                    .any(|(k, v)| *k == "version" && *v == version.to_string())
+                && all
+                    .iter()
+                    .any(|p| p.span_id == s.parent_id && p.name == "request" && p.parent_id == 0)
+        })
+        .expect("the INSERT's service.write span nests under its request root");
+    let spans = trace::spans_for_trace(write.trace_id);
+    assert_well_formed(&spans, write.trace_id);
+    let steps: Vec<_> = WRITE_STEPS
+        .iter()
+        .map(|name| {
+            spans
+                .iter()
+                .find(|s| s.name == *name && s.parent_id == write.span_id)
+                .unwrap_or_else(|| panic!("{name} must be a child of service.write"))
+        })
+        .collect();
+    for pair in steps.windows(2) {
+        assert!(pair[0].end_ns <= pair[1].start_ns, "steps run in order");
+    }
+    // Maintenance decisions nest under their step.
+    assert!(spans
+        .iter()
+        .any(|s| s.name == "maintain" && s.parent_id == steps[1].span_id));
+
+    // The same links over the wire.
+    let traces = client.trace(32).unwrap();
+    assert!(json_is_wellformed(&traces), "{traces}");
+    for step in &steps {
+        let linked = format!(
+            "\"name\": \"{}\", \"id\": {}, \"parent\": {}",
+            step.name, step.span_id, write.span_id
+        );
+        assert!(traces.contains(&linked), "{linked} missing from {traces}");
+    }
     drop(client);
     server.shutdown();
 }

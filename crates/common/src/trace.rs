@@ -15,13 +15,15 @@
 //!
 //! Tracing is **off by default** and gated by one relaxed atomic load:
 //! with the switch off, [`span`] returns an inert guard without touching
-//! the thread-local stack, the clock, or the ring. [`init_from_env`]
-//! turns it on unless `PROQL_TRACE=0` (the query service calls this at
-//! construction).
+//! the thread-local stack, the clock, or the ring. A field value is built
+//! by its caller before [`Span::field`] drops it on an inert span, so
+//! call sites that format one (`n.to_string()`, `format!`) check
+//! [`Span::id`] first. [`init_from_env`] turns tracing on unless
+//! `PROQL_TRACE=0` (the query service calls this at construction).
 
 use crate::sync::lock;
 use std::cell::RefCell;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -331,12 +333,20 @@ struct Tree<'a> {
 }
 
 fn build_tree(spans: &[SpanRecord]) -> Tree<'_> {
-    let idx_of = |id: u64| spans.iter().position(|s| s.span_id == id);
+    // One pass to index spans by id (the first occurrence wins), so a
+    // ring-sized trace links its parents in linear time.
+    let mut idx_of: HashMap<u64, usize> = HashMap::with_capacity(spans.len());
+    for (i, s) in spans.iter().enumerate() {
+        idx_of.entry(s.span_id).or_insert(i);
+    }
     let mut children: Vec<Vec<usize>> = vec![Vec::new(); spans.len()];
     let mut roots: Vec<usize> = Vec::new();
     for (i, s) in spans.iter().enumerate() {
-        match (s.parent_id != 0).then(|| idx_of(s.parent_id)).flatten() {
-            Some(p) => children[p].push(i),
+        match (s.parent_id != 0)
+            .then(|| idx_of.get(&s.parent_id))
+            .flatten()
+        {
+            Some(&p) => children[p].push(i),
             None => roots.push(i),
         }
     }
@@ -598,5 +608,80 @@ mod tests {
         let spans = spans_for_trace(ctx.trace_id);
         assert_eq!(spans.len(), 2);
         assert!(spans.iter().all(|s| s.parent_id == 0));
+    }
+
+    fn record(span_id: u64, parent_id: u64, name: &'static str, start_ns: u64) -> SpanRecord {
+        SpanRecord {
+            trace_id: 7,
+            span_id,
+            parent_id,
+            name,
+            start_ns,
+            end_ns: start_ns + 1_000,
+            fields: vec![("k", span_id.to_string())],
+        }
+    }
+
+    /// Every root and its subtree, rendered the slow-query log's way.
+    fn render_all(tree: &Tree<'_>) -> String {
+        let mut out = String::new();
+        for &r in &tree.roots {
+            render_rec(tree, r, 0, &mut out);
+            span_json(tree, r, &mut out);
+        }
+        out
+    }
+
+    #[test]
+    fn span_tree_index_renders_like_a_linear_scan() {
+        // The reference: link each span by scanning the slice for its
+        // parent, as the tree was built before spans were indexed by id.
+        fn by_scan(spans: &[SpanRecord]) -> Tree<'_> {
+            let idx_of = |id: u64| spans.iter().position(|s| s.span_id == id);
+            let mut children: Vec<Vec<usize>> = vec![Vec::new(); spans.len()];
+            let mut roots = Vec::new();
+            for (i, s) in spans.iter().enumerate() {
+                match (s.parent_id != 0).then(|| idx_of(s.parent_id)).flatten() {
+                    Some(p) => children[p].push(i),
+                    None => roots.push(i),
+                }
+            }
+            let by_start = |v: &mut Vec<usize>| {
+                v.sort_by_key(|&i| (spans[i].start_ns, spans[i].span_id));
+            };
+            children.iter_mut().for_each(by_start);
+            by_start(&mut roots);
+            Tree {
+                spans,
+                children,
+                roots,
+            }
+        }
+        // Children finish before parents, siblings out of start order, and
+        // one span whose parent left the ring (it becomes a root).
+        let spans = vec![
+            record(4, 2, "op.scan", 40),
+            record(3, 2, "op.filter", 30),
+            record(2, 1, "execute", 20),
+            record(6, 99, "orphan", 5),
+            record(5, 1, "encode", 50),
+            record(1, 0, "request", 10),
+        ];
+        let text = render_all(&build_tree(&spans));
+        assert_eq!(text, render_all(&by_scan(&spans)));
+        assert!(text.starts_with("orphan ("), "{text}");
+        assert!(text.contains("\n    op.filter ("), "{text}");
+
+        // A ring-sized trace: every span of a full ring in one tree.
+        let n = DEFAULT_CAPACITY as u64;
+        // Fan-out 8: span `id` hangs under `(id + 6) / 8`, the root is 1.
+        let ring: Vec<SpanRecord> = (1..=n)
+            .map(|id| record(id, if id == 1 { 0 } else { (id + 6) / 8 }, "span", id))
+            .collect();
+        let tree = build_tree(&ring);
+        assert_eq!(tree.roots, [0]);
+        let mut out = String::new();
+        render_rec(&tree, 0, 0, &mut out);
+        assert_eq!(out.lines().count(), DEFAULT_CAPACITY);
     }
 }

@@ -339,49 +339,29 @@ impl Engine {
     /// read set comes from one function, `read_set`, under both strategies.
     pub fn prepare_parsed(&self, q: &Query) -> Result<PreparedQuery> {
         let mut sp = trace::span("prepare");
-        let schema = self.sys.schema_graph();
-        let strategy = match self.options.strategy {
-            Strategy::Auto if schema.is_cyclic() => Strategy::Graph,
-            Strategy::Auto => Strategy::Unfold,
-            s => s,
-        };
+        let strategy = self.resolved_strategy();
         let t0 = Instant::now();
         let (unfold, touched) = match strategy {
             Strategy::Unfold => {
-                let translation = translate(
-                    &self.sys,
-                    q,
-                    self.options
-                        .rewriter
-                        .as_deref()
-                        .map(|r| r as &dyn BodyRewriter),
-                    &self.options.translate,
-                )?;
-                let rules = &translation.rules;
-                let touched = read_set(
-                    &self.sys,
-                    rules
-                        .iter()
-                        .flat_map(|r| r.atoms.iter().map(|a| a.relation.as_str()))
-                        .chain(translation.pruned_on.iter().map(String::as_str)),
-                    rules
-                        .iter()
-                        .flat_map(|r| r.prov_records.iter().map(|p| p.mapping.as_str())),
-                );
+                let translation =
+                    translate(&self.sys, q, self.rewriter(), &self.options.translate)?;
+                let touched = translation.read_set(&self.sys);
                 let rules = prepare_rules(&self.sys, &translation)?;
                 (Some(PreparedUnfold { translation, rules }), touched)
             }
             Strategy::Graph | Strategy::Auto => {
                 // The walk visits only what can derive the start relation.
                 let (start, _, _) = graph_pattern(q)?;
-                let (relations, mappings) = schema.backward_closure(&start);
+                let (relations, mappings) = self.sys.schema_graph().backward_closure(&start);
                 let touched = read_set(&self.sys, relations, mappings);
                 (None, touched)
             }
         };
-        sp.field("strategy", format!("{strategy:?}"));
-        if let Some(u) = &unfold {
-            sp.field("rules", u.rules.len().to_string());
+        if sp.id().is_some() {
+            sp.field("strategy", format!("{strategy:?}"));
+            if let Some(u) = &unfold {
+                sp.field("rules", u.rules.len().to_string());
+            }
         }
         Ok(PreparedQuery {
             query: q.clone(),
@@ -392,6 +372,25 @@ impl Engine {
             touched,
             prepare_time: t0.elapsed(),
         })
+    }
+
+    /// The configured body rewriter, if any.
+    pub(crate) fn rewriter(&self) -> Option<&dyn BodyRewriter> {
+        self.options
+            .rewriter
+            .as_deref()
+            .map(|r| r as &dyn BodyRewriter)
+    }
+
+    /// The configured strategy with `Auto` resolved from the schema graph
+    /// (which writes cannot change): the graph walk on cyclic schemas,
+    /// unfolding otherwise.
+    pub(crate) fn resolved_strategy(&self) -> Strategy {
+        match self.options.strategy {
+            Strategy::Auto if self.sys.schema_graph().is_cyclic() => Strategy::Graph,
+            Strategy::Auto => Strategy::Unfold,
+            s => s,
+        }
     }
 
     /// Bucketed statistics fingerprint of `relations` against the current
@@ -450,9 +449,11 @@ impl Engine {
                 proj
             }
         };
-        sp.field("strategy", format!("{:?}", p.strategy));
-        sp.field("rows", projection.metrics.rows.to_string());
-        sp.field("bindings", projection.bindings.len().to_string());
+        if sp.id().is_some() {
+            sp.field("strategy", format!("{:?}", p.strategy));
+            sp.field("rows", projection.metrics.rows.to_string());
+            sp.field("bindings", projection.bindings.len().to_string());
+        }
         let annotated = match &p.query.evaluate {
             Some(spec) => Some(run_annotation_opts(
                 &self.sys,
@@ -505,8 +506,10 @@ impl Engine {
         stats.eval_time = exec_time;
         stats.total_joins = projection.metrics.total_joins;
         stats.sql_bytes = projection.metrics.sql_bytes;
-        sp.field("rows", projection.metrics.rows.to_string());
-        sp.field("bindings", projection.bindings.len().to_string());
+        if sp.id().is_some() {
+            sp.field("rows", projection.metrics.rows.to_string());
+            sp.field("bindings", projection.bindings.len().to_string());
+        }
         let actuals = Actuals {
             per_rule: per_rule.as_deref(),
             projection: &projection,
@@ -612,7 +615,7 @@ struct Actuals<'a> {
 /// empty, and the mappings its rules witness. A graph answer passes the
 /// schema graph's backward closure of its start relation. Either may
 /// over-approximate, never under-approximate.
-fn read_set<'a>(
+pub(crate) fn read_set<'a>(
     sys: &ProvenanceSystem,
     relations: impl IntoIterator<Item = &'a str>,
     mappings: impl IntoIterator<Item = &'a str>,

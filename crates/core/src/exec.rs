@@ -127,10 +127,23 @@ pub fn prepare_rule_with(
     rule: &QueryRule,
     passes: &OptimizerConfig,
 ) -> Result<PreparedRule> {
+    compile_rule(sys, rule, passes, None)
+}
+
+/// Compile and optimize one rule. With `buckets`, every `WHERE` literal
+/// becomes the [`Expr::Param`] slot it came from, estimated from its
+/// bucket: a plan template for every request whose literals fall in the
+/// same buckets (see [`crate::shape`]).
+pub(crate) fn compile_rule(
+    sys: &ProvenanceSystem,
+    rule: &QueryRule,
+    passes: &OptimizerConfig,
+    buckets: Option<&[i8]>,
+) -> Result<PreparedRule> {
     let bp = compile_body(&sys.db, &rule.atoms)?;
     let mut plan = bp.plan;
     if let Some(cond) = &rule.condition {
-        plan = plan.filter(cond_to_expr(cond, &bp.var_cols)?);
+        plan = plan.filter(cond_to_expr(cond, &bp.var_cols, buckets)?);
     }
     Ok(PreparedRule {
         plan: optimize_with_config(&sys.db, plan, passes),
@@ -381,7 +394,9 @@ pub(crate) fn run_rule(
             RecordBatch::from_rows(rel.names, rel.rows.iter())
         }
     };
-    sp.field("rows", batch.len().to_string());
+    if sp.id().is_some() {
+        sp.field("rows", batch.len().to_string());
+    }
     merge_rule_batch(db, rule, prepared, return_vars, batch, out)
 }
 
@@ -410,7 +425,9 @@ fn run_rule_profiled(
             (RecordBatch::from_rows(rel.names, rel.rows.iter()), vec![])
         }
     };
-    sp.field("rows", batch.len().to_string());
+    if sp.id().is_some() {
+        sp.field("rows", batch.len().to_string());
+    }
     merge_rule_batch(db, rule, prepared, return_vars, batch, out)?;
     Ok(stats)
 }
@@ -432,7 +449,7 @@ fn merge_rule_batch(
     }
 
     // Resolve every output recipe against batch columns once per rule.
-    for rec in &rule.prov_records {
+    for rec in rule.prov_records.iter() {
         if !rec.output {
             continue;
         }
@@ -479,29 +496,42 @@ fn merge_rule_batch(
 }
 
 /// Lower a rule's residual variable condition to a storage [`Expr`] over
-/// the compiled body's output columns.
-pub(crate) fn cond_to_expr(cond: &VarCond, var_cols: &HashMap<String, usize>) -> Result<Expr> {
+/// the compiled body's output columns: literals stay literals, or become
+/// their slots when `buckets` gives each slot's selectivity bucket.
+pub(crate) fn cond_to_expr(
+    cond: &VarCond,
+    var_cols: &HashMap<String, usize>,
+    buckets: Option<&[i8]>,
+) -> Result<Expr> {
+    let all = |parts: &[VarCond]| -> Result<Vec<Expr>> {
+        parts
+            .iter()
+            .map(|p| cond_to_expr(p, var_cols, buckets))
+            .collect()
+    };
     Ok(match cond {
         VarCond::Lit(b) => Expr::lit(*b),
-        VarCond::Cmp { var, op, value } => {
+        VarCond::Cmp {
+            var,
+            op,
+            value,
+            slot,
+        } => {
             let col = var_cols.get(var).ok_or_else(|| {
                 Error::Query(format!("condition variable {var} not in rule body"))
             })?;
-            Expr::cmp(op.to_binop(), Expr::col(*col), Expr::Lit(value.clone()))
+            let operand = match buckets {
+                Some(b) => Expr::Param {
+                    slot: *slot,
+                    sel_log2: b.get(*slot).copied().unwrap_or(0),
+                },
+                None => Expr::Lit(value.clone()),
+            };
+            Expr::cmp(op.to_binop(), Expr::col(*col), operand)
         }
-        VarCond::And(parts) => Expr::And(
-            parts
-                .iter()
-                .map(|p| cond_to_expr(p, var_cols))
-                .collect::<Result<_>>()?,
-        ),
-        VarCond::Or(parts) => Expr::Or(
-            parts
-                .iter()
-                .map(|p| cond_to_expr(p, var_cols))
-                .collect::<Result<_>>()?,
-        ),
-        VarCond::Not(p) => Expr::Not(Box::new(cond_to_expr(p, var_cols)?)),
+        VarCond::And(parts) => Expr::And(all(parts)?),
+        VarCond::Or(parts) => Expr::Or(all(parts)?),
+        VarCond::Not(p) => Expr::Not(Box::new(cond_to_expr(p, var_cols, buckets)?)),
     })
 }
 

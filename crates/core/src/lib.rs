@@ -44,6 +44,7 @@ pub mod exec;
 pub mod lexer;
 pub mod maintain;
 pub mod parser;
+pub mod shape;
 pub mod translate;
 
 pub use annotate::AnnotatedResult;

@@ -344,7 +344,9 @@ fn traced(decide: impl FnOnce() -> Result<MaintainOutcome>) -> Result<MaintainOu
         Ok(MaintainOutcome::Unchanged { .. }) => sp.field("outcome", "unchanged"),
         Ok(MaintainOutcome::Patched { rows_patched, .. }) => {
             sp.field("outcome", "maintained");
-            sp.field("rows_patched", rows_patched.to_string());
+            if sp.id().is_some() {
+                sp.field("rows_patched", rows_patched.to_string());
+            }
         }
         Ok(MaintainOutcome::Fallback(reason)) => {
             sp.field("outcome", "fallback");
@@ -383,7 +385,7 @@ fn group_runs(
     // Every rule atom must be a stored table or a known provenance view,
     // else we cannot decide whether its contents changed.
     for rule in rules {
-        for atom in &rule.atoms {
+        for atom in rule.atoms.iter() {
             if !new.sys.db.has_table(&atom.relation)
                 && !new
                     .sys
@@ -408,7 +410,9 @@ fn group_runs(
         return Ok(Ok(runs));
     }
     let mut sp = trace::span("maintain.delta");
-    sp.field("variants", runs.variants.to_string());
+    if sp.id().is_some() {
+        sp.field("variants", runs.variants.to_string());
+    }
 
     // Additions. Semi-naive delta runs against the NEW state — every new
     // firing involves at least one added row, so redirecting each atom in
@@ -750,7 +754,7 @@ fn can_bind(atom: &Atom, condition: Option<&VarCond>, row: &Tuple) -> bool {
 fn truth<'v>(cond: &VarCond, value_of: &impl Fn(&str) -> Option<&'v Value>) -> Option<bool> {
     match cond {
         VarCond::Lit(b) => Some(*b),
-        VarCond::Cmp { var, op, value } => value_of(var).map(|v| static_cmp(v, *op, value)),
+        VarCond::Cmp { var, op, value, .. } => value_of(var).map(|v| static_cmp(v, *op, value)),
         VarCond::And(parts) => {
             let mut acc = Some(true);
             for part in parts {
@@ -793,7 +797,7 @@ fn run_delta_rules(
         let bp = delta_variant(db, &rule.atoms, input.atom, &input.rows)?;
         let mut plan = bp.plan;
         if let Some(cond) = &rule.condition {
-            plan = plan.filter(cond_to_expr(cond, &bp.var_cols)?);
+            plan = plan.filter(cond_to_expr(cond, &bp.var_cols, None)?);
         }
         let prepared = PreparedRule {
             plan: optimize_with(db, plan),
@@ -829,7 +833,7 @@ fn recheck_candidates(
         // it: constants must match statically, variables become
         // column-equality conjuncts.
         for (mapping, rows) in &candidates.derivations {
-            for rec in &rule.prov_records {
+            for rec in rule.prov_records.iter() {
                 if !rec.output || &rec.mapping != mapping {
                     continue;
                 }

@@ -18,6 +18,7 @@ use proql_datalog::ast::{Atom, Term};
 use proql_datalog::unfold::{apply_term, rename_apart, unify_atoms, Subst};
 use proql_provgraph::{ProvenanceSystem, SchemaGraph};
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// One provenance-relation occurrence inside a rule: executing the rule and
 /// resolving `terms` against a result row yields one `P_mapping` row — one
@@ -56,6 +57,10 @@ pub enum VarCond {
         op: CmpOp,
         /// Literal.
         value: Value,
+        /// Which literal of the WHERE clause `value` is: the position of
+        /// its comparison among the clause's `$x.attr op literal`
+        /// comparisons, in reading order (see [`crate::shape`]).
+        slot: usize,
     },
     /// Conjunction.
     And(Vec<VarCond>),
@@ -107,18 +112,20 @@ impl VarCond {
     }
 }
 
-/// One unfolded conjunctive rule.
-#[derive(Debug, Clone)]
+/// One unfolded conjunctive rule. Everything but the condition comes from
+/// the unfolded alternative alone and is shared, not copied, by every
+/// rule built from it (one per query of a shape, see [`crate::shape`]).
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryRule {
     /// Body atoms: provenance relations, local-contribution tables, and
     /// (for single-step patterns) public relations.
-    pub atoms: Vec<Atom>,
+    pub atoms: Arc<[Atom]>,
     /// Provenance occurrences (the derivation nodes this rule witnesses).
-    pub prov_records: Vec<ProvRecord>,
+    pub prov_records: Arc<[ProvRecord]>,
     /// Pattern-variable bindings.
-    pub node_bindings: HashMap<String, NodeBinding>,
+    pub node_bindings: Arc<HashMap<String, NodeBinding>>,
     /// Derivation-variable bindings (`$p` → mapping name).
-    pub mapping_bindings: HashMap<String, String>,
+    pub mapping_bindings: Arc<HashMap<String, String>>,
     /// Residual WHERE condition (statically undecidable parts).
     pub condition: Option<VarCond>,
 }
@@ -133,7 +140,7 @@ pub trait BodyRewriter {
 
 /// Translation statistics (the paper's "number of unfolded rules" and the
 /// inputs to its Figures 7–8).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TranslateStats {
     /// Unfolded conjunctive rules produced.
     pub rules: usize,
@@ -144,7 +151,7 @@ pub struct TranslateStats {
 }
 
 /// The result of translation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Translation {
     /// The unfolded rules.
     pub rules: Vec<QueryRule>,
@@ -156,6 +163,24 @@ pub struct Translation {
     /// through them was dropped. The translation read them, and it no
     /// longer holds once any of them has a row.
     pub pruned_on: BTreeSet<String>,
+}
+
+impl Translation {
+    /// The read set of an answer computed from this translation: its rule
+    /// atoms, the relations pruning found empty, and the mappings its
+    /// rules witness (see [`crate::engine::read_set`]).
+    pub(crate) fn read_set(&self, sys: &ProvenanceSystem) -> BTreeSet<String> {
+        crate::engine::read_set(
+            sys,
+            self.rules
+                .iter()
+                .flat_map(|r| r.atoms.iter().map(|a| a.relation.as_str()))
+                .chain(self.pruned_on.iter().map(String::as_str)),
+            self.rules
+                .iter()
+                .flat_map(|r| r.prov_records.iter().map(|p| p.mapping.as_str())),
+        )
+    }
 }
 
 /// Tuning knobs.
@@ -179,13 +204,27 @@ impl Default for TranslateOptions {
     }
 }
 
-/// Translate a parsed query against a provenance system.
+/// Translate a parsed query against a provenance system: expand its path
+/// patterns into alternatives, then apply its `WHERE` clause to each.
 pub fn translate(
     sys: &ProvenanceSystem,
     query: &Query,
     rewriter: Option<&dyn BodyRewriter>,
     opts: &TranslateOptions,
 ) -> Result<Translation> {
+    Ok(expand(sys, query, opts)?.bind(sys, query, rewriter)?.0)
+}
+
+/// The literal-free part of translation: match and unfold the query's
+/// path patterns and merge them on shared variables. Everything here
+/// depends on the patterns, the relation constraints (`[R $x]`, `$x in
+/// R`) and the system, never on a `WHERE` literal, so every query of one
+/// shape (see [`crate::shape`]) shares one expansion.
+pub(crate) fn expand(
+    sys: &ProvenanceSystem,
+    query: &Query,
+    opts: &TranslateOptions,
+) -> Result<Expansion> {
     let mut tr = Translator {
         sys,
         graph: sys.schema_graph(),
@@ -194,7 +233,133 @@ pub fn translate(
         produced: 0,
         pruned_on: BTreeSet::new(),
     };
-    tr.run(query, rewriter)
+    let alternatives = tr
+        .expand(query)?
+        .into_iter()
+        .map(|p| Alternative {
+            atoms: p.atoms.into_iter().flatten().collect(),
+            prov: p.prov.into(),
+            nodes: Arc::new(p.nodes),
+            maps: Arc::new(p.maps),
+        })
+        .collect();
+    Ok(Expansion {
+        alternatives,
+        pruned_on: tr.pruned_on,
+    })
+}
+
+/// A query's unfolded alternatives before its `WHERE` clause applies.
+#[derive(Debug, Clone)]
+pub(crate) struct Expansion {
+    alternatives: Vec<Alternative>,
+    pruned_on: BTreeSet<String>,
+}
+
+/// One complete unfolded alternative: the parts of every rule built from
+/// it except the condition.
+#[derive(Debug, Clone)]
+struct Alternative {
+    atoms: Arc<[Atom]>,
+    prov: Arc<[ProvRecord]>,
+    nodes: Arc<HashMap<String, NodeBinding>>,
+    maps: Arc<HashMap<String, String>>,
+}
+
+impl Expansion {
+    /// Apply `query`'s `WHERE` clause to every alternative and finalize
+    /// the survivors into rules: exactly the [`Translation`] of `query`.
+    /// Comparisons against constant terms are decided here, per call, and
+    /// an alternative they make false is dropped. Also returns the index
+    /// of each kept alternative, in rule order.
+    pub(crate) fn bind(
+        &self,
+        sys: &ProvenanceSystem,
+        query: &Query,
+        rewriter: Option<&dyn BodyRewriter>,
+    ) -> Result<(Translation, Vec<usize>)> {
+        let proj = &query.projection;
+        let mut rules = Vec::new();
+        let mut kept = Vec::new();
+        let mut stats = TranslateStats::default();
+        for (i, alt) in self.alternatives.iter().enumerate() {
+            let cond = match &proj.where_cond {
+                None => None,
+                Some(c) => {
+                    let vc = lower_condition(sys, c, alt, &mut 0)?.simplify();
+                    match vc {
+                        VarCond::Lit(false) => {
+                            stats.dropped += 1;
+                            continue;
+                        }
+                        VarCond::Lit(true) => None,
+                        other => Some(other),
+                    }
+                }
+            };
+            // Check RETURN vars are bound in this alternative.
+            if !proj.return_vars.iter().all(|v| alt.nodes.contains_key(v)) {
+                stats.dropped += 1;
+                continue;
+            }
+            let atoms = match rewriter {
+                Some(rw) => rw.rewrite(alt.atoms.to_vec())?.into(),
+                None => Arc::clone(&alt.atoms),
+            };
+            stats.total_atoms += atoms.len();
+            rules.push(QueryRule {
+                atoms,
+                prov_records: Arc::clone(&alt.prov),
+                node_bindings: Arc::clone(&alt.nodes),
+                mapping_bindings: Arc::clone(&alt.maps),
+                condition: cond,
+            });
+            kept.push(i);
+        }
+        stats.rules = rules.len();
+        let translation = Translation {
+            rules,
+            stats,
+            return_vars: proj.return_vars.clone(),
+            pruned_on: self.pruned_on.clone(),
+        };
+        Ok((translation, kept))
+    }
+
+    /// Every relation any alternative scans (after `rewriter`, as
+    /// [`Self::bind`] applies it) or pruned on, and every mapping any
+    /// alternative witnesses: what the widest binding reads.
+    pub(crate) fn reads(
+        &self,
+        rewriter: Option<&dyn BodyRewriter>,
+    ) -> Result<(BTreeSet<String>, BTreeSet<&str>)> {
+        let mut relations = self.pruned_on.clone();
+        let mut mappings = BTreeSet::new();
+        for alt in &self.alternatives {
+            match rewriter {
+                Some(rw) => {
+                    let rewritten = rw.rewrite(alt.atoms.to_vec())?;
+                    relations.extend(rewritten.into_iter().map(|a| a.relation));
+                }
+                None => relations.extend(alt.atoms.iter().map(|a| a.relation.clone())),
+            }
+            mappings.extend(alt.prov.iter().map(|r| r.mapping.as_str()));
+        }
+        Ok((relations, mappings))
+    }
+
+    /// The column a `$var.attr` comparison reads in the first alternative
+    /// that binds `var`: its node relation and the attribute's position.
+    pub(crate) fn node_column(
+        &self,
+        sys: &ProvenanceSystem,
+        var: &str,
+        attr: &str,
+    ) -> Option<(String, usize)> {
+        let b = self.alternatives.iter().find_map(|a| a.nodes.get(var))?;
+        let pos = sys.db.schema_of(&b.relation).ok()?.position(attr)?;
+        Some((b.relation.clone(), pos))
+    }
 }
 
 /// A rule under construction. Atoms use tombstones so indices stay stable
@@ -266,7 +431,7 @@ impl<'a> Translator<'a> {
         Ok(())
     }
 
-    fn run(&mut self, query: &Query, rewriter: Option<&dyn BodyRewriter>) -> Result<Translation> {
+    fn expand(&mut self, query: &Query) -> Result<Vec<Partial>> {
         let proj = &query.projection;
         // Pre-pass: relation constraints per variable, from node patterns
         // across all paths and from top-level `$x in R` conjuncts.
@@ -306,55 +471,7 @@ impl<'a> Translator<'a> {
                 Some(done) => self.merge(done, expansions)?,
             });
         }
-        let partials = combined.unwrap_or_default();
-
-        // Apply WHERE and finalize.
-        let mut rules = Vec::new();
-        let mut stats = TranslateStats::default();
-        for partial in partials {
-            let cond = match &proj.where_cond {
-                None => None,
-                Some(c) => {
-                    let vc = lower_condition(self.sys, c, &partial)?.simplify();
-                    match vc {
-                        VarCond::Lit(false) => {
-                            stats.dropped += 1;
-                            continue;
-                        }
-                        VarCond::Lit(true) => None,
-                        other => Some(other),
-                    }
-                }
-            };
-            // Check RETURN vars are bound in this alternative.
-            if !proj
-                .return_vars
-                .iter()
-                .all(|v| partial.nodes.contains_key(v))
-            {
-                stats.dropped += 1;
-                continue;
-            }
-            let mut atoms: Vec<Atom> = partial.atoms.iter().flatten().cloned().collect();
-            if let Some(rw) = rewriter {
-                atoms = rw.rewrite(atoms)?;
-            }
-            stats.total_atoms += atoms.len();
-            rules.push(QueryRule {
-                atoms,
-                prov_records: partial.prov,
-                node_bindings: partial.nodes,
-                mapping_bindings: partial.maps,
-                condition: cond,
-            });
-        }
-        stats.rules = rules.len();
-        Ok(Translation {
-            rules,
-            stats,
-            return_vars: proj.return_vars.clone(),
-            pruned_on: std::mem::take(&mut self.pruned_on),
-        })
+        Ok(combined.unwrap_or_default())
     }
 
     /// All public relations (not local contributions, not provenance).
@@ -942,35 +1059,41 @@ fn collect_where_constraints(cond: &Condition, out: &mut HashMap<String, String>
 }
 
 /// Lower a WHERE condition into a [`VarCond`] for one rule alternative,
-/// folding statically decidable parts.
-fn lower_condition(sys: &ProvenanceSystem, cond: &Condition, partial: &Partial) -> Result<VarCond> {
+/// folding statically decidable parts. `slots` counts the literal
+/// comparisons lowered so far (each `Cmp` records its own position).
+fn lower_condition(
+    sys: &ProvenanceSystem,
+    cond: &Condition,
+    alt: &Alternative,
+    slots: &mut usize,
+) -> Result<VarCond> {
     Ok(match cond {
         Condition::And(parts) => VarCond::And(
             parts
                 .iter()
-                .map(|p| lower_condition(sys, p, partial))
+                .map(|p| lower_condition(sys, p, alt, slots))
                 .collect::<Result<_>>()?,
         ),
         Condition::Or(parts) => VarCond::Or(
             parts
                 .iter()
-                .map(|p| lower_condition(sys, p, partial))
+                .map(|p| lower_condition(sys, p, alt, slots))
                 .collect::<Result<_>>()?,
         ),
-        Condition::Not(inner) => VarCond::Not(Box::new(lower_condition(sys, inner, partial)?)),
+        Condition::Not(inner) => VarCond::Not(Box::new(lower_condition(sys, inner, alt, slots)?)),
         Condition::MappingIs {
             var,
             mapping,
             positive,
         } => {
-            let bound = partial
+            let bound = alt
                 .maps
                 .get(var)
                 .ok_or_else(|| Error::Query(format!("derivation variable ${var} is not bound")))?;
             VarCond::Lit((bound == mapping) == *positive)
         }
         Condition::InRelation { var, relation } => {
-            let b = partial
+            let b = alt
                 .nodes
                 .get(var)
                 .ok_or_else(|| Error::Query(format!("tuple variable ${var} is not bound")))?;
@@ -982,7 +1105,9 @@ fn lower_condition(sys: &ProvenanceSystem, cond: &Condition, partial: &Partial) 
             op,
             value,
         } => {
-            let b = partial
+            let slot = *slots;
+            *slots += 1;
+            let b = alt
                 .nodes
                 .get(var)
                 .ok_or_else(|| Error::Query(format!("tuple variable ${var} is not bound")))?;
@@ -995,6 +1120,7 @@ fn lower_condition(sys: &ProvenanceSystem, cond: &Condition, partial: &Partial) 
                     var: v.clone(),
                     op: *op,
                     value: value.clone(),
+                    slot,
                 },
                 Term::Const(c) => VarCond::Lit(static_cmp(c, *op, value)),
                 Term::Skolem(..) => {
@@ -1043,7 +1169,7 @@ mod tests {
         assert!(t.stats.rules > 0);
         // Every rule bottoms out at provenance/local atoms only.
         for rule in &t.rules {
-            for a in &rule.atoms {
+            for a in rule.atoms.iter() {
                 assert!(
                     a.relation.starts_with("P_") || a.relation.ends_with("_l"),
                     "unexpected public atom {} in {:?}",

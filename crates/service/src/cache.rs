@@ -16,20 +16,22 @@
 //!
 //! The [`PlanCache`] sits **beneath** the result cache: a result-cache
 //! miss (typically caused by a write to a read-set relation) reuses the
-//! query's cached [`PreparedQuery`], skipping parse → translate →
-//! optimize entirely. Optimizer choices never change results, so the
-//! staleness rule is about cost: an entry whose
-//! [`PreparedQuery::stats_version`] matches the published snapshot is
-//! trivially current, and on version drift the entry is revalidated by
+//! prepared query last bound for the same text, or binds the request's
+//! `WHERE` literals to its cached query shape and plan template, skipping
+//! translate → optimize (see [`proql::shape`]). Optimizer choices never
+//! change results, so the staleness rule is about cost: a shape whose
+//! [`PreparedShape::stats_version`] matches the published snapshot is
+//! trivially current, and on version drift it is revalidated by
 //! recomputing the bucketed stats fingerprint over its read set. Only
 //! statistics drift (order-of-magnitude data change) forces a
 //! re-preparation — and so does the first row in a relation unfolding
 //! pruned on as empty, since 0 rows is a bucket of its own.
 
 use proql::engine::{PreparedQuery, QueryOutput};
+use proql::shape::{PlanTemplate, PreparedShape};
 use proql::{FallbackReason, MaintainState};
 use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Monotonic counters the cache keeps about itself (reported by the
 /// service's `STATS` verb).
@@ -361,137 +363,300 @@ impl ResultCache {
 /// Monotonic counters of the prepared-plan cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheCounters {
-    /// Lookups that reused a cached plan (including revalidations).
+    /// Lookups that reused the prepared query of the same text: nothing
+    /// parsed, bound or planned.
     pub hits: u64,
-    /// Lookups that found no usable plan.
+    /// Lookups that found the query's shape: the request's literals were
+    /// bound to its cached expansion.
+    pub shape_hits: u64,
+    /// Lookups that prepared the query's shape from scratch.
     pub misses: u64,
-    /// Plans stored.
+    /// Plan templates compiled: a plan key no template held yet.
+    pub plan_misses: u64,
+    /// Plan templates stored.
     pub insertions: u64,
-    /// Entries dropped because their statistics fingerprint drifted (the
-    /// optimizer would now choose differently; the query re-prepares).
+    /// Shapes dropped because their statistics fingerprint drifted (the
+    /// optimizer would now choose differently, or a relation unfolding
+    /// pruned on has rows; the shape re-prepares).
     pub reprepares: u64,
-    /// Entries dropped to respect the capacity bound (LRU).
+    /// Shapes, templates and bound texts dropped to respect the capacity
+    /// bound (LRU).
     pub capacity_evictions: u64,
 }
 
 impl PlanCacheCounters {
-    /// Hit rate over all lookups (0.0 when no lookups happened).
+    /// Share of lookups that prepared nothing from scratch: same-text and
+    /// shape hits over all lookups (0.0 when no lookups happened).
     pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
+        let reused = self.hits + self.shape_hits;
+        let total = reused + self.misses;
         if total == 0 {
             0.0
         } else {
-            self.hits as f64 / total as f64
+            reused as f64 / total as f64
         }
     }
 }
 
 #[derive(Debug)]
-struct PlanEntry {
-    prepared: Arc<PreparedQuery>,
+struct ShapeEntry {
+    shape: Arc<PreparedShape>,
+    /// Plan key → optimized plans with literal slots.
+    templates: HashMap<String, TemplateEntry>,
     /// Latest published version this entry was validated at: matching the
     /// current version skips the fingerprint recomputation.
     valid_at: u64,
     last_used: u64,
 }
 
-/// A bounded prepared-plan cache keyed by normalized query text.
+#[derive(Debug)]
+struct TemplateEntry {
+    template: Arc<PlanTemplate>,
+    last_used: u64,
+}
+
+/// The prepared query last bound for one exact text. It lives as long as
+/// the shape it was bound to is the one cached under its key.
+#[derive(Debug)]
+struct BoundEntry {
+    shape_key: Arc<str>,
+    shape: Weak<PreparedShape>,
+    prepared: Arc<PreparedQuery>,
+    last_used: u64,
+}
+
+/// A bounded prepared-plan cache keyed by **query shape** (see
+/// [`proql::shape`]): each shape keeps its expansion and one plan template
+/// per plan key, so a request with fresh `WHERE` literals costs a bind,
+/// not a prepare. The prepared query bound for each recent text is kept
+/// too, so repeating a text (a re-execution after a write evicted its
+/// answer) binds nothing. Shapes, templates and bound texts are each held
+/// to `capacity` entries, least recently used first out.
 ///
 /// A capacity of 0 disables the cache entirely (every lookup misses,
 /// inserts are dropped).
 #[derive(Debug)]
 pub struct PlanCache {
-    entries: HashMap<String, PlanEntry>,
+    shapes: HashMap<Arc<str>, ShapeEntry>,
+    /// Exact text (the result cache's key) → its last bound query.
+    bound: HashMap<String, BoundEntry>,
     capacity: usize,
     tick: u64,
     counters: PlanCacheCounters,
 }
 
 impl PlanCache {
-    /// An empty cache holding at most `capacity` plans (0 disables).
+    /// An empty cache holding at most `capacity` of each kind of entry
+    /// (0 disables).
     pub fn new(capacity: usize) -> Self {
         PlanCache {
-            entries: HashMap::new(),
+            shapes: HashMap::new(),
+            bound: HashMap::new(),
             capacity,
             tick: 0,
             counters: PlanCacheCounters::default(),
         }
     }
 
-    /// Look up a plan for `key`, validating it against the currently
-    /// published `version`. On version drift, `fingerprint` recomputes
-    /// the stats fingerprint of the entry's read set against the current
-    /// snapshot: unchanged ⇒ the entry is re-stamped and reused; drifted
-    /// ⇒ the entry dies and the caller re-prepares.
-    pub fn lookup(
+    /// The prepared query last bound for exactly `key`, while its shape is
+    /// still valid (see [`Self::lookup_shape`]). Counts a hit; a miss is
+    /// counted by the shape lookup that follows it.
+    pub fn lookup_text(
         &mut self,
         key: &str,
         version: u64,
         fingerprint: impl FnOnce(&BTreeSet<String>) -> u64,
     ) -> Option<Arc<PreparedQuery>> {
         self.tick += 1;
-        let Some(e) = self.entries.get_mut(key) else {
-            self.counters.misses += 1;
+        let entry = self.bound.get_mut(key)?;
+        let valid = validate(
+            &mut self.shapes,
+            &mut self.counters,
+            &entry.shape_key,
+            version,
+            fingerprint,
+        ) && std::ptr::eq(
+            entry.shape.as_ptr(),
+            Arc::as_ptr(&self.shapes[&entry.shape_key].shape),
+        );
+        if !valid {
+            self.bound.remove(key);
             return None;
-        };
-        if e.valid_at != version {
-            if fingerprint(&e.prepared.touched) == e.prepared.stats_fingerprint {
-                e.valid_at = version;
-            } else {
-                self.entries.remove(key);
-                self.counters.reprepares += 1;
-                self.counters.misses += 1;
-                return None;
-            }
         }
-        let e = self.entries.get_mut(key).expect("checked above");
-        e.last_used = self.tick;
+        entry.last_used = self.tick;
         self.counters.hits += 1;
-        Some(Arc::clone(&e.prepared))
+        Some(Arc::clone(&entry.prepared))
     }
 
-    /// Store a plan prepared against `version`.
-    pub fn insert(&mut self, key: String, prepared: Arc<PreparedQuery>, version: u64) {
+    /// The shape cached under `shape_key`, validated against the currently
+    /// published `version`. On version drift, `fingerprint` recomputes the
+    /// stats fingerprint of the shape's read set against the current
+    /// snapshot: unchanged ⇒ the entry is re-stamped and reused; drifted
+    /// ⇒ the shape and its templates die and the caller re-prepares.
+    pub fn lookup_shape(
+        &mut self,
+        shape_key: &str,
+        version: u64,
+        fingerprint: impl FnOnce(&BTreeSet<String>) -> u64,
+    ) -> Option<Arc<PreparedShape>> {
+        self.tick += 1;
+        if !validate(
+            &mut self.shapes,
+            &mut self.counters,
+            shape_key,
+            version,
+            fingerprint,
+        ) {
+            self.counters.misses += 1;
+            return None;
+        }
+        let e = self.shapes.get_mut(shape_key).expect("validated");
+        e.last_used = self.tick;
+        self.counters.shape_hits += 1;
+        Some(Arc::clone(&e.shape))
+    }
+
+    /// Store a shape prepared against `version`.
+    pub fn insert_shape(&mut self, shape_key: Arc<str>, shape: Arc<PreparedShape>, version: u64) {
         if self.capacity == 0 {
             return;
         }
         self.tick += 1;
-        if self.entries.len() >= self.capacity && !self.entries.contains_key(&key) {
-            if let Some(victim) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            {
-                self.entries.remove(&victim);
+        if self.shapes.len() >= self.capacity && !self.shapes.contains_key(&shape_key) {
+            if let Some(victim) = lru(&self.shapes, |e| e.last_used) {
+                self.shapes.remove(&victim);
                 self.counters.capacity_evictions += 1;
             }
         }
-        self.counters.insertions += 1;
-        self.entries.insert(
-            key,
-            PlanEntry {
-                prepared,
+        self.shapes.insert(
+            shape_key,
+            ShapeEntry {
+                shape,
+                templates: HashMap::new(),
                 valid_at: version,
                 last_used: self.tick,
             },
         );
     }
 
-    /// Live entries.
+    /// The template for `plan_key` under `shape_key`, if `shape` (the shape
+    /// the plan key was derived from) is still the one cached there: a
+    /// re-prepared shape may number its alternatives differently. Counts
+    /// a plan miss when there is none.
+    pub fn lookup_template(
+        &mut self,
+        shape_key: &str,
+        shape: &Arc<PreparedShape>,
+        plan_key: &str,
+    ) -> Option<Arc<PlanTemplate>> {
+        self.tick += 1;
+        let found = self
+            .shapes
+            .get_mut(shape_key)
+            .filter(|e| Arc::ptr_eq(&e.shape, shape))
+            .and_then(|e| e.templates.get_mut(plan_key));
+        match found {
+            Some(t) => {
+                t.last_used = self.tick;
+                Some(Arc::clone(&t.template))
+            }
+            None => {
+                self.counters.plan_misses += 1;
+                None
+            }
+        }
+    }
+
+    /// Store the template for `plan_key` of `shape` under `shape_key`
+    /// (dropped when another shape is cached there meanwhile).
+    pub fn insert_template(
+        &mut self,
+        shape_key: &str,
+        shape: &Arc<PreparedShape>,
+        plan_key: String,
+        template: Arc<PlanTemplate>,
+    ) {
+        let current = self.shapes.get(shape_key);
+        if self.capacity == 0 || !current.is_some_and(|e| Arc::ptr_eq(&e.shape, shape)) {
+            return;
+        }
+        self.tick += 1;
+        if self.len() >= self.capacity {
+            let victim = self
+                .shapes
+                .iter()
+                .flat_map(|(s, e)| e.templates.iter().map(move |(p, t)| (t.last_used, s, p)))
+                .min()
+                .map(|(_, s, p)| (Arc::clone(s), p.clone()));
+            if let Some((s, p)) = victim {
+                self.shapes
+                    .get_mut(&s)
+                    .expect("found above")
+                    .templates
+                    .remove(&p);
+                self.counters.capacity_evictions += 1;
+            }
+        }
+        let entry = TemplateEntry {
+            template,
+            last_used: self.tick,
+        };
+        let shape = self.shapes.get_mut(shape_key).expect("checked above");
+        shape.templates.insert(plan_key, entry);
+        self.counters.insertions += 1;
+    }
+
+    /// Remember the prepared query bound for text `key` to `shape`, cached
+    /// under `shape_key`.
+    pub fn insert_bound(
+        &mut self,
+        key: String,
+        shape_key: Arc<str>,
+        shape: &Arc<PreparedShape>,
+        prepared: Arc<PreparedQuery>,
+    ) {
+        if self.capacity == 0 {
+            return;
+        }
+        self.tick += 1;
+        if self.bound.len() >= self.capacity && !self.bound.contains_key(&key) {
+            if let Some(victim) = lru(&self.bound, |e| e.last_used) {
+                self.bound.remove(&victim);
+                self.counters.capacity_evictions += 1;
+            }
+        }
+        self.bound.insert(
+            key,
+            BoundEntry {
+                shape_key,
+                shape: Arc::downgrade(shape),
+                prepared,
+                last_used: self.tick,
+            },
+        );
+    }
+
+    /// Live plan templates.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.shapes.values().map(|e| e.templates.len()).sum()
     }
 
-    /// True when no plans are cached.
+    /// Live shapes.
+    pub fn shapes(&self) -> usize {
+        self.shapes.len()
+    }
+
+    /// True when no shapes are cached.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.shapes.is_empty()
     }
 
-    /// Drop every plan, returning how many were dropped.
+    /// Drop every shape, template and bound text, returning how many
+    /// templates were dropped.
     pub fn clear(&mut self) -> usize {
-        let n = self.entries.len();
-        self.entries.clear();
+        let n = self.len();
+        self.shapes.clear();
+        self.bound.clear();
         n
     }
 
@@ -499,6 +664,37 @@ impl PlanCache {
     pub fn counters(&self) -> PlanCacheCounters {
         self.counters
     }
+}
+
+/// Whether `shape_key` holds a shape still valid at `version`; a drifted
+/// one is dropped with its templates. (A free function, so a caller can
+/// hold a bound-text entry while the shapes are validated.)
+fn validate(
+    shapes: &mut HashMap<Arc<str>, ShapeEntry>,
+    counters: &mut PlanCacheCounters,
+    shape_key: &str,
+    version: u64,
+    fingerprint: impl FnOnce(&BTreeSet<String>) -> u64,
+) -> bool {
+    let Some(e) = shapes.get_mut(shape_key) else {
+        return false;
+    };
+    if e.valid_at != version {
+        if fingerprint(&e.shape.touched) != e.shape.stats_fingerprint {
+            shapes.remove(shape_key);
+            counters.reprepares += 1;
+            return false;
+        }
+        e.valid_at = version;
+    }
+    true
+}
+
+/// The key of the least recently used entry of `map`.
+fn lru<K: Clone, V>(map: &HashMap<K, V>, last_used: impl Fn(&V) -> u64) -> Option<K> {
+    map.iter()
+        .min_by_key(|(_, e)| last_used(e))
+        .map(|(k, _)| k.clone())
 }
 
 #[cfg(test)]
@@ -638,49 +834,128 @@ mod tests {
         assert!((rate - 2.0 / 3.0).abs() < 1e-9, "rate = {rate}");
     }
 
+    /// A shape, the template of its one plan key, and a prepared query
+    /// bound through them, for `q` over Example 2.1 under unfolding.
+    fn shaped(
+        q: &str,
+    ) -> (
+        Arc<str>,
+        Arc<PreparedShape>,
+        String,
+        Arc<PlanTemplate>,
+        Arc<PreparedQuery>,
+    ) {
+        use proql::engine::{Engine, EngineOptions, Strategy};
+        use proql::shape::lift_literals;
+        use proql_provgraph::system::example_2_1;
+        let options = EngineOptions {
+            strategy: Strategy::Unfold,
+            ..EngineOptions::default()
+        };
+        let e = Engine::with_options(example_2_1().unwrap(), options);
+        let query = proql::parse_query(q).unwrap();
+        let (shape_key, literals) = lift_literals(&query);
+        let shape = e.prepare_shape(&query).unwrap();
+        let bound = e.bind_shape(&shape, query, literals).unwrap();
+        let template = e.plan_template(&shape, &bound).unwrap();
+        let plan_key = bound.plan_key.clone();
+        let prepared = e.bind_plans(&shape, bound, &template);
+        (
+            shape_key.into(),
+            Arc::new(shape),
+            plan_key,
+            Arc::new(template),
+            Arc::new(prepared),
+        )
+    }
+
     #[test]
     fn plan_cache_fast_path_revalidation_and_drift() {
-        let p = prepared();
-        let (v, fp) = (p.stats_version, p.stats_fingerprint);
+        let q = "FOR [O $x] INCLUDE PATH [$x] <-+ [] WHERE $x.h >= 6 RETURN $x";
+        let (sk, shape, pk, template, prepared) = shaped(q);
+        let (v, fp) = (shape.stats_version, shape.stats_fingerprint);
         let mut c = PlanCache::new(8);
-        assert!(c.lookup("q", v, |_| 0).is_none());
-        c.insert("q".into(), Arc::clone(&p), v);
+        assert!(c.lookup_text(q, v, |_| 0).is_none());
+        assert!(c.lookup_shape(&sk, v, |_| 0).is_none());
+        c.insert_shape(sk.clone(), Arc::clone(&shape), v);
+        assert!(c.lookup_template(&sk, &shape, &pk).is_none());
+        c.insert_template(&sk, &shape, pk.clone(), template);
+        c.insert_bound(q.into(), sk.clone(), &shape, Arc::clone(&prepared));
         // Same version: the fingerprint closure must not run.
-        assert!(c.lookup("q", v, |_| panic!("fresh entry")).is_some());
+        assert!(c.lookup_text(q, v, |_| panic!("fresh entry")).is_some());
+        assert!(c.lookup_shape(&sk, v, |_| panic!("fresh entry")).is_some());
+        assert!(c.lookup_template(&sk, &shape, &pk).is_some());
         // Version drift, unchanged fingerprint: revalidated and re-stamped.
-        assert!(c.lookup("q", v + 1, |_| fp).is_some());
-        assert!(c.lookup("q", v + 1, |_| panic!("re-stamped")).is_some());
-        // Fingerprint drift: the entry dies; the caller re-prepares.
-        assert!(c.lookup("q", v + 2, |_| fp ^ 1).is_none());
+        assert!(c.lookup_text(q, v + 1, |_| fp).is_some());
+        assert!(c
+            .lookup_shape(&sk, v + 1, |_| panic!("re-stamped"))
+            .is_some());
+        // Fingerprint drift: the shape dies with its template, and the
+        // text bound through it stops hitting; the caller re-prepares.
+        assert!(c.lookup_text(q, v + 2, |_| fp ^ 1).is_none());
+        assert!(c.lookup_shape(&sk, v + 2, |_| fp).is_none());
         assert!(c.is_empty());
+        assert_eq!(c.len(), 0);
+        // A request still holding the dropped shape can neither plant its
+        // template nor its bound text under the shape prepared next: the
+        // new one may number its alternatives differently.
+        let (_, next, _, next_template, _) = shaped(q);
+        c.insert_shape(sk.clone(), Arc::clone(&next), v + 2);
+        c.insert_template(&sk, &shape, pk.clone(), Arc::clone(&next_template));
+        assert!(c.lookup_template(&sk, &next, &pk).is_none());
+        c.insert_template(&sk, &next, pk.clone(), next_template);
+        assert!(c.lookup_template(&sk, &shape, &pk).is_none());
+        c.insert_bound(q.into(), sk.clone(), &shape, Arc::clone(&prepared));
+        assert!(c.lookup_text(q, v + 2, |_| panic!("fresh shape")).is_none());
         let counters = c.counters();
-        assert_eq!(counters.hits, 3);
+        assert_eq!(counters.hits, 2);
+        assert_eq!(counters.shape_hits, 2);
         assert_eq!(counters.misses, 2);
+        assert_eq!(counters.plan_misses, 3);
         assert_eq!(counters.reprepares, 1);
-        assert!((counters.hit_rate() - 0.6).abs() < 1e-9);
+        assert!((counters.hit_rate() - 4.0 / 6.0).abs() < 1e-9);
     }
 
     #[test]
     fn plan_cache_capacity_zero_disables() {
-        let p = prepared();
+        let q = "FOR [O $x] INCLUDE PATH [$x] <-+ [] RETURN $x";
+        let (sk, shape, pk, template, prepared) = shaped(q);
+        let v = shape.stats_version;
         let mut c = PlanCache::new(0);
-        c.insert("q".into(), Arc::clone(&p), p.stats_version);
-        assert!(c.lookup("q", p.stats_version, |_| 0).is_none());
+        c.insert_shape(sk.clone(), Arc::clone(&shape), v);
+        c.insert_template(&sk, &shape, pk.clone(), template);
+        c.insert_bound(q.into(), sk.clone(), &shape, prepared);
+        assert!(c.lookup_text(q, v, |_| 0).is_none());
+        assert!(c.lookup_shape(&sk, v, |_| 0).is_none());
+        assert!(c.lookup_template(&sk, &shape, &pk).is_none());
         assert!(c.is_empty());
     }
 
     #[test]
     fn plan_cache_evicts_lru() {
-        let p = prepared();
-        let v = p.stats_version;
+        let q = "FOR [O $x] INCLUDE PATH [$x] <-+ [] RETURN $x";
+        let (_, shape, _, template, prepared) = shaped(q);
+        let v = shape.stats_version;
         let mut c = PlanCache::new(2);
-        c.insert("q1".into(), Arc::clone(&p), v);
-        c.insert("q2".into(), Arc::clone(&p), v);
-        assert!(c.lookup("q1", v, |_| 0).is_some()); // q2 is now LRU
-        c.insert("q3".into(), Arc::clone(&p), v);
+        for s in ["s1", "s2"] {
+            c.insert_shape(s.into(), Arc::clone(&shape), v);
+        }
+        assert!(c.lookup_shape("s1", v, |_| 0).is_some()); // s2 is now LRU
+        c.insert_shape("s3".into(), Arc::clone(&shape), v);
+        assert_eq!(c.shapes(), 2);
+        assert!(c.lookup_shape("s2", v, |_| 0).is_none());
+        assert!(c.lookup_shape("s1", v, |_| 0).is_some());
+        // Templates are bounded across shapes, bound texts on their own.
+        for (s, p) in [("s1", "a"), ("s3", "b"), ("s1", "c")] {
+            c.insert_template(s, &shape, p.into(), Arc::clone(&template));
+        }
         assert_eq!(c.len(), 2);
-        assert!(c.lookup("q2", v, |_| 0).is_none());
-        assert!(c.lookup("q1", v, |_| 0).is_some());
-        assert_eq!(c.counters().capacity_evictions, 1);
+        assert!(c.lookup_template("s1", &shape, "a").is_none());
+        for t in ["t1", "t2", "t3"] {
+            c.insert_bound(t.into(), "s1".into(), &shape, Arc::clone(&prepared));
+        }
+        assert!(c.lookup_text("t1", v, |_| 0).is_none());
+        assert!(c.lookup_text("t3", v, |_| 0).is_some());
+        assert_eq!(c.counters().capacity_evictions, 3);
     }
 }

@@ -28,7 +28,9 @@ use crate::cache::{PlanCache, ResultCache};
 use crate::fanout::{wall_micros, KeptEntry, ReplSink, SinkList, Subscription};
 use crate::metrics::{LatencyHistogram, TransportMetrics};
 use crate::stats::ServiceStats;
-use proql::engine::{Engine, EngineOptions, QueryOutput};
+use proql::engine::{Engine, EngineOptions, PreparedQuery, QueryOutput};
+use proql::parse_query;
+use proql::shape::lift_literals;
 use proql::{maintain_outputs, EntryOutcome, FallbackReason, MaintainEntry, MaintainOutcome};
 use proql_cdss::update::{delete_local_with_graph, DeleteStats};
 use proql_common::sync::{lock, read_lock, write_lock};
@@ -66,11 +68,40 @@ pub struct QueryResponse {
     pub version: u64,
     /// Whether the answer came from the result cache.
     pub cache_hit: bool,
-    /// Whether the query reused a cached prepared plan (always `false`
-    /// on result-cache hits, which never consult the plan cache).
-    pub plan_cache_hit: bool,
+    /// How the query's plans were obtained; `None` on result-cache hits,
+    /// which never consult the plan cache.
+    pub plan_cache: Option<PlanReuse>,
     /// The answer.
     pub output: Arc<QueryOutput>,
+}
+
+/// How a result-cache miss obtained its prepared query (the `plan_cache`
+/// field of the reply and of the `service.query` span).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlanReuse {
+    /// The prepared query last bound for the same text: nothing parsed,
+    /// bound or planned.
+    Hit,
+    /// The shape and the plan template of the request's plan key were
+    /// cached: the request's literals were bound to them.
+    Bound,
+    /// The shape was cached but the plan key was new: plans were
+    /// compiled for it, then bound.
+    Planned,
+    /// The shape was prepared from scratch.
+    Miss,
+}
+
+impl PlanReuse {
+    /// The name replies and spans report.
+    pub fn name(self) -> &'static str {
+        match self {
+            PlanReuse::Hit => "hit",
+            PlanReuse::Bound => "bound",
+            PlanReuse::Planned => "planned",
+            PlanReuse::Miss => "miss",
+        }
+    }
 }
 
 /// What applying one replication frame did to a replica's state (see
@@ -278,8 +309,9 @@ impl ServiceCore {
     }
 
     /// Serve one ProQL query: from the result cache when a fresh entry
-    /// exists; otherwise via the prepared-plan cache — a cached plan
-    /// (validated against statistics drift) skips parse → translate →
+    /// exists; otherwise via the prepared-plan cache — the same text's
+    /// bound plans, or its shape's, with the request's literals bound
+    /// (both validated against statistics drift), skip translate →
     /// optimize — executing against the current snapshot and caching the
     /// answer keyed by its read set.
     pub fn query(&self, text: &str) -> Result<QueryResponse> {
@@ -301,31 +333,25 @@ impl ServiceCore {
                 return Ok(QueryResponse {
                     version,
                     cache_hit: true,
-                    plan_cache_hit: false,
+                    plan_cache: None,
                     output,
                 });
             }
         }
         sp.field("cache", if analyze { "bypass" } else { "miss" });
         let snap = self.snapshot();
-        // Result miss: reuse the cached plan when its statistics are
-        // still current (the fingerprint guards cost-optimality, and
-        // catches a row in a relation unfolding pruned on).
-        let cached_plan = lock(&self.plans).lookup(&key, snap.version, |touched| {
+        // Result miss: reuse what the plan cache holds while its
+        // statistics are still current (the fingerprint guards
+        // cost-optimality, and catches a row in a relation unfolding
+        // pruned on).
+        let cached = lock(&self.plans).lookup_text(&key, snap.version, |touched| {
             snap.engine.stats_fingerprint(touched)
         });
-        let (prepared, plan_cache_hit) = match cached_plan {
-            Some(p) => (p, true),
-            None => {
-                // Prepare outside the plan lock: translation can be slow
-                // and must not serialize other queries' lookups. A racing
-                // duplicate prepare is benign (last insert wins).
-                let p = Arc::new(snap.engine.prepare(text)?);
-                lock(&self.plans).insert(key.clone(), Arc::clone(&p), snap.version);
-                (p, false)
-            }
+        let (prepared, reuse) = match cached {
+            Some(p) => (p, PlanReuse::Hit),
+            None => self.prepare(&snap, text, &key)?,
         };
-        sp.field("plan_cache", if plan_cache_hit { "hit" } else { "miss" });
+        sp.field("plan_cache", reuse.name());
         let output = Arc::new(snap.engine.execute(&prepared)?);
         if !analyze {
             lock(&self.cache).insert(
@@ -338,9 +364,59 @@ impl ServiceCore {
         Ok(QueryResponse {
             version: snap.version,
             cache_hit: false,
-            plan_cache_hit,
+            plan_cache: Some(reuse),
             output,
         })
+    }
+
+    /// Prepare `text` (result-cache key `key`) through the plan cache:
+    /// bind its literals to its shape and to the plan template of its plan
+    /// key, preparing whichever is missing. Preparation runs outside the
+    /// plan lock: translation can be slow and must not serialize other
+    /// queries' lookups. A racing duplicate prepare is benign (last insert
+    /// wins).
+    fn prepare(
+        &self,
+        snap: &Snapshot,
+        text: &str,
+        key: &str,
+    ) -> Result<(Arc<PreparedQuery>, PlanReuse)> {
+        let engine = &snap.engine;
+        let query = parse_query(text)?;
+        let (shape_key, literals) = lift_literals(&query);
+        let shape_key: Arc<str> = shape_key.into();
+        let cached = lock(&self.plans).lookup_shape(&shape_key, snap.version, |touched| {
+            engine.stats_fingerprint(touched)
+        });
+        let (shape, mut reuse) = match cached {
+            Some(shape) => (shape, PlanReuse::Bound),
+            None => {
+                let shape = Arc::new(engine.prepare_shape(&query)?);
+                let mut plans = lock(&self.plans);
+                plans.insert_shape(Arc::clone(&shape_key), Arc::clone(&shape), snap.version);
+                (shape, PlanReuse::Miss)
+            }
+        };
+        let _bind = trace::span("prepare.bind");
+        let bound = engine.bind_shape(&shape, query, literals)?;
+        let cached = lock(&self.plans).lookup_template(&shape_key, &shape, &bound.plan_key);
+        let template = match cached {
+            Some(template) => template,
+            None => {
+                let template = Arc::new(engine.plan_template(&shape, &bound)?);
+                let plan_key = bound.plan_key.clone();
+                let mut plans = lock(&self.plans);
+                plans.insert_template(&shape_key, &shape, plan_key, Arc::clone(&template));
+                if reuse == PlanReuse::Bound {
+                    reuse = PlanReuse::Planned;
+                }
+                template
+            }
+        };
+        let prepared = Arc::new(engine.bind_plans(&shape, bound, &template));
+        let mut plans = lock(&self.plans);
+        plans.insert_bound(key.to_string(), shape_key, &shape, Arc::clone(&prepared));
+        Ok((prepared, reuse))
     }
 
     /// Apply a mutation through the single-writer path: clone the
@@ -399,7 +475,9 @@ impl ServiceCore {
         let version = next.version;
         self.publish(&current, next, &write_set);
         self.writes.fetch_add(1, Ordering::Relaxed);
-        sp.field("version", version.to_string());
+        if sp.id().is_some() {
+            sp.field("version", version.to_string());
+        }
         Ok(Some((version, value)))
     }
 
@@ -734,9 +812,9 @@ impl ServiceCore {
             let cache = lock(&self.cache);
             (cache.len() as u64, cache.counters())
         };
-        let (plan_entries, plan_counters) = {
+        let (plan_entries, shape_entries, plan_counters) = {
             let plans = lock(&self.plans);
-            (plans.len() as u64, plans.counters())
+            (plans.len() as u64, plans.shapes() as u64, plans.counters())
         };
         let transport = lock(&self.transport)
             .as_ref()
@@ -751,6 +829,7 @@ impl ServiceCore {
             cache_entries: entries,
             cache: counters,
             plan_entries,
+            shape_entries,
             plans: plan_counters,
             delta_compactions: snap.engine.sys.delta_compactions(),
             graph_builds: self.graph_builds.load(Ordering::Relaxed)
@@ -986,7 +1065,7 @@ mod tests {
         assert_eq!(core.stats().cache.fallbacks_for(FallbackReason::Pruned), 1);
         let served = core.query(q).unwrap();
         assert!(
-            !served.plan_cache_hit,
+            served.plan_cache == Some(PlanReuse::Miss),
             "the outdated plan must be re-prepared"
         );
         let fresh = core.snapshot().engine.query(q).unwrap();
@@ -1053,7 +1132,7 @@ mod tests {
         let q = format!("EVALUATE LINEAGE OF {{ {Q_Y} }}");
         let core = ServiceCore::new(two_island_system(), EngineOptions::default());
         let first = core.query(&q).unwrap();
-        assert!(!first.cache_hit && !first.plan_cache_hit);
+        assert!(!first.cache_hit && first.plan_cache == Some(PlanReuse::Miss));
         // A write to a dependency evicts the result but not the plan: the
         // point delete stays within the stats fingerprint's buckets.
         core.delete("X", &tup![0]).unwrap();
@@ -1063,7 +1142,11 @@ mod tests {
         );
         let second = core.query(&q).unwrap();
         assert!(!second.cache_hit, "result must re-execute after the write");
-        assert!(second.plan_cache_hit, "plan must be reused");
+        assert_eq!(
+            second.plan_cache,
+            Some(PlanReuse::Hit),
+            "plan must be reused"
+        );
         assert_eq!(second.output.projection.bindings.len(), 4);
         let stats = core.stats();
         assert_eq!(stats.plans.hits, 1);
@@ -1078,7 +1161,11 @@ mod tests {
         core.invalidate();
         let again = core.query(Q_Y).unwrap();
         assert!(!again.cache_hit);
-        assert!(again.plan_cache_hit, "INVALIDATE must not drop plans");
+        assert_eq!(
+            again.plan_cache,
+            Some(PlanReuse::Hit),
+            "INVALIDATE must not drop plans"
+        );
         assert_eq!(again.output.projection.bindings.len(), 5);
     }
 
@@ -1147,7 +1234,11 @@ mod tests {
         assert!(first.output.plan.as_deref().unwrap().contains("actual"));
         let second = core.query(&q).unwrap();
         assert!(!second.cache_hit, "analyze must bypass the result cache");
-        assert!(second.plan_cache_hit, "analyze still reuses the plan");
+        assert_eq!(
+            second.plan_cache,
+            Some(PlanReuse::Hit),
+            "analyze still reuses the plan"
+        );
     }
 
     #[test]

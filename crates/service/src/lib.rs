@@ -61,7 +61,7 @@ pub mod router;
 pub mod server;
 pub mod stats;
 
-pub use crate::core::{QueryResponse, ReplApplyOutcome, ServiceCore, Snapshot};
+pub use crate::core::{PlanReuse, QueryResponse, ReplApplyOutcome, ServiceCore, Snapshot};
 pub use cache::{CacheCounters, MaintenanceCandidate, PlanCache, PlanCacheCounters, ResultCache};
 pub use client::BinClient;
 pub use fanout::{PushSink, ReplFrameKind, ReplSink, SubscriptionEvent};

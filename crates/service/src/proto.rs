@@ -12,7 +12,7 @@
 //!
 //! | verb | args | reply payload |
 //! |---|---|---|
-//! | `QUERY` | ProQL text | version, cache + plan-cache hit/miss, result sizes, digest; `EXPLAIN <query>` adds the rendered plan |
+//! | `QUERY` | ProQL text | version, cache hit/miss, plan cache hit/bound/planned/miss, result sizes, digest; `EXPLAIN <query>` adds the rendered plan |
 //! | `DELETE` | `<relation> <v1,v2,...>` | version, delete stats |
 //! | `INSERT` | `<relation> <v1,v2,...>` | version, write-set size |
 //! | `STATS` | `[TEXT]` | [`crate::stats::ServiceStats`] JSON; with `TEXT`, the `name value` line rendering inside `{"text": ...}` |
@@ -36,7 +36,7 @@
 //! re-issue the query. Pushes are a frame verb of their own, so
 //! [`crate::client::BinClient`] stashes them apart from responses.
 
-use crate::core::{QueryResponse, ServiceCore};
+use crate::core::{PlanReuse, QueryResponse, ServiceCore};
 use crate::fanout::SubscriptionEvent;
 use crate::frame::{self, verb};
 use crate::server::ConnShared;
@@ -159,9 +159,10 @@ pub fn json_str(s: &str) -> String {
     out
 }
 
-/// Render a `QUERY` reply payload. `plan_cache` reports whether a cached
-/// prepared plan was reused; `EXPLAIN` queries additionally carry the
-/// rendered plan text in a `plan` field.
+/// Render a `QUERY` reply payload. `plan_cache` reports how the plans
+/// were obtained ([`PlanReuse::name`]; `miss` on a result-cache hit, which
+/// consults no plan); `EXPLAIN` queries additionally carry the rendered
+/// plan text in a `plan` field.
 pub fn query_json(resp: &QueryResponse) -> String {
     let out = &resp.output;
     let mut json = format!(
@@ -169,7 +170,7 @@ pub fn query_json(resp: &QueryResponse) -> String {
          \"derivations\": {}, \"annotations\": {}, \"touched\": {}, \"digest\": {}",
         resp.version,
         json_str(if resp.cache_hit { "hit" } else { "miss" }),
-        json_str(if resp.plan_cache_hit { "hit" } else { "miss" }),
+        json_str(resp.plan_cache.map_or("miss", PlanReuse::name)),
         out.projection.bindings.len(),
         out.projection.derivation_count(),
         out.annotated.as_ref().map(|a| a.rows.len()).unwrap_or(0),

@@ -820,7 +820,9 @@ fn worker_loop(core: Arc<ServiceCore>, queue: Arc<JobQueue>) {
         // connection's trace anchor — every engine span opened below
         // nests under it via the thread-local stack.
         let mut sp = trace::span_child_of("request", conn.trace_ctx);
-        sp.field("seq", seq.to_string());
+        if sp.id().is_some() {
+            sp.field("seq", seq.to_string());
+        }
         let result = req.text.and_then(|bytes| {
             let text = std::str::from_utf8(&bytes)
                 .map_err(|_| "parse: frame payload is not valid UTF-8".to_string())?;

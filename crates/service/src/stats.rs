@@ -18,8 +18,10 @@ pub struct ServiceStats {
     pub cache_entries: u64,
     /// Cache counters.
     pub cache: CacheCounters,
-    /// Live prepared-plan entries.
+    /// Live plan templates (one per cached plan key).
     pub plan_entries: u64,
+    /// Live query shapes in the plan cache.
+    pub shape_entries: u64,
     /// Prepared-plan cache counters.
     pub plans: PlanCacheCounters,
     /// Delta-log compactions in the published system (sealed entries
@@ -98,8 +100,11 @@ impl ServiceStats {
         m.push_u64("graph_builds", self.graph_builds);
         m.push_u64("graph_patches", self.graph_patches);
         m.push_u64("plan_entries", self.plan_entries);
+        m.push_u64("shape_entries", self.shape_entries);
         m.push_u64("plan_cache_hits", self.plans.hits);
+        m.push_u64("plan_cache_shape_hits", self.plans.shape_hits);
         m.push_u64("plan_cache_misses", self.plans.misses);
+        m.push_u64("plan_cache_plan_misses", self.plans.plan_misses);
         m.push_f64("plan_cache_hit_rate", self.plans.hit_rate(), 6);
         m.push_u64("plan_reprepares", self.plans.reprepares);
         m.push_u64("connections_open", self.transport.connections_open);

@@ -538,6 +538,7 @@ pub fn eval_expr(expr: &Expr, batch: &RecordBatch) -> Result<Column> {
             let c = eval_expr(e, batch)?;
             Ok(Column::Bool((0..n).map(|i| c.is_null(i)).collect()))
         }
+        Expr::Param { slot, .. } => Err(crate::expr::unbound(*slot)),
     }
 }
 

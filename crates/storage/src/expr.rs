@@ -64,6 +64,17 @@ pub enum Expr {
     Not(Box<Expr>),
     /// True iff the operand is NULL.
     IsNull(Box<Expr>),
+    /// A literal slot of a plan template, replaced by the request's value
+    /// before execution ([`Expr::bind_params`]). The optimizer estimates a
+    /// range comparison against it from `sel_log2`, the log₂ bucket of its
+    /// selectivity ([`crate::optimize::selectivity_bucket`]), and never
+    /// treats it as a known value. Evaluating an unbound slot is an error.
+    Param {
+        /// Index into the values a request binds.
+        slot: usize,
+        /// log₂ selectivity bucket the plan was optimized for.
+        sel_log2: i8,
+    },
 }
 
 impl Expr {
@@ -134,6 +145,7 @@ impl Expr {
             }
             Expr::Not(p) => Ok(Value::Bool(!p.eval_bool(tuple)?)),
             Expr::IsNull(e) => Ok(Value::Bool(e.eval(tuple)?.is_null())),
+            Expr::Param { slot, .. } => Err(unbound(*slot)),
         }
     }
 
@@ -153,7 +165,7 @@ impl Expr {
     pub fn for_each_col(&self, f: &mut impl FnMut(usize)) {
         match self {
             Expr::Col(i) => f(*i),
-            Expr::Lit(_) => {}
+            Expr::Lit(_) | Expr::Param { .. } => {}
             Expr::Bin(_, a, b) => {
                 a.for_each_col(f);
                 b.for_each_col(f);
@@ -192,7 +204,7 @@ impl Expr {
             |ps: &[Expr]| -> Option<Vec<Expr>> { ps.iter().map(|p| p.try_map_cols(f)).collect() };
         Some(match self {
             Expr::Col(i) => Expr::Col(f(*i)?),
-            Expr::Lit(v) => Expr::Lit(v.clone()),
+            Expr::Lit(_) | Expr::Param { .. } => self.clone(),
             Expr::Bin(op, a, b) => Expr::Bin(
                 *op,
                 Box::new(a.try_map_cols(f)?),
@@ -203,6 +215,28 @@ impl Expr {
             Expr::Not(p) => Expr::Not(Box::new(p.try_map_cols(f)?)),
             Expr::IsNull(p) => Expr::IsNull(Box::new(p.try_map_cols(f)?)),
         })
+    }
+
+    /// This expression with every [`Expr::Param`] slot replaced by its
+    /// value in `values` (a slot past the end stays unbound).
+    pub fn bind_params(&self, values: &[Value]) -> Expr {
+        let all = |ps: &[Expr]| ps.iter().map(|p| p.bind_params(values)).collect();
+        match self {
+            Expr::Param { slot, .. } => match values.get(*slot) {
+                Some(v) => Expr::Lit(v.clone()),
+                None => self.clone(),
+            },
+            Expr::Col(_) | Expr::Lit(_) => self.clone(),
+            Expr::Bin(op, a, b) => Expr::Bin(
+                *op,
+                Box::new(a.bind_params(values)),
+                Box::new(b.bind_params(values)),
+            ),
+            Expr::And(ps) => Expr::And(all(ps)),
+            Expr::Or(ps) => Expr::Or(all(ps)),
+            Expr::Not(p) => Expr::Not(Box::new(p.bind_params(values))),
+            Expr::IsNull(p) => Expr::IsNull(Box::new(p.bind_params(values))),
+        }
     }
 
     /// Shift every column reference by `delta` (used when an expression moves
@@ -277,6 +311,11 @@ pub(crate) fn eval_bin(op: BinOp, a: &Value, b: &Value) -> Result<Value> {
     }
 }
 
+/// The error for evaluating a plan template before binding it.
+pub(crate) fn unbound(slot: usize) -> Error {
+    Error::Storage(format!("parameter ?{slot} is unbound"))
+}
+
 fn non_numeric(v: &Value) -> Error {
     Error::Storage(format!("arithmetic on non-numeric value {v}"))
 }
@@ -316,6 +355,7 @@ impl fmt::Display for Expr {
             }
             Expr::Not(p) => write!(f, "NOT {p}"),
             Expr::IsNull(p) => write!(f, "{p} IS NULL"),
+            Expr::Param { slot, .. } => write!(f, "?{slot}"),
         }
     }
 }
@@ -442,6 +482,30 @@ mod tests {
             Expr::And(ps) => assert_eq!(ps.len(), 3),
             _ => panic!("expected And"),
         }
+    }
+
+    #[test]
+    fn params_bind_to_literals_and_fail_unbound() {
+        let e = Expr::And(vec![
+            Expr::cmp(
+                BinOp::Ge,
+                Expr::col(0),
+                Expr::Param {
+                    slot: 1,
+                    sel_log2: -2,
+                },
+            ),
+            Expr::Not(Box::new(Expr::col(0).eq(Expr::Param {
+                slot: 0,
+                sel_log2: 0,
+            }))),
+        ]);
+        assert_eq!(e.to_string(), "((c0 >= ?1) AND NOT (c0 = ?0))");
+        assert!(e.eval_bool(&tup![5]).is_err());
+        let bound = e.bind_params(&[Value::Int(5), Value::Int(3)]);
+        assert_eq!(bound.to_string(), "((c0 >= 3) AND NOT (c0 = 5))");
+        assert!(!bound.eval_bool(&tup![5]).unwrap());
+        assert!(bound.eval_bool(&tup![4]).unwrap());
     }
 
     #[test]

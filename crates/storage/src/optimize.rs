@@ -29,6 +29,7 @@
 use crate::database::Database;
 use crate::expr::{BinOp, Expr};
 use crate::plan::{BuildSide, JoinType, Plan};
+use crate::stats::ColumnStats;
 use proql_common::{Value, ValueType};
 use std::collections::HashMap;
 
@@ -297,7 +298,7 @@ fn col_ndv(db: &Database, plan: &Plan, col: usize, depth: usize) -> Option<f64> 
         }
         Plan::Project { input, exprs, .. } => match exprs.get(col)? {
             Expr::Col(i) => col_ndv(db, input, *i, depth),
-            Expr::Lit(_) => Some(1.0),
+            Expr::Lit(_) | Expr::Param { .. } => Some(1.0),
             _ => None,
         },
         Plan::Join { left, right, .. } => {
@@ -343,29 +344,70 @@ fn pred_selectivity(db: &Database, input: &Plan, pred: &Expr, depth: usize) -> f
         Expr::Lit(Value::Bool(true)) => 1.0,
         Expr::Lit(Value::Bool(false)) => 0.0,
         Expr::Bin(op, a, b) => {
-            let (col, lit) = match (a.as_ref(), b.as_ref()) {
-                (Expr::Col(i), Expr::Lit(v)) => (*i, v),
-                (Expr::Lit(v), Expr::Col(i)) => (*i, v),
+            let (col, operand) = match (a.as_ref(), b.as_ref()) {
+                (Expr::Col(i), v @ (Expr::Lit(_) | Expr::Param { .. }))
+                | (v @ (Expr::Lit(_) | Expr::Param { .. }), Expr::Col(i)) => (*i, v),
                 _ => return DEFAULT_SELECTIVITY,
             };
             let Some(stats) = col_stats(db, input, col, depth) else {
                 return DEFAULT_SELECTIVITY;
             };
-            let ndv = stats.ndv().max(1) as f64;
-            match op {
-                BinOp::Eq => 1.0 / ndv,
-                BinOp::Ne => 1.0 - 1.0 / ndv,
-                BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                    let Some(below) = stats.fraction_below(lit) else {
-                        return DEFAULT_SELECTIVITY;
-                    };
-                    match op {
-                        BinOp::Lt | BinOp::Le => below.max(1.0 / ndv),
-                        _ => (1.0 - below).max(1.0 / ndv),
-                    }
-                }
-                _ => DEFAULT_SELECTIVITY,
+            match operand {
+                Expr::Param { sel_log2, .. } => param_selectivity(stats, *op, *sel_log2),
+                Expr::Lit(v) => cmp_selectivity(stats, *op, v),
+                _ => unreachable!("matched a literal or a parameter above"),
             }
+        }
+        _ => DEFAULT_SELECTIVITY,
+    }
+}
+
+/// Estimated fraction of a column's rows satisfying `column op value`,
+/// from the column's statistics: `1/ndv` for equality, the uniform
+/// fraction of `[min, max]` on the matching side for a range (at least
+/// one value's worth), the historical default otherwise.
+fn cmp_selectivity(stats: &ColumnStats, op: BinOp, value: &Value) -> f64 {
+    let ndv = stats.ndv().max(1) as f64;
+    match op {
+        BinOp::Eq => 1.0 / ndv,
+        BinOp::Ne => 1.0 - 1.0 / ndv,
+        BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
+            let Some(below) = stats.fraction_below(value) else {
+                return DEFAULT_SELECTIVITY;
+            };
+            match op {
+                BinOp::Lt | BinOp::Le => below.max(1.0 / ndv),
+                _ => (1.0 - below).max(1.0 / ndv),
+            }
+        }
+        _ => DEFAULT_SELECTIVITY,
+    }
+}
+
+/// log₂ bucket of a selectivity: `floor(log₂ s)` for `s` in `(0, 1]`,
+/// `i8::MIN` for 0. `None` stats (no column to read) give the bucket of
+/// the default selectivity. A plan template is optimized for one bucket
+/// per literal slot ([`Expr::Param`]).
+pub fn selectivity_bucket(stats: Option<&ColumnStats>, op: BinOp, value: &Value) -> i8 {
+    let s = stats.map_or(DEFAULT_SELECTIVITY, |st| cmp_selectivity(st, op, value));
+    if s <= 0.0 {
+        i8::MIN
+    } else {
+        s.clamp(0.0, 1.0).log2().floor().max(-63.0) as i8
+    }
+}
+
+/// The estimate for `column op ?slot`: equality does not depend on the
+/// value, so it reads the column like a literal would; a range takes the
+/// geometric middle of its bucket, `2^(sel_log2 + ½)`, capped at 1.
+fn param_selectivity(stats: &ColumnStats, op: BinOp, sel_log2: i8) -> f64 {
+    let ndv = stats.ndv().max(1) as f64;
+    match op {
+        BinOp::Eq => 1.0 / ndv,
+        BinOp::Ne => 1.0 - 1.0 / ndv,
+        BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge if sel_log2 == i8::MIN => 1.0 / ndv,
+        BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
+            2f64.powf(f64::from(sel_log2) + 0.5).min(1.0).max(1.0 / ndv)
         }
         _ => DEFAULT_SELECTIVITY,
     }
@@ -1263,7 +1305,7 @@ type JoinSide<'a> = (&'a Plan, Option<usize>, &'a [usize]);
 /// columns hold: comparisons and `IS NULL` over columns and literals,
 /// combined with `AND`/`OR`/`NOT`.
 fn is_total(e: &Expr) -> bool {
-    let operand = |e: &Expr| matches!(e, Expr::Col(_) | Expr::Lit(_));
+    let operand = |e: &Expr| matches!(e, Expr::Col(_) | Expr::Lit(_) | Expr::Param { .. });
     match e {
         Expr::Bin(op, a, b) => {
             use BinOp::*;
@@ -1273,7 +1315,7 @@ fn is_total(e: &Expr) -> bool {
         Expr::And(ps) | Expr::Or(ps) => ps.iter().all(is_total),
         Expr::Not(p) => is_total(p),
         Expr::Lit(v) => matches!(v, Value::Bool(_)),
-        Expr::Col(_) => false,
+        Expr::Col(_) | Expr::Param { .. } => false,
     }
 }
 
@@ -1306,6 +1348,84 @@ fn view_body(db: &Database, table: &str, view_depth: usize) -> Option<Plan> {
 // ---------------------------------------------------------------------------
 // Pass: index conversion
 // ---------------------------------------------------------------------------
+
+/// A plan template bound to one request: `plan` cloned with every
+/// [`Expr::Param`] slot replaced by its value in `values`, then index
+/// conversion over the filters binding made equality-bound — the one
+/// pass whose output depends on literal values rather than estimates.
+pub fn bind_params(plan: &Plan, values: &[Value]) -> Plan {
+    index_scans(substitute(plan, values))
+}
+
+fn substitute(plan: &Plan, values: &[Value]) -> Plan {
+    let rec = |p: &Plan| Box::new(substitute(p, values));
+    match plan {
+        Plan::Filter { input, predicate } => Plan::Filter {
+            input: rec(input),
+            predicate: predicate.bind_params(values),
+        },
+        Plan::Project {
+            input,
+            exprs,
+            names,
+        } => Plan::Project {
+            input: rec(input),
+            exprs: exprs.iter().map(|e| e.bind_params(values)).collect(),
+            names: names.clone(),
+        },
+        Plan::Join {
+            left,
+            right,
+            join_type,
+            left_keys,
+            right_keys,
+            build,
+        } => Plan::Join {
+            left: rec(left),
+            right: rec(right),
+            join_type: *join_type,
+            left_keys: left_keys.clone(),
+            right_keys: right_keys.clone(),
+            build: *build,
+        },
+        Plan::Union { inputs, distinct } => Plan::Union {
+            inputs: inputs.iter().map(|p| substitute(p, values)).collect(),
+            distinct: *distinct,
+        },
+        Plan::Distinct { input } => Plan::Distinct { input: rec(input) },
+        Plan::Aggregate {
+            input,
+            group_by,
+            aggs,
+            having,
+        } => Plan::Aggregate {
+            input: rec(input),
+            group_by: group_by.clone(),
+            aggs: aggs.clone(),
+            having: having.as_ref().map(|h| h.bind_params(values)),
+        },
+        Plan::Sort { input, by } => Plan::Sort {
+            input: rec(input),
+            by: by.clone(),
+        },
+        Plan::Limit { input, n } => Plan::Limit {
+            input: rec(input),
+            n: *n,
+        },
+        Plan::IndexLookup {
+            table,
+            columns,
+            key,
+            residual,
+        } => Plan::IndexLookup {
+            table: table.clone(),
+            columns: columns.clone(),
+            key: key.clone(),
+            residual: residual.as_ref().map(|r| r.bind_params(values)),
+        },
+        Plan::Scan { .. } | Plan::Values { .. } => plan.clone(),
+    }
+}
 
 /// Rewrite `Filter(Scan)` into `IndexLookup` when every equality-bound
 /// column set could be served by an index (the executor falls back to a
@@ -1450,6 +1570,43 @@ mod tests {
             other => panic!("expected IndexLookup, got {other:?}"),
         }
         assert_eq!(execute(&db(), &opt).unwrap().rows, vec![tup![3, 30]]);
+    }
+
+    #[test]
+    fn a_bound_template_is_the_literal_plan() {
+        // `c0 = ?0 AND c1 < ?1`: optimized with slots, no index lookup can
+        // form; binding substitutes the literals and converts the now
+        // equality-bound filter like the literal pipeline does.
+        let d = db();
+        let slot = |slot| Expr::Param { slot, sel_log2: -1 };
+        let template = Plan::scan("T").filter(Expr::And(vec![
+            Expr::col(0).eq(slot(0)),
+            Expr::cmp(BinOp::Lt, Expr::col(1), slot(1)),
+        ]));
+        let literal = Plan::scan("T").filter(Expr::And(vec![
+            Expr::col(0).eq(Expr::lit(3)),
+            Expr::cmp(BinOp::Lt, Expr::col(1), Expr::lit(100)),
+        ]));
+        let optimized = optimize_with(&d, template);
+        assert!(matches!(optimized, Plan::Filter { .. }), "{optimized:?}");
+        assert!(
+            execute(&d, &optimized).is_err(),
+            "unbound slots must not run"
+        );
+        let bound = bind_params(&optimized, &[Value::Int(3), Value::Int(100)]);
+        assert_eq!(bound, optimize_with(&d, literal));
+        assert_eq!(execute(&d, &bound).unwrap().rows, vec![tup![3, 30]]);
+        // A range slot is estimated from its bucket, an equality from NDV.
+        let stats = d.table("T").unwrap().stats().column(1).unwrap();
+        assert_eq!(
+            selectivity_bucket(Some(stats), BinOp::Lt, &Value::Int(50)),
+            -1
+        );
+        assert_eq!(
+            selectivity_bucket(Some(stats), BinOp::Eq, &Value::Int(50)),
+            -4
+        );
+        assert_eq!(selectivity_bucket(None, BinOp::Lt, &Value::Int(50)), -2);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! batch reconstructs as a single trace retrievable over the `TRACE`
 //! wire verb, whose payload parses as JSON, and an `INSERT`'s trace
 //! breaks its write path into the clone, maintenance, install and
-//! fan-out steps.
+//! fan-out steps. A query whose shape the plan cache holds binds its
+//! literals without preparing, and `STATS` counts it.
 //!
 //! These tests only ever *enable* tracing (never disable it), so they
 //! are safe under the parallel test harness: each asserts exclusively
@@ -319,6 +320,65 @@ fn an_insert_traces_each_write_step_under_its_root() {
     }
     drop(client);
     server.shutdown();
+}
+
+/// A query whose shape the plan cache holds binds its literals and
+/// prepares nothing: its `service.query` span says `plan_cache=bound` and
+/// holds a `prepare.bind` child, and no `prepare` span runs under it.
+/// `STATS` reports the cached plans and the shape hit.
+#[test]
+fn a_shape_hit_binds_under_its_query_span_and_prepares_nothing() {
+    trace::set_enabled(true);
+    // The exchange's operator spans nest under one setup root rather than
+    // each starting a trace of its own, which would crowd other tests'
+    // traces out of `TRACE`'s most recent few.
+    let setup = trace::span("test.setup");
+    let sys = build_system(Topology::Chain, &CdssConfig::upstream_data(3, 2, 12)).unwrap();
+    drop(setup);
+    let core = ServiceCore::new(sys, EngineOptions::default());
+    let query = |lo: i64| {
+        let root = trace::span("test.shape_hit");
+        let trace_id = root.trace_id().expect("tracing is enabled");
+        let q = format!("FOR [R0a $x] INCLUDE PATH [$x] <-+ [] WHERE $x.k >= {lo} RETURN $x");
+        core.query(&q).unwrap();
+        drop(root);
+        let spans = trace::spans_for_trace(trace_id);
+        assert_well_formed(&spans, trace_id);
+        spans
+    };
+    let field = |s: &trace::SpanRecord, key: &str| {
+        s.fields
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| v.clone())
+    };
+    let first = query(1);
+    assert!(first.iter().any(|s| s.name == "prepare"));
+    let spans = query(2);
+    let served = spans
+        .iter()
+        .find(|s| s.name == "service.query")
+        .expect("the query records its service.query span");
+    assert_eq!(field(served, "plan_cache").as_deref(), Some("bound"));
+    assert!(
+        spans
+            .iter()
+            .any(|s| s.name == "prepare.bind" && s.parent_id == served.span_id),
+        "binding nests under service.query"
+    );
+    assert!(
+        !spans.iter().any(|s| s.name == "prepare"),
+        "a shape hit prepares nothing"
+    );
+
+    let stats = core.stats().to_json();
+    assert_eq!(json_u64_field(&stats, "plan_entries"), Some(1), "{stats}");
+    assert_eq!(json_u64_field(&stats, "shape_entries"), Some(1), "{stats}");
+    assert_eq!(
+        json_u64_field(&stats, "plan_cache_shape_hits"),
+        Some(1),
+        "{stats}"
+    );
 }
 
 #[test]
